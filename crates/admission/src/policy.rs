@@ -70,11 +70,11 @@
 //! [`crate::registry::PolicyEntry`] for it (see
 //! [`crate::registry::PolicyRegistry::register`]).
 
-use wcdma_ilp::{branch_and_bound, greedy, BbWorkspace, Problem};
+use wcdma_ilp::{BbWorkspace, Problem};
 use wcdma_mac::LinkDir;
 
 use crate::feedback::QosFeedback;
-use crate::measurement::{region_problem, Region};
+use crate::measurement::Region;
 use crate::objective::Objective;
 use crate::scheduler::{Policy, RequestState, SchedulerConfig};
 
@@ -108,8 +108,7 @@ pub struct PolicyContext<'a> {
     /// until the first window closes. Model-trusting policies ignore it;
     /// measurement-based policies (see [`MeasuredRegion`],
     /// [`GracefulDegradation`]) must also return `true` from
-    /// [`AdmissionPolicy::uses_feedback`] so the scheduler's
-    /// identical-round cache stays sound.
+    /// [`AdmissionPolicy::uses_feedback`] so the simulation publishes it.
     pub feedback: &'a QosFeedback,
 }
 
@@ -153,6 +152,16 @@ impl PolicyScratch {
     pub fn bb_total_nodes(&self) -> u64 {
         self.bb.total_nodes()
     }
+
+    /// The decision held in the output fields, for `decide` implementations
+    /// that run `decide_into` on a fresh scratch.
+    fn into_decision(self) -> PolicyDecision {
+        PolicyDecision {
+            m: self.m,
+            objective_value: self.objective_value,
+            optimal: self.optimal,
+        }
+    }
 }
 
 /// A burst admission policy: turns one round's [`PolicyContext`] into a
@@ -168,8 +177,8 @@ impl PolicyScratch {
 /// `decide` takes `&mut self` so adaptive policies (e.g. the AIMD
 /// [`MeasuredRegion`]) can carry state across rounds; stateful policies
 /// must evolve that state only on [`QosFeedback::seq`] steps (not per
-/// call) so cached-round replay and [`crate::SolveMode::Cold`] stay
-/// bit-identical to the warm path.
+/// call) so a policy's decisions depend on the feedback window, never on
+/// how many rounds it has seen.
 pub trait AdmissionPolicy: std::fmt::Debug + Send + Sync {
     /// Short kind name, e.g. `"jaba-sd"` or `"fcfs"` (stable across
     /// parameterisations; registry names add the parameter flavour).
@@ -196,21 +205,10 @@ pub trait AdmissionPolicy: std::fmt::Debug + Send + Sync {
         out.optimal = d.optimal;
     }
 
-    /// Whether the decision is a pure function of the [`PolicyContext`]
-    /// (given an unchanged [`PolicyContext::feedback`]; see
-    /// [`uses_feedback`](Self::uses_feedback)), so the scheduler may skip
-    /// a round whose context is bit-identical to the previous one and
-    /// replay the cached outcome. Defaults to `false` to stay safe for
-    /// external policies; every built-in overrides it to `true`.
-    fn cacheable(&self) -> bool {
-        false
-    }
-
-    /// Whether the policy reads [`PolicyContext::feedback`]. The scheduler
-    /// additionally requires the feedback window to be unchanged before
-    /// replaying a cached round for such a policy — without this, a
-    /// feedback step that should trigger adaptation could be swallowed by
-    /// the identical-round cache. Defaults to `false`.
+    /// Whether the policy reads [`PolicyContext::feedback`]. The simulation
+    /// runs its QoS monitor and publishes windowed feedback to the
+    /// scheduler only for such policies; the others see the default
+    /// (`seq == 0`) signal. Defaults to `false`.
     fn uses_feedback(&self) -> bool {
         false
     }
@@ -331,62 +329,13 @@ impl JabaSd {
             node_limit: 200_000,
         }
     }
-}
 
-impl AdmissionPolicy for JabaSd {
-    fn name(&self) -> &'static str {
-        "jaba-sd"
-    }
-
-    fn describe(&self) -> String {
-        let solver = if self.exact {
-            "exact branch-and-bound"
-        } else {
-            "density greedy"
-        };
-        match self.objective {
-            Objective::J1 => format!("JABA-SD, J1 (pure rate), {solver}"),
-            Objective::J2 { lambda, mu } => {
-                format!("JABA-SD, J2 (λ = {lambda}, μ = {mu} s), {solver}")
-            }
-        }
-    }
-
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
-        let c: Vec<f64> = ctx
-            .requests
-            .iter()
-            .zip(ctx.delta_beta)
-            .map(|(r, &db)| {
-                self.objective
-                    .weight(db, r.priority, r.waiting_s, &ctx.cfg.timers)
-            })
-            .collect();
-        let lo: Vec<u32> = ctx.bounds.iter().map(|b| b.0).collect();
-        let hi: Vec<u32> = ctx.bounds.iter().map(|b| b.1).collect();
-        let problem = region_problem(ctx.region, c, lo, hi);
-        if self.exact {
-            let (sol, complete) = branch_and_bound(&problem, self.node_limit);
-            PolicyDecision {
-                m: sol.m,
-                objective_value: sol.objective,
-                optimal: complete,
-            }
-        } else {
-            let sol = greedy(&problem);
-            PolicyDecision {
-                m: sol.m,
-                objective_value: sol.objective,
-                optimal: true,
-            }
-        }
-    }
-
-    fn decide_into(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
-        // Same decision as `decide`, but the problem shell and the
-        // branch-and-bound workspace come from `out`: a warm round fills
-        // existing buffers and solves without allocating. The workspace
-        // solver is bit-identical to the one-shot `branch_and_bound`.
+    /// Solves the round's integer program over the scaled region
+    /// `A m ≤ eta·b` into `out`. The problem shell and the branch-and-bound
+    /// workspace come from `out`: a warm round fills existing buffers and
+    /// solves without allocating. `eta = 1.0` multiplies every headroom by
+    /// one exactly, so it is the unscaled region bit for bit.
+    fn solve_scaled(&self, ctx: &PolicyContext<'_>, eta: f64, out: &mut PolicyScratch) {
         let PolicyScratch {
             m,
             objective_value,
@@ -410,25 +359,47 @@ impl AdmissionPolicy for JabaSd {
             problem.a.extend_from_slice(row);
         }
         problem.b.clear();
-        problem.b.extend_from_slice(&ctx.region.b);
+        problem.b.extend(ctx.region.b.iter().map(|&bk| bk * eta));
         problem.validate().expect("invalid problem");
-        if self.exact {
-            let (sol, complete) = bb.solve(problem, self.node_limit);
-            m.clear();
-            m.extend_from_slice(&sol.m);
-            *objective_value = sol.objective;
-            *optimal = complete;
+        let (sol, complete) = if self.exact {
+            bb.solve(problem, self.node_limit)
         } else {
-            let sol = bb.greedy(problem);
-            m.clear();
-            m.extend_from_slice(&sol.m);
-            *objective_value = sol.objective;
-            *optimal = true;
+            (bb.greedy(problem), true)
+        };
+        m.clear();
+        m.extend_from_slice(&sol.m);
+        *objective_value = sol.objective;
+        *optimal = complete;
+    }
+}
+
+impl AdmissionPolicy for JabaSd {
+    fn name(&self) -> &'static str {
+        "jaba-sd"
+    }
+
+    fn describe(&self) -> String {
+        let solver = if self.exact {
+            "exact branch-and-bound"
+        } else {
+            "density greedy"
+        };
+        match self.objective {
+            Objective::J1 => format!("JABA-SD, J1 (pure rate), {solver}"),
+            Objective::J2 { lambda, mu } => {
+                format!("JABA-SD, J2 (λ = {lambda}, μ = {mu} s), {solver}")
+            }
         }
     }
 
-    fn cacheable(&self) -> bool {
-        true
+    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
+        let mut out = PolicyScratch::default();
+        self.decide_into(ctx, &mut out);
+        out.into_decision()
+    }
+
+    fn decide_into(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
+        self.solve_scaled(ctx, 1.0, out);
     }
 
     fn clone_box(&self) -> BoxedPolicy {
@@ -507,10 +478,6 @@ impl AdmissionPolicy for Fcfs {
         }
     }
 
-    fn cacheable(&self) -> bool {
-        true
-    }
-
     fn clone_box(&self) -> BoxedPolicy {
         Box::new(*self)
     }
@@ -553,10 +520,6 @@ impl AdmissionPolicy for EqualShare {
             objective_value,
             optimal: true,
         }
-    }
-
-    fn cacheable(&self) -> bool {
-        true
     }
 
     fn clone_box(&self) -> BoxedPolicy {
@@ -680,10 +643,6 @@ impl AdmissionPolicy for WeightedFairShare {
         }
     }
 
-    fn cacheable(&self) -> bool {
-        true
-    }
-
     fn clone_box(&self) -> BoxedPolicy {
         Box::new(*self)
     }
@@ -746,10 +705,6 @@ impl AdmissionPolicy for ThresholdReservation {
         }
     }
 
-    fn cacheable(&self) -> bool {
-        true
-    }
-
     fn clone_box(&self) -> BoxedPolicy {
         Box::new(*self)
     }
@@ -767,8 +722,7 @@ impl AdmissionPolicy for ThresholdReservation {
 /// under the target.
 ///
 /// Adaptation happens exactly once per closed feedback window
-/// ([`QosFeedback::seq`] step), never per round, so cached-round replay
-/// and cold-mode solving stay bit-identical.
+/// ([`QosFeedback::seq`] step), never per round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredRegion {
     /// QoS target: tolerated windowed outage / SIR-violation rate.
@@ -866,11 +820,6 @@ impl MeasuredRegion {
         }
         self.eta[d]
     }
-
-    /// The underlying solver configuration (shared with JABA-SD J2).
-    fn solver() -> JabaSd {
-        JabaSd::default_j2()
-    }
 }
 
 impl AdmissionPolicy for MeasuredRegion {
@@ -889,54 +838,14 @@ impl AdmissionPolicy for MeasuredRegion {
     fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
         let mut out = PolicyScratch::default();
         self.decide_into(ctx, &mut out);
-        PolicyDecision {
-            m: out.m,
-            objective_value: out.objective_value,
-            optimal: out.optimal,
-        }
+        out.into_decision()
     }
 
     fn decide_into(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
-        let eta = self.adapt(ctx);
-        let solver = Self::solver();
-        let PolicyScratch {
-            m,
-            objective_value,
-            optimal,
-            problem,
-            bb,
-        } = out;
-        problem.c.clear();
-        problem
-            .c
-            .extend(ctx.requests.iter().zip(ctx.delta_beta).map(|(r, &db)| {
-                solver
-                    .objective
-                    .weight(db, r.priority, r.waiting_s, &ctx.cfg.timers)
-            }));
-        problem.lo.clear();
-        problem.lo.extend(ctx.bounds.iter().map(|b| b.0));
-        problem.hi.clear();
-        problem.hi.extend(ctx.bounds.iter().map(|b| b.1));
-        problem.a.clear();
-        for row in &ctx.region.a {
-            problem.a.extend_from_slice(row);
-        }
-        problem.b.clear();
         // η ≤ 1, so every solution also satisfies the unscaled region and
-        // the scheduler's admissibility contract holds by construction
-        // (η = 1 multiplies by 1.0 exactly — bit-identical to JABA-SD).
-        problem.b.extend(ctx.region.b.iter().map(|&bk| bk * eta));
-        problem.validate().expect("invalid problem");
-        let (sol, complete) = bb.solve(problem, solver.node_limit);
-        m.clear();
-        m.extend_from_slice(&sol.m);
-        *objective_value = sol.objective;
-        *optimal = complete;
-    }
-
-    fn cacheable(&self) -> bool {
-        true
+        // the scheduler's admissibility contract holds by construction.
+        let eta = self.adapt(ctx);
+        JabaSd::default_j2().solve_scaled(ctx, eta, out);
     }
 
     fn uses_feedback(&self) -> bool {
@@ -1059,10 +968,6 @@ impl AdmissionPolicy for GracefulDegradation {
             objective_value,
             optimal: true,
         }
-    }
-
-    fn cacheable(&self) -> bool {
-        true
     }
 
     fn uses_feedback(&self) -> bool {

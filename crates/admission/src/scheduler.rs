@@ -169,14 +169,15 @@ pub struct SchedStats {
     /// Scheduling rounds requested (one per direction per frame with
     /// pending requests).
     pub rounds: u64,
-    /// Rounds that actually ran the policy (not answered from the
-    /// identical-round cache).
+    /// Rounds that ran the policy — every round, so always equal to
+    /// `rounds`.
     pub solves: u64,
     /// Solves that re-entered a warm per-direction workspace (dimensions
     /// within previously-seen capacity, so the round ran allocation-free).
     pub warm_hits: u64,
-    /// Rounds skipped because the full solve context was bit-identical to
-    /// the previous round in that direction (cached outcome replayed).
+    /// Always 0: every round runs the policy, and nothing increments this
+    /// counter. The field stays because the benchmark (`perfbench/`) builds
+    /// `SchedStats` by struct literal and reports it.
     pub skipped_identical: u64,
     /// Branch-and-bound nodes visited by solver-backed policies.
     pub bb_nodes: u64,
@@ -185,7 +186,7 @@ pub struct SchedStats {
 /// Whether the scheduler reuses its per-direction workspaces across rounds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SolveMode {
-    /// Reuse workspaces: warm buffers, identical-round cache (the default).
+    /// Reuse the per-direction workspace buffers (the default).
     #[default]
     Warm,
     /// Reset the workspace before every round — the pre-warm-start
@@ -195,8 +196,7 @@ pub enum SolveMode {
 }
 
 /// Per-direction persistent scheduling state: the region (plus its row
-/// pools), δβ̄/bounds columns, the policy scratch, the previous-round
-/// fingerprint, and the cached outcome.
+/// pools), δβ̄/bounds columns, the policy scratch, and the outcome buffer.
 #[derive(Debug, Clone, Default)]
 struct SchedWorkspace {
     region: Region,
@@ -206,36 +206,13 @@ struct SchedWorkspace {
     outcome_spare: Vec<Vec<f64>>,
     dbetas: Vec<f64>,
     bounds: Vec<(u32, u32)>,
-    // Previous-round request fingerprint (region + δβ̄ are compared against
-    // the cached outcome's own copies).
-    prev_users: Vec<usize>,
-    prev_size: Vec<f64>,
-    prev_wait: Vec<f64>,
-    prev_prio: Vec<f64>,
-    prev_bounds: Vec<(u32, u32)>,
     scratch: PolicyScratch,
     outcome: ScheduleOutcome,
-    /// Feedback window the cached outcome was solved under (feedback-using
-    /// policies may only replay a cached round within the same window).
-    prev_feedback_seq: u64,
-    /// Whether `outcome` + fingerprint describe a completed cacheable round.
-    valid: bool,
     rounds: u64,
     /// High-water marks: a solve whose dimensions fit under these ran
     /// without growing any buffer.
     cap_requests: usize,
     cap_rows: usize,
-}
-
-fn bits_eq(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-fn region_bits_eq(a: &Region, b: &Region) -> bool {
-    a.cells == b.cells
-        && bits_eq(&a.b, &b.b)
-        && a.a.len() == b.a.len()
-        && a.a.iter().zip(&b.a).all(|(x, y)| bits_eq(x, y))
 }
 
 /// δβ̄ for one request in the given direction (free-function form so the
@@ -277,10 +254,9 @@ fn grant_bounds_for(cfg: &SchedulerConfig, size_bits: f64, delta_beta: f64) -> (
 ///
 /// The scheduler owns one persistent workspace per link direction. In the
 /// default [`SolveMode::Warm`] a steady-state round allocates nothing: the
-/// region is rebuilt into pooled rows, δβ̄/bounds fill reusable columns, the
-/// policy writes into a persistent [`PolicyScratch`], and a round whose full
-/// context is bit-identical to the previous one replays the cached outcome
-/// outright. [`SolveMode::Cold`] resets the workspace every round, giving
+/// region is rebuilt into pooled rows, δβ̄/bounds fill reusable columns, and
+/// the policy writes into a persistent [`PolicyScratch`]. Every round runs
+/// the policy. [`SolveMode::Cold`] resets the workspace every round, giving
 /// the pre-warm-start reference behaviour; both modes produce bit-identical
 /// outcomes because every code path runs the same arithmetic on the same
 /// values — reuse only changes where the buffers come from.
@@ -347,8 +323,7 @@ impl Scheduler {
     /// Publishes a new in-loop QoS feedback signal; every subsequent round
     /// hands it to the policy via [`PolicyContext`]. Feedback must be
     /// piecewise constant — callers update it only when a monitor window
-    /// closes (a changed [`QosFeedback::seq`]); the identical-round cache
-    /// relies on the bits staying fixed between updates.
+    /// closes (a changed [`QosFeedback::seq`]).
     pub fn set_feedback(&mut self, feedback: QosFeedback) {
         self.feedback = feedback;
     }
@@ -436,39 +411,6 @@ impl Scheduler {
                 .map(|(r, &db)| grant_bounds_for(cfg, r.size_bits, db)),
         );
 
-        // Identical-round cache: if the policy is a pure function of the
-        // context and every input the policy (and the grant builder) can
-        // see is bit-identical to the previous round, replay the cached
-        // outcome without running the policy.
-        let cacheable = policy.cacheable();
-        if cacheable
-            && ws.valid
-            && (!policy.uses_feedback() || ws.prev_feedback_seq == feedback.seq)
-            && ws.prev_users.len() == n
-            && requests
-                .iter()
-                .zip(&ws.prev_users)
-                .all(|(r, &u)| r.meas.mobile == u)
-            && requests
-                .iter()
-                .zip(&ws.prev_size)
-                .all(|(r, &s)| r.size_bits.to_bits() == s.to_bits())
-            && requests
-                .iter()
-                .zip(&ws.prev_wait)
-                .all(|(r, &w)| r.waiting_s.to_bits() == w.to_bits())
-            && requests
-                .iter()
-                .zip(&ws.prev_prio)
-                .all(|(r, &p)| r.priority.to_bits() == p.to_bits())
-            && ws.bounds == ws.prev_bounds
-            && bits_eq(&ws.dbetas, &ws.outcome.delta_beta)
-            && region_bits_eq(&ws.region, &ws.outcome.region)
-        {
-            stats.skipped_identical += 1;
-            return &ws.outcome;
-        }
-
         stats.solves += 1;
         if ws.rounds > 1 && n <= ws.cap_requests && ws.region.b.len() <= ws.cap_rows {
             stats.warm_hits += 1;
@@ -538,19 +480,6 @@ impl Scheduler {
             }
         }
         copy_region_into(&ws.region, &mut ws.outcome.region, &mut ws.outcome_spare);
-
-        ws.prev_users.clear();
-        ws.prev_users.extend(requests.iter().map(|r| r.meas.mobile));
-        ws.prev_size.clear();
-        ws.prev_size.extend(requests.iter().map(|r| r.size_bits));
-        ws.prev_wait.clear();
-        ws.prev_wait.extend(requests.iter().map(|r| r.waiting_s));
-        ws.prev_prio.clear();
-        ws.prev_prio.extend(requests.iter().map(|r| r.priority));
-        ws.prev_bounds.clear();
-        ws.prev_bounds.extend_from_slice(&ws.bounds);
-        ws.prev_feedback_seq = feedback.seq;
-        ws.valid = cacheable;
         &ws.outcome
     }
 }
@@ -883,35 +812,6 @@ mod tests {
     }
 
     #[test]
-    fn identical_round_is_skipped_and_replayed() {
-        let mut s = sched(Policy::jaba_sd_default());
-        let (fwd, rev) = loads(2, 10.0);
-        let specs = vec![
-            req(0, 0, 0.2, 10.0, 1e6, 0.1),
-            req(1, 0, 0.5, 6.0, 1e6, 0.5),
-            req(2, 1, 0.3, 8.0, 1e6, 0.0),
-        ];
-        let requests = reqs(&specs);
-        let first = s.schedule(LinkDir::Forward, &fwd, &rev, &requests).clone();
-        let second = s.schedule(LinkDir::Forward, &fwd, &rev, &requests).clone();
-        assert_eq!(first.m, second.m);
-        assert_eq!(first.grants.len(), second.grants.len());
-        assert_eq!(
-            first.objective_value.to_bits(),
-            second.objective_value.to_bits()
-        );
-        let st = s.stats();
-        assert_eq!(st.rounds, 2);
-        assert_eq!(st.solves, 1, "second identical round must be cached");
-        assert_eq!(st.skipped_identical, 1);
-        // Any input change invalidates the cache.
-        let mut specs2 = specs.clone();
-        specs2[0].wait += 0.02;
-        s.schedule(LinkDir::Forward, &fwd, &rev, &reqs(&specs2));
-        assert_eq!(s.stats().solves, 2, "changed waiting time must re-solve");
-    }
-
-    #[test]
     fn warm_and_cold_modes_are_bit_identical() {
         let (fwd, rev) = loads(2, 12.0);
         let rounds: Vec<Vec<ReqSpec>> = vec![
@@ -960,20 +860,7 @@ mod tests {
             "shrinking rounds must re-enter a warm workspace: {ws:?}"
         );
         assert_eq!(cs.warm_hits, 0, "cold mode never reports warm hits");
-        assert_eq!(cs.skipped_identical, 0, "cold mode never caches");
         warm.reset_stats();
         assert_eq!(warm.stats(), SchedStats::default());
-    }
-
-    #[test]
-    fn empty_rounds_hit_the_identical_cache() {
-        let mut s = sched(Policy::jaba_sd_default());
-        let (fwd, rev) = loads(1, 5.0);
-        s.schedule(LinkDir::Forward, &fwd, &rev, &[]);
-        s.schedule(LinkDir::Forward, &fwd, &rev, &[]);
-        let st = s.stats();
-        assert_eq!(st.rounds, 2);
-        assert_eq!(st.solves, 1);
-        assert_eq!(st.skipped_identical, 1);
     }
 }

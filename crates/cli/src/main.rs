@@ -78,8 +78,8 @@ options:
   --trace       also capture per-frame policy decisions (first replication
                 of every scenario) into <name>-trace.csv
   --sched-stats print per-scenario scheduling-phase statistics (solves,
-                warm-start hits, cached rounds, B&B nodes) from the first
-                replication of every scenario
+                warm-start hits, B&B nodes) from the first replication of
+                every scenario
   --shards N    worker threads (default: one per core)
   --frame-threads N
                 threads *inside* each replication's frame loop (default:
@@ -590,7 +590,7 @@ fn cmd_run(args: &RunArgs) -> Result<(), String> {
     );
     if args.trace {
         println!("tracing policy decisions (first replication of every scenario)…");
-        let traces = trace_campaign(&spec)?;
+        let traces = trace_campaign(&spec, candidates)?;
         let trace = write_artefact(
             &args.out,
             &format!("{}-trace.csv", spec.name),
@@ -600,7 +600,7 @@ fn cmd_run(args: &RunArgs) -> Result<(), String> {
     }
     if args.sched_stats {
         println!("collecting scheduling statistics (first replication of every scenario)…");
-        let stats = sched_stats_campaign(&spec)?;
+        let stats = sched_stats_campaign(&spec, candidates)?;
         println!("{}", sched_stats_table(&stats).render());
     }
     Ok(())
@@ -659,7 +659,7 @@ fn cmd_run_service(
     println!("wrote {}", paths.join(", "));
     if args.trace {
         println!("tracing policy decisions (first replication of every scenario)…");
-        let traces = trace_campaign(spec)?;
+        let traces = trace_campaign(spec, candidates)?;
         let trace = write_artefact(
             dir,
             &format!("{}-trace.csv", spec.name),
@@ -669,22 +669,21 @@ fn cmd_run_service(
     }
     if args.sched_stats {
         println!("collecting scheduling statistics (first replication of every scenario)…");
-        let stats = sched_stats_campaign(spec)?;
+        let stats = sched_stats_campaign(spec, candidates)?;
         println!("{}", sched_stats_table(&stats).render());
     }
     Ok(())
 }
 
-/// Renders per-scenario scheduling-phase statistics: how much of the
-/// scheduling work the warm-started workspaces and the identical-round
-/// cache absorbed.
+/// Renders per-scenario scheduling-phase statistics: how many rounds ran,
+/// how many of them re-entered warm workspace buffers, and the
+/// branch-and-bound work.
 fn sched_stats_table(stats: &[(String, wcdma_sim::campaign::SchedStats)]) -> Table {
     let mut t = Table::new(&[
         "scenario",
         "rounds",
         "solves",
         "warm hits",
-        "cached",
         "bb nodes",
         "warm rate",
     ]);
@@ -699,7 +698,6 @@ fn sched_stats_table(stats: &[(String, wcdma_sim::campaign::SchedStats)]) -> Tab
             s.rounds.to_string(),
             s.solves.to_string(),
             s.warm_hits.to_string(),
-            s.skipped_identical.to_string(),
             s.bb_nodes.to_string(),
             rate,
         ]);
@@ -986,10 +984,10 @@ mod tests {
             (
                 "busy".to_string(),
                 SchedStats {
-                    rounds: 10,
+                    rounds: 4,
                     solves: 4,
                     warm_hits: 3,
-                    skipped_identical: 6,
+                    skipped_identical: 0,
                     bb_nodes: 123,
                 },
             ),
@@ -998,6 +996,7 @@ mod tests {
         let rendered = sched_stats_table(&rows).render();
         assert!(rendered.contains("75%"), "{rendered}");
         assert!(rendered.contains("—"), "{rendered}");
+        assert!(!rendered.contains("cached"), "{rendered}");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! * [`solvers::exhaustive`] — enumeration oracle for verification.
 //! * [`solvers::greedy`] — density heuristic, quantified against the exact
 //!   solver in experiment E7.
-//! * [`simplex::SimplexWorkspace`] — warm-startable dense simplex for the LP
-//!   relaxation (see its module docs for the determinism invariants).
+//! * [`simplex::lp_relaxation`] / [`simplex::simplex_max`] — dense primal
+//!   simplex for the LP relaxation (the integrality gap of experiment E7 and
+//!   an upper-bound cross-check in tests; the scheduler never calls it).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -24,5 +25,5 @@ pub mod solvers;
 mod test_rng;
 
 pub use problem::{Problem, Solution};
-pub use simplex::{lp_relaxation, lp_relaxation_into, simplex_max, LpSolution, SimplexWorkspace};
+pub use simplex::{lp_relaxation, simplex_max, LpSolution};
 pub use solvers::{branch_and_bound, exhaustive, greedy, BbWorkspace};

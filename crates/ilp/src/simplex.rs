@@ -1,5 +1,5 @@
 //! A dense primal simplex solver for the LP relaxation of the scheduling
-//! problem, built around a persistent, warm-startable workspace.
+//! problem.
 //!
 //! Standard form handled: `maximize c'x  s.t.  A x ≤ b, 0 ≤ x ≤ u` — upper
 //! bounds are expanded into explicit rows (the problems here have ≤ 19 cells
@@ -11,34 +11,11 @@
 //! * an independent upper bound to cross-check the branch-and-bound pruning
 //!   bounds in property tests.
 //!
-//! # Warm-start and determinism invariants
-//!
-//! [`SimplexWorkspace`] keeps every buffer (flat row-major tableau, basis,
-//! pivot scratch) alive between solves, so a steady-state solve allocates
-//! nothing once the dimensions have been seen. Three tiers of reuse, checked
-//! in order:
-//!
-//! 1. **Exact-input cache** — if every input (`c`, `A`, `b`, `u`) is
-//!    bit-identical to the previous successful solve, the stored solution is
-//!    returned untouched. No arithmetic runs, so the result is trivially
-//!    identical to re-solving.
-//! 2. **Warm start** — the previous solve's optimal basis is *replayed* onto
-//!    a pristine tableau built from the new inputs (one Gauss–Jordan pivot
-//!    per row, in fixed row order). If the replay succeeds and the basis is
-//!    still primal- and dual-feasible, the solution is extracted directly —
-//!    zero simplex iterations.
-//! 3. **Cold solve** — the usual Dantzig/Bland pivot loop from the all-slack
-//!    basis.
-//!
-//! Determinism hinges on *canonical extraction*: a cold solve does **not**
-//! read the solution off the tableau it iterated on. It rebuilds a pristine
-//! tableau and replays the final basis exactly as tier 2 would, so the
-//! reported solution is a pure function of (inputs, final basis) — a later
-//! warm start that lands on the same basis reproduces the cold answer
-//! bit-for-bit. If the fixed-order replay hits a zero pivot (rare,
-//! degenerate), extraction falls back to the iterated tableau — and a warm
-//! replay of that basis fails identically, falling back to the identical
-//! cold path, so the two modes still agree.
+//! Every call builds a fresh tableau and pivots from the all-slack basis:
+//! Dantzig's rule (most negative reduced cost), switching to Bland's rule
+//! (lowest index) beyond a safety iteration count so degenerate data cannot
+//! cycle. The scheduler never calls this module — JABA-SD's integer program
+//! is solved by [`crate::BbWorkspace`].
 
 /// Result of an LP solve.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -49,265 +26,80 @@ pub struct LpSolution {
     pub objective: f64,
 }
 
-/// Persistent dense-simplex state: pristine inputs (doubling as the
-/// exact-input cache key), the flat tableau, basis vectors, and pivot
-/// scratch. See the module docs for the reuse tiers.
-#[derive(Debug, Clone, Default)]
-pub struct SimplexWorkspace {
-    /// Variable count of the stored inputs.
+/// The dense tableau of one solve: flat row-major `(m + 1) × w`, with
+/// `m = k + n` constraint rows (`k` from `A`, `n` upper-bound rows) and
+/// `w = n + m + 1` columns (variables, slacks, right-hand side). The last
+/// row holds the negated objective.
+struct Tableau {
     n: usize,
-    /// Constraint-row count of the stored inputs.
-    k: usize,
-    // Pristine inputs of the last solve (cache key + extraction source).
-    c: Vec<f64>,
-    a: Vec<f64>,
-    b: Vec<f64>,
-    u: Vec<f64>,
-    // Flat (m+1) × width tableau, m = k + n, width = n + m + 1.
+    m: usize,
+    w: usize,
     t: Vec<f64>,
-    // Saved copy of the iterated tableau for the replay-failure fallback.
-    t2: Vec<f64>,
     basis: Vec<usize>,
-    basis2: Vec<usize>,
-    goal: Vec<usize>,
-    prev_basis: Vec<usize>,
-    prev_n: usize,
-    prev_k: usize,
-    prev_valid: bool,
-    pivot_buf: Vec<f64>,
-    c_scratch: Vec<f64>,
-    u_scratch: Vec<f64>,
-    solution: LpSolution,
-    has_solution: bool,
-    solves: u64,
-    warm_hits: u64,
-    cache_hits: u64,
+    /// Copy of the pivot row during elimination.
+    pivot_row: Vec<f64>,
 }
 
-fn bits_eq(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-fn copy_into(dst: &mut Vec<f64>, src: &[f64]) {
-    dst.clear();
-    dst.extend_from_slice(src);
-}
-
-impl SimplexWorkspace {
-    /// A fresh workspace with no cached state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Maximises `c'x` subject to `A x ≤ b`, `0 ≤ x ≤ u`, where `a` is the
-    /// flat row-major constraint matrix (`b.len()` rows × `c.len()` columns).
-    ///
-    /// Assumes `b ≥ 0` (true for admissible-region headrooms), so the
-    /// all-slack basis is feasible and no phase-1 is needed. Returns `None`
-    /// only if the iteration limit trips (cycling with degenerate data is
-    /// prevented by Bland's rule). The returned reference stays valid until
-    /// the next call; clone it to keep it.
-    pub fn solve(&mut self, c: &[f64], a: &[f64], b: &[f64], u: &[f64]) -> Option<&LpSolution> {
-        let n = c.len();
-        let k = b.len();
-        assert_eq!(a.len(), k * n, "flat matrix size mismatch");
-        assert_eq!(u.len(), n, "bounds length mismatch");
-        assert!(b.iter().all(|&x| x >= 0.0), "need non-negative rhs");
-        assert!(
-            u.iter().all(|&x| x >= 0.0 && x.is_finite()),
-            "bad upper bound"
-        );
-
-        // Tier 1: exact-input cache.
-        if self.has_solution
-            && self.n == n
-            && self.k == k
-            && bits_eq(&self.c, c)
-            && bits_eq(&self.a, a)
-            && bits_eq(&self.b, b)
-            && bits_eq(&self.u, u)
-        {
-            self.cache_hits += 1;
-            return Some(&self.solution);
-        }
-
-        self.n = n;
-        self.k = k;
-        copy_into(&mut self.c, c);
-        copy_into(&mut self.a, a);
-        copy_into(&mut self.b, b);
-        copy_into(&mut self.u, u);
-        self.solves += 1;
-
-        let m = k + n;
-
-        // Tier 2: warm start from the previous optimal basis.
-        if self.prev_valid && self.prev_n == n && self.prev_k == k {
-            self.build_tableau();
-            self.goal.clear();
-            self.goal.extend_from_slice(&self.prev_basis);
-            if self.replay() && self.still_optimal() {
-                self.warm_hits += 1;
-                self.extract();
-                self.has_solution = true;
-                return Some(&self.solution);
-            }
-        }
-
-        // Tier 3: cold solve from the all-slack basis.
-        self.build_tableau();
-        self.basis.clear();
-        self.basis.extend(n..n + m);
-        if !self.pivot_to_optimal() {
-            self.has_solution = false;
-            self.prev_valid = false;
-            return None;
-        }
-
-        // Canonical extraction: save the iterated tableau, rebuild pristine,
-        // replay the final basis in fixed row order.
-        copy_into(&mut self.t2, &self.t);
-        self.basis2.clear();
-        self.basis2.extend_from_slice(&self.basis);
-        self.goal.clear();
-        self.goal.extend_from_slice(&self.basis);
-        self.build_tableau();
-        if !self.replay() {
-            // Zero pivot in fixed-order replay: fall back to the iterated
-            // tableau (a warm replay of this basis fails the same way, so
-            // warm and cold still agree).
-            self.t.copy_from_slice(&self.t2);
-            self.basis.clear();
-            self.basis.extend_from_slice(&self.basis2);
-        }
-        self.prev_basis.clear();
-        self.prev_basis.extend_from_slice(&self.basis2);
-        self.prev_n = n;
-        self.prev_k = k;
-        self.prev_valid = true;
-        self.extract();
-        self.has_solution = true;
-        Some(&self.solution)
-    }
-
-    /// The solution of the last successful [`solve`](Self::solve), if any.
-    pub fn last_solution(&self) -> Option<&LpSolution> {
-        if self.has_solution {
-            Some(&self.solution)
-        } else {
-            None
-        }
-    }
-
-    /// Number of solves that ran arithmetic (cache hits excluded).
-    pub fn solves(&self) -> u64 {
-        self.solves
-    }
-
-    /// Number of solves answered by basis replay alone (tier 2).
-    pub fn warm_hits(&self) -> u64 {
-        self.warm_hits
-    }
-
-    /// Number of solves answered from the exact-input cache (tier 1).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    fn width(&self) -> usize {
-        self.n + self.k + self.n + 1
-    }
-
-    /// Fills `t` with the pristine tableau for the stored inputs.
-    fn build_tableau(&mut self) {
-        let (n, k) = (self.n, self.k);
+impl Tableau {
+    /// The all-slack starting tableau for `A x ≤ b`, `x ≤ u`, maximising
+    /// `c'x` (`a` flat row-major, `b.len()` rows × `c.len()` columns).
+    fn new(c: &[f64], a: &[f64], b: &[f64], u: &[f64]) -> Self {
+        let (n, k) = (c.len(), b.len());
         let m = k + n;
         let w = n + m + 1;
-        self.t.clear();
-        self.t.resize((m + 1) * w, 0.0);
+        let mut t = vec![0.0; (m + 1) * w];
         for i in 0..k {
-            self.t[i * w..i * w + n].copy_from_slice(&self.a[i * n..i * n + n]);
-            self.t[i * w + n + i] = 1.0;
-            self.t[i * w + w - 1] = self.b[i];
+            t[i * w..i * w + n].copy_from_slice(&a[i * n..i * n + n]);
+            t[i * w + n + i] = 1.0;
+            t[i * w + w - 1] = b[i];
         }
         for j in 0..n {
             let r = k + j;
-            self.t[r * w + j] = 1.0;
-            self.t[r * w + n + k + j] = 1.0;
-            self.t[r * w + w - 1] = self.u[j];
+            t[r * w + j] = 1.0;
+            t[r * w + n + k + j] = 1.0;
+            t[r * w + w - 1] = u[j];
         }
         // Objective row: maximize c'x ⇒ store -c, drive to non-negative.
         for j in 0..n {
-            self.t[m * w + j] = -self.c[j];
+            t[m * w + j] = -c[j];
+        }
+        Self {
+            n,
+            m,
+            w,
+            t,
+            basis: (n..n + m).collect(),
+            pivot_row: Vec::with_capacity(w),
         }
     }
 
     /// Pivot on `(row, col)`: normalize the pivot row, eliminate the column
     /// from every other row (objective row included).
     fn pivot(&mut self, row: usize, col: usize) {
-        let m = self.k + self.n;
-        let w = self.width();
+        let w = self.w;
         let piv = self.t[row * w + col];
         for v in &mut self.t[row * w..(row + 1) * w] {
             *v /= piv;
         }
-        self.pivot_buf.clear();
-        self.pivot_buf
+        self.pivot_row.clear();
+        self.pivot_row
             .extend_from_slice(&self.t[row * w..(row + 1) * w]);
-        for i in 0..=m {
+        for i in 0..=self.m {
             if i != row {
                 let f = self.t[i * w + col];
                 if f != 0.0 {
-                    for (vi, pv) in self.t[i * w..(i + 1) * w].iter_mut().zip(&self.pivot_buf) {
+                    for (vi, pv) in self.t[i * w..(i + 1) * w].iter_mut().zip(&self.pivot_row) {
                         *vi -= f * pv;
                     }
                 }
             }
         }
-    }
-
-    /// Gauss–Jordan replay of `goal` onto a pristine tableau: pivot row `i`
-    /// on column `goal[i]`, rows in order. Fails on a (near-)zero pivot.
-    /// On success `basis == goal`.
-    fn replay(&mut self) -> bool {
-        let m = self.k + self.n;
-        let w = self.width();
-        for i in 0..m {
-            let e = self.goal[i];
-            if self.t[i * w + e].abs() <= 1e-9 {
-                return false;
-            }
-            self.pivot(i, e);
-        }
-        self.basis.clear();
-        for i in 0..m {
-            self.basis.push(self.goal[i]);
-        }
-        true
-    }
-
-    /// Primal and dual feasibility of the replayed basis: all rhs ≥ −1e-9
-    /// and all reduced costs ≥ −1e-9.
-    fn still_optimal(&self) -> bool {
-        let m = self.k + self.n;
-        let w = self.width();
-        for i in 0..m {
-            if self.t[i * w + w - 1] < -1e-9 {
-                return false;
-            }
-        }
-        for j in 0..w - 1 {
-            if self.t[m * w + j] < -1e-9 {
-                return false;
-            }
-        }
-        true
+        self.basis[row] = col;
     }
 
     /// The classic pivot loop; returns `false` if the iteration limit trips.
     fn pivot_to_optimal(&mut self) -> bool {
-        let m = self.k + self.n;
-        let w = self.width();
+        let (m, w) = (self.m, self.w);
         let max_iters = 200 * (m + self.n);
         for iter in 0..max_iters {
             // Entering column: most negative reduced cost (Dantzig),
@@ -353,82 +145,66 @@ impl SimplexWorkspace {
                 return false;
             };
             self.pivot(l, e);
-            self.basis[l] = e;
         }
         false
     }
 
     /// Reads the primal solution off the tableau and recomputes the
-    /// objective from the pristine `c`.
-    fn extract(&mut self) {
-        let w = self.width();
-        self.solution.x.clear();
-        self.solution.x.resize(self.n, 0.0);
+    /// objective from `c`.
+    fn solution(&self, c: &[f64]) -> LpSolution {
+        let w = self.w;
+        let mut x = vec![0.0; self.n];
         for (i, &bv) in self.basis.iter().enumerate() {
             if bv < self.n {
-                self.solution.x[bv] = self.t[i * w + w - 1];
+                x[bv] = self.t[i * w + w - 1];
             }
         }
-        self.solution.objective = self
-            .c
-            .iter()
-            .zip(&self.solution.x)
-            .map(|(&cj, &xj)| cj * xj)
-            .sum();
+        let objective = c.iter().zip(&x).map(|(&cj, &xj)| cj * xj).sum();
+        LpSolution { x, objective }
     }
 }
 
-/// Maximises `c'x` subject to `A x ≤ b`, `0 ≤ x ≤ u`.
+/// Maximises `c'x` subject to `A x ≤ b`, `0 ≤ x ≤ u`, where `a` is the flat
+/// row-major constraint matrix (`b.len()` rows × `c.len()` columns).
 ///
-/// One-shot wrapper over [`SimplexWorkspace`] for nested constraint rows;
-/// see [`SimplexWorkspace::solve`] for the assumptions.
+/// Assumes `b ≥ 0` (true for admissible-region headrooms), so the all-slack
+/// basis is feasible and no phase-1 is needed. Returns `None` only if the
+/// iteration limit trips (cycling with degenerate data is prevented by
+/// Bland's rule).
+fn solve_flat(c: &[f64], a: &[f64], b: &[f64], u: &[f64]) -> Option<LpSolution> {
+    assert_eq!(a.len(), b.len() * c.len(), "flat matrix size mismatch");
+    assert_eq!(u.len(), c.len(), "bounds length mismatch");
+    assert!(b.iter().all(|&x| x >= 0.0), "need non-negative rhs");
+    assert!(
+        u.iter().all(|&x| x >= 0.0 && x.is_finite()),
+        "bad upper bound"
+    );
+    let mut tableau = Tableau::new(c, a, b, u);
+    tableau.pivot_to_optimal().then(|| tableau.solution(c))
+}
+
+/// Maximises `c'x` subject to `A x ≤ b`, `0 ≤ x ≤ u`, with one `Vec` per
+/// constraint row. Assumes `b ≥ 0`; returns `None` only if the iteration
+/// limit trips.
 pub fn simplex_max(c: &[f64], a: &[Vec<f64>], b: &[f64], u: &[f64]) -> Option<LpSolution> {
     let n = c.len();
     assert!(a.iter().all(|r| r.len() == n), "row width mismatch");
     assert_eq!(a.len(), b.len(), "row/rhs mismatch");
-    let mut flat = Vec::with_capacity(a.len() * n);
-    for row in a {
-        flat.extend_from_slice(row);
-    }
-    let mut ws = SimplexWorkspace::new();
-    ws.solve(c, &flat, b, u).cloned()
+    solve_flat(c, &a.concat(), b, u)
 }
 
 /// LP relaxation of a scheduling [`crate::Problem`] (ignoring the
 /// semi-continuous `lo` restriction — a valid upper bound on the IP).
 pub fn lp_relaxation(p: &crate::Problem) -> Option<LpSolution> {
-    let mut ws = SimplexWorkspace::new();
-    lp_relaxation_into(p, &mut ws).cloned()
-}
-
-/// LP relaxation solved in a caller-provided workspace: allocation-free once
-/// the workspace has seen the problem's dimensions, and warm-started when the
-/// previous basis still applies. The returned reference stays valid until
-/// the workspace's next solve.
-pub fn lp_relaxation_into<'w>(
-    p: &crate::Problem,
-    ws: &'w mut SimplexWorkspace,
-) -> Option<&'w LpSolution> {
-    let mut c = std::mem::take(&mut ws.c_scratch);
-    let mut u = std::mem::take(&mut ws.u_scratch);
     // Negative weights never help a ≤/≥0 LP: clamp to zero (the IP rejects
     // such variables too).
-    c.clear();
-    c.extend(p.c.iter().map(|&x| x.max(0.0)));
-    u.clear();
-    u.extend(
+    let c: Vec<f64> = p.c.iter().map(|&x| x.max(0.0)).collect();
+    let u: Vec<f64> =
         p.hi.iter()
             .zip(&p.lo)
-            .map(|(&h, &l)| if h >= l { h as f64 } else { 0.0 }),
-    );
-    let ok = ws.solve(&c, &p.a, &p.b, &u).is_some();
-    ws.c_scratch = c;
-    ws.u_scratch = u;
-    if ok {
-        ws.last_solution()
-    } else {
-        None
-    }
+            .map(|(&h, &l)| if h >= l { h as f64 } else { 0.0 })
+            .collect();
+    solve_flat(&c, &p.a, &p.b, &u)
 }
 
 #[cfg(test)]
@@ -436,7 +212,6 @@ mod tests {
     use super::*;
     use crate::problem::Problem;
     use crate::solvers::{branch_and_bound, exhaustive};
-    use crate::test_rng::rng_problems;
 
     #[test]
     fn textbook_lp() {
@@ -488,6 +263,10 @@ mod tests {
         assert!(lp.x.iter().all(|&x| (-1e-9..=4.0 + 1e-9).contains(&x)));
     }
 
+    /// The LP value bounds the B&B optimum from above, and B&B matches the
+    /// enumeration oracle — on random instances and on degenerate variants
+    /// of each: tied weights, an extra all-zero row, every `hi < lo`, and
+    /// all-zero right-hand sides.
     #[test]
     fn relaxation_dominates_bb_on_random_instances() {
         let mut state = 0x853C_49E6_748F_EA9Bu64;
@@ -507,16 +286,54 @@ mod tests {
             let b: Vec<f64> = (0..k).map(|_| 1.0 + next() * 10.0).collect();
             let lo = vec![1u32; n];
             let hi: Vec<u32> = (0..n).map(|_| 1 + (next() * 8.0) as u32).collect();
-            let p = Problem::new(c, a, b, lo, hi);
-            let lp = lp_relaxation(&p).expect("LP solvable");
-            let (ip, complete) = branch_and_bound(&p, 0);
-            assert!(complete);
-            assert!(
-                lp.objective >= ip.objective - 1e-6,
-                "LP {} < IP {}",
-                lp.objective,
-                ip.objective
-            );
+
+            let tied = vec![c[0]; n];
+            let mut zero_row = a.clone();
+            zero_row.push(vec![0.0; n]);
+            let mut zero_row_b = b.clone();
+            zero_row_b.push(next() * 2.0);
+            let outage_lo: Vec<u32> = hi.iter().map(|&h| h + 1).collect();
+            let variants = [
+                (
+                    "random",
+                    Problem::new(c.clone(), a.clone(), b.clone(), lo.clone(), hi.clone()),
+                ),
+                (
+                    "tied weights",
+                    Problem::new(tied, a.clone(), b.clone(), lo.clone(), hi.clone()),
+                ),
+                (
+                    "all-zero row",
+                    Problem::new(c.clone(), zero_row, zero_row_b, lo.clone(), hi.clone()),
+                ),
+                (
+                    "every hi < lo",
+                    Problem::new(c.clone(), a.clone(), b.clone(), outage_lo, hi.clone()),
+                ),
+                (
+                    "zero rhs",
+                    Problem::new(c.clone(), a.clone(), vec![0.0; k], lo.clone(), hi.clone()),
+                ),
+            ];
+            for (family, p) in &variants {
+                let lp = lp_relaxation(p).expect("LP solvable");
+                let (ip, complete) = branch_and_bound(p, 0);
+                assert!(complete, "{family}: B&B must complete");
+                assert!(
+                    lp.objective >= ip.objective - 1e-6,
+                    "{family}: LP {} < IP {}",
+                    lp.objective,
+                    ip.objective
+                );
+                let oracle = exhaustive(p);
+                assert!(
+                    (ip.objective - oracle.objective).abs() <= 1e-9,
+                    "{family}: B&B {} != exhaustive {}",
+                    ip.objective,
+                    oracle.objective
+                );
+                assert!(p.is_feasible(&ip.m), "{family}: B&B answer infeasible");
+            }
         }
     }
 
@@ -531,59 +348,5 @@ mod tests {
         )
         .expect("must terminate");
         assert!(sol.objective.abs() < 1e-9);
-    }
-
-    #[test]
-    fn workspace_matches_one_shot_wrapper() {
-        let mut ws = SimplexWorkspace::new();
-        for p in rng_problems(25, 6, 6) {
-            let one_shot = lp_relaxation(&p).expect("solvable");
-            let reused = lp_relaxation_into(&p, &mut ws).expect("solvable");
-            assert_eq!(one_shot, *reused, "workspace reuse changed the answer");
-        }
-    }
-
-    #[test]
-    fn exact_input_cache_returns_identical_solution() {
-        let mut ws = SimplexWorkspace::new();
-        for p in rng_problems(10, 5, 5) {
-            let first = lp_relaxation_into(&p, &mut ws).expect("solvable").clone();
-            let solves_before = ws.solves();
-            let again = lp_relaxation_into(&p, &mut ws).expect("solvable");
-            assert_eq!(first, *again, "cache hit changed the answer");
-            assert_eq!(ws.solves(), solves_before, "cache hit must not re-solve");
-        }
-        assert_eq!(ws.cache_hits(), 10);
-    }
-
-    #[test]
-    fn warm_restart_bit_identical_after_perturb_and_restore() {
-        // Scaling c by an exact power of two leaves every pivot decision
-        // unchanged (reduced costs scale exactly), so the perturbed solve
-        // ends on the same basis — restoring c must then reproduce the cold
-        // answer bit-for-bit via basis replay.
-        let mut warm_hits = 0;
-        for p in rng_problems(30, 6, 6) {
-            let reference = lp_relaxation(&p).expect("solvable");
-            let mut ws = SimplexWorkspace::new();
-            let first = lp_relaxation_into(&p, &mut ws).expect("solvable").clone();
-            assert_eq!(first, reference);
-            let mut p2 = p.clone();
-            for cj in &mut p2.c {
-                *cj *= 2.0;
-            }
-            lp_relaxation_into(&p2, &mut ws).expect("solvable");
-            let hits_before = ws.warm_hits();
-            let restored = lp_relaxation_into(&p, &mut ws).expect("solvable");
-            assert_eq!(
-                reference, *restored,
-                "warm-restored solve differs from cold"
-            );
-            warm_hits += (ws.warm_hits() > hits_before) as u32;
-        }
-        assert!(
-            warm_hits >= 15,
-            "warm start should fire on most restores, got {warm_hits}/30"
-        );
     }
 }

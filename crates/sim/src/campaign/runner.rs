@@ -15,6 +15,7 @@ use std::sync::OnceLock;
 
 use wcdma_admission::SchedStats;
 
+use crate::config::SimConfig;
 use crate::engine::Simulation;
 use crate::stats::{ReplicationStats, SimReport};
 use crate::trace::{run_with_trace, DecisionRecord};
@@ -63,6 +64,73 @@ pub fn arbitrate_frame_threads(requested: usize, shards: usize) -> usize {
     }
 }
 
+/// The configuration of replication `rep` of a scenario: its seed substream
+/// `mix_seed(seed, 1 + rep)`, plus the candidate-cell-list override when
+/// one is given.
+fn replication_cfg(base: &SimConfig, rep: usize, candidates: Option<(usize, usize)>) -> SimConfig {
+    let mut cfg = base.with_seed(wcdma_math::mix_seed(base.seed, 1 + rep as u64));
+    if let Some((k, refresh)) = candidates {
+        cfg.candidate_k = k;
+        cfg.candidate_refresh = refresh;
+    }
+    cfg
+}
+
+/// Expands a spec and checks a candidate-cell-list override against every
+/// scenario, so a bad override (refresh = 0, k below the active-set size)
+/// is a normal error instead of a panic inside a worker thread.
+fn expand_with_candidates(
+    spec: &ScenarioSpec,
+    candidates: Option<(usize, usize)>,
+) -> Result<Vec<Scenario>, String> {
+    let scenarios = spec.expand()?;
+    if let Some((k, refresh)) = candidates {
+        for sc in &scenarios {
+            sc.cfg
+                .with_candidates(k, refresh)
+                .validate()
+                .map_err(|e| format!("scenario {:?}: {e}", sc.label))?;
+        }
+    }
+    Ok(scenarios)
+}
+
+/// Worker threads for `n_jobs` jobs: `shards` (`0` ⇒ one per available
+/// core), never more than there are jobs, and at least one.
+fn worker_count(shards: usize, n_jobs: usize) -> usize {
+    let wanted = if shards == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    } else {
+        shards
+    };
+    wanted.min(n_jobs).max(1)
+}
+
+/// Runs `work(i)` once for every `i < n_jobs` on `workers` scoped threads
+/// that claim indices off a shared atomic cursor, so a slow job cannot
+/// strand the other workers. Setting `stop` makes every worker exit before
+/// claiming another index.
+fn steal_jobs(n_jobs: usize, workers: usize, stop: &AtomicBool, work: impl Fn(usize) + Sync) {
+    let cursor = AtomicUsize::new(0);
+    let (cursor, work) = (&cursor, &work);
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(move || loop {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                let next = cursor.fetch_add(1, Ordering::Relaxed);
+                if next >= n_jobs {
+                    break;
+                }
+                work(next);
+            });
+        }
+    });
+}
+
 /// Runs an arbitrary subset of the (scenario × replication) job grid.
 /// `jobs` holds global job indices (`scenario * n_reps + replication`);
 /// `shards` workers (`0` ⇒ one per core) steal them off a shared cursor
@@ -94,41 +162,15 @@ pub fn run_grid_jobs(
     if jobs.is_empty() {
         return;
     }
-    let workers = if shards == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        shards
-    }
-    .min(jobs.len())
-    .max(1);
+    let workers = worker_count(shards, jobs.len());
     let frame_threads = arbitrate_frame_threads(frame_threads, workers);
-    let cursor = AtomicUsize::new(0);
-    let cursor = &cursor;
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let next = cursor.fetch_add(1, Ordering::Relaxed);
-                if next >= jobs.len() {
-                    break;
-                }
-                let job = jobs[next];
-                let (si, rep) = (job / n_reps, job % n_reps);
-                let base = &scenarios[si].cfg;
-                let mut cfg = base.with_seed(wcdma_math::mix_seed(base.seed, 1 + rep as u64));
-                cfg.frame_threads = frame_threads;
-                if let Some((k, refresh)) = candidates {
-                    cfg.candidate_k = k;
-                    cfg.candidate_refresh = refresh;
-                }
-                let report = Simulation::new(cfg).run();
-                on_complete(job, &report);
-            });
-        }
+    steal_jobs(jobs.len(), workers, stop, |next| {
+        let job = jobs[next];
+        let (si, rep) = (job / n_reps, job % n_reps);
+        let mut cfg = replication_cfg(&scenarios[si].cfg, rep, candidates);
+        cfg.frame_threads = frame_threads;
+        let report = Simulation::new(cfg).run();
+        on_complete(job, &report);
     });
 }
 
@@ -255,17 +297,7 @@ pub fn run_spec_threads_candidates(
     frame_threads: usize,
     candidates: Option<(usize, usize)>,
 ) -> Result<CampaignResult, String> {
-    let scenarios = spec.expand()?;
-    // Surface bad overrides (refresh = 0, k below the active-set size) as a
-    // normal error instead of a panic inside a worker thread.
-    if let Some((k, refresh)) = candidates {
-        for sc in &scenarios {
-            sc.cfg
-                .with_candidates(k, refresh)
-                .validate()
-                .map_err(|e| format!("scenario {:?}: {e}", sc.label))?;
-        }
-    }
+    let scenarios = expand_with_candidates(spec, candidates)?;
     Ok(run_campaign_threads_candidates(
         &spec.name,
         scenarios,
@@ -276,44 +308,28 @@ pub fn run_spec_threads_candidates(
     ))
 }
 
-/// Re-runs the *first replication* of every matrix cell with a decision
-/// trace attached and returns `(cell label, decisions)` per cell, in
-/// expansion order. The replication seed matches what [`run_campaign`]
-/// gives replication 0, so the traced run is bit-identical to the
-/// campaign's own first replication. Cells run in parallel (one worker
-/// per core, same work-stealing cursor as [`run_campaign`]); each cell's
-/// records are captured by its own log, so the result does not depend on
-/// the worker count. Feed it to [`super::emit::campaign_trace_csv`].
-pub fn trace_campaign(spec: &ScenarioSpec) -> Result<Vec<(String, Vec<DecisionRecord>)>, String> {
-    let scenarios = spec.expand()?;
+/// Re-runs the *first replication* of every matrix cell through `run` and
+/// returns `(cell label, output)` per cell, in expansion order. The
+/// configuration is exactly what [`run_grid_jobs`] gives replication 0,
+/// candidate-cell-list override included, so the re-run is bit-identical
+/// to the campaign's own first replication. Cells run in parallel (one
+/// worker per core, see [`steal_jobs`]); each cell's output lands in its
+/// own slot, so the result does not depend on the worker count.
+fn rerun_first_replications<T: Send + Sync>(
+    spec: &ScenarioSpec,
+    candidates: Option<(usize, usize)>,
+    run: impl Fn(SimConfig) -> T + Sync,
+) -> Result<Vec<(String, T)>, String> {
+    let scenarios = expand_with_candidates(spec, candidates)?;
     let n_jobs = scenarios.len();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(n_jobs)
-        .max(1);
-    let mut slots: Vec<OnceLock<Vec<DecisionRecord>>> = Vec::new();
+    let mut slots: Vec<OnceLock<T>> = Vec::new();
     slots.resize_with(n_jobs, OnceLock::new);
-    let cursor = AtomicUsize::new(0);
-    {
-        let slots = &slots;
-        let cursor = &cursor;
-        let scenarios = &scenarios;
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(move || loop {
-                    let job = cursor.fetch_add(1, Ordering::Relaxed);
-                    if job >= n_jobs {
-                        break;
-                    }
-                    let base = &scenarios[job].cfg;
-                    let cfg = base.with_seed(wcdma_math::mix_seed(base.seed, 1));
-                    let (_report, records) = run_with_trace(cfg);
-                    slots[job].set(records).expect("job claimed exactly once");
-                });
-            }
-        });
-    }
+    let never = AtomicBool::new(false);
+    steal_jobs(n_jobs, worker_count(0, n_jobs), &never, |job| {
+        let cfg = replication_cfg(&scenarios[job].cfg, 0, candidates);
+        let claimed = slots[job].set(run(cfg)).is_ok();
+        assert!(claimed, "job claimed exactly once");
+    });
     Ok(scenarios
         .into_iter()
         .zip(slots)
@@ -321,52 +337,36 @@ pub fn trace_campaign(spec: &ScenarioSpec) -> Result<Vec<(String, Vec<DecisionRe
         .collect())
 }
 
-/// Re-runs the *first replication* of every matrix cell and returns
+/// Re-runs the first replication of every matrix cell with a decision
+/// trace attached and returns `(cell label, decisions)` per cell, in
+/// expansion order — bit-identical to the campaign's own first replication
+/// under the same `candidates` override (see
+/// [`run_spec_threads_candidates`]). Feed it to
+/// [`super::emit::campaign_trace_csv`].
+pub fn trace_campaign(
+    spec: &ScenarioSpec,
+    candidates: Option<(usize, usize)>,
+) -> Result<Vec<(String, Vec<DecisionRecord>)>, String> {
+    rerun_first_replications(spec, candidates, |cfg| run_with_trace(cfg).1)
+}
+
+/// Re-runs the first replication of every matrix cell and returns
 /// `(cell label, final scheduling statistics)` per cell, in expansion
-/// order. Same seeding as [`trace_campaign`], so the instrumented run is
-/// bit-identical to the campaign's own first replication — the stats are
-/// observability only. Cells run in parallel over a work-stealing cursor.
-pub fn sched_stats_campaign(spec: &ScenarioSpec) -> Result<Vec<(String, SchedStats)>, String> {
-    let scenarios = spec.expand()?;
-    let n_jobs = scenarios.len();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(n_jobs)
-        .max(1);
-    let mut slots: Vec<OnceLock<SchedStats>> = Vec::new();
-    slots.resize_with(n_jobs, OnceLock::new);
-    let cursor = AtomicUsize::new(0);
-    {
-        let slots = &slots;
-        let cursor = &cursor;
-        let scenarios = &scenarios;
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(move || loop {
-                    let job = cursor.fetch_add(1, Ordering::Relaxed);
-                    if job >= n_jobs {
-                        break;
-                    }
-                    let base = &scenarios[job].cfg;
-                    let cfg = base.with_seed(wcdma_math::mix_seed(base.seed, 1));
-                    let (_report, stats) = Simulation::new(cfg).run_with_sched_stats();
-                    slots[job].set(stats).expect("job claimed exactly once");
-                });
-            }
-        });
-    }
-    Ok(scenarios
-        .into_iter()
-        .zip(slots)
-        .map(|(sc, mut slot)| (sc.label, slot.take().expect("all jobs completed")))
-        .collect())
+/// order. Same configuration as [`trace_campaign`], so the instrumented run
+/// is bit-identical to the campaign's own first replication — the stats are
+/// observability only.
+pub fn sched_stats_campaign(
+    spec: &ScenarioSpec,
+    candidates: Option<(usize, usize)>,
+) -> Result<Vec<(String, SchedStats)>, String> {
+    rerun_first_replications(spec, candidates, |cfg| {
+        Simulation::new(cfg).run_with_sched_stats().1
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimConfig;
 
     fn tiny_scenarios() -> Vec<Scenario> {
         let mut base = SimConfig::baseline();

@@ -305,7 +305,7 @@ impl Simulation {
     }
 
     /// Cumulative scheduling-phase statistics (solves, warm-start hits,
-    /// cached rounds, B&B nodes) since the simulation started.
+    /// B&B nodes) since the simulation started.
     pub fn sched_stats(&self) -> SchedStats {
         self.scheduler.stats()
     }
@@ -709,7 +709,6 @@ mod tests {
             "steady web traffic must warm-start: {sw:?}"
         );
         assert_eq!(sc.warm_hits, 0, "cold mode never reports warm hits");
-        assert_eq!(sc.skipped_identical, 0, "cold mode never caches");
         assert_eq!(sc.solves, sc.rounds, "cold mode solves every round: {sc:?}");
     }
 

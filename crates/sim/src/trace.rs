@@ -70,7 +70,7 @@ pub trait DecisionTrace: Send {
     fn record(&mut self, rec: DecisionRecord);
 
     /// Called after each scheduling round with the scheduler's cumulative
-    /// [`SchedStats`] (solves, warm-start hits, cached rounds, B&B nodes).
+    /// [`SchedStats`] (solves, warm-start hits, B&B nodes).
     /// Default: ignored — stats are observability only and never feed back
     /// into the run.
     fn record_sched(&mut self, stats: SchedStats) {

@@ -176,8 +176,7 @@ fn steady_state_frames_do_not_allocate() {
     // region rebuild, δβ̄/bounds, the full JABA-SD branch-and-bound solve,
     // outcome build — must be allocation-free once the persistent
     // per-direction workspaces have seen the problem shape. Waiting times
-    // advance every round (as they do in the engine), so the
-    // identical-round cache does NOT fire: these are full solves.
+    // advance every round, as they do in the engine.
     let net = common::warm_network(12, 6, 0xA110F, 25);
     let mut scheduler =
         Scheduler::new(SchedulerConfig::default_config(), Policy::jaba_sd_default());
@@ -227,8 +226,7 @@ fn steady_state_frames_do_not_allocate() {
             net.reverse_load_w(),
             &requests,
         );
-        // An unchanged repeat exercises the identical-round cache path —
-        // it must be allocation-free too.
+        // An unchanged repeat is a full solve too and must not allocate.
         scheduler.schedule(
             LinkDir::Forward,
             net.forward_load_w(),
@@ -243,12 +241,9 @@ fn steady_state_frames_do_not_allocate() {
         0,
         "warm scheduling rounds must not allocate"
     );
-    assert!(
-        stats.solves - stats_before.solves >= 200,
-        "the window must contain full solves, not just cache hits: {stats:?}"
-    );
-    assert!(
-        stats.skipped_identical - stats_before.skipped_identical >= 100,
-        "the repeats must hit the identical-round cache: {stats:?}"
+    assert_eq!(
+        stats.solves - stats_before.solves,
+        300,
+        "every one of the 300 rounds, repeats included, is a full solve: {stats:?}"
     );
 }

@@ -12,6 +12,10 @@
 //!   `frame_threads` value.
 //! - Invalid knob combinations are rejected by `SimConfig::validate`.
 
+use wcdma::math::mix_seed;
+use wcdma::sim::campaign::{
+    run_spec_threads_candidates, sched_stats_campaign, trace_campaign, ScenarioSpec,
+};
 use wcdma::sim::{run_with_trace, SimConfig, Simulation};
 
 /// A short scenario with enough mobiles that every cell sees traffic and
@@ -75,6 +79,52 @@ fn culling_is_frame_thread_invariant() {
             "culled run must be bit-identical at {threads} frame threads"
         );
     }
+}
+
+/// `campaign run --trace` and `--sched-stats` re-run replication 0 of every
+/// cell: under a candidate override they must re-run the *culled*
+/// configuration the campaign itself ran, not the exact one.
+#[test]
+fn campaign_trace_and_sched_stats_rerun_the_culled_replication() {
+    let spec = ScenarioSpec {
+        name: "culled".into(),
+        replications: 1,
+        duration_s: 4.0,
+        warmup_s: 1.0,
+        policies: vec!["jaba-sd-j2".into(), "fcfs".into()],
+        ..ScenarioSpec::default()
+    };
+    let over = Some((4, 8));
+    let campaign = run_spec_threads_candidates(&spec, 2, 1, over).expect("valid override");
+    let traces = trace_campaign(&spec, over).expect("valid override");
+    let stats = sched_stats_campaign(&spec, over).expect("valid override");
+    assert_eq!(traces.len(), campaign.scenarios.len());
+    assert_eq!(stats.len(), campaign.scenarios.len());
+    for ((sr, (label, records)), (stats_label, sched)) in
+        campaign.scenarios.iter().zip(&traces).zip(&stats)
+    {
+        assert_eq!(label, &sr.scenario.label);
+        assert_eq!(stats_label, &sr.scenario.label);
+        let rep0 = sr.scenario.cfg.with_seed(mix_seed(sr.scenario.cfg.seed, 1));
+        let (report, expected) = run_with_trace(rep0.clone().with_candidates(4, 8));
+        assert_eq!(
+            report, sr.reports[0],
+            "{label}: the culled re-run is the campaign's replication 0"
+        );
+        assert!(!records.is_empty(), "{label}: scenario must make decisions");
+        assert_eq!(records, &expected, "{label}: trace of the culled run");
+        let (_, exact) = run_with_trace(rep0.clone());
+        assert_ne!(
+            records, &exact,
+            "{label}: the override must reach the trace"
+        );
+        let (_, expected_stats) =
+            Simulation::new(rep0.with_candidates(4, 8)).run_with_sched_stats();
+        assert_eq!(sched, &expected_stats, "{label}: stats of the culled run");
+    }
+    // A bad override is an error, exactly as for the campaign run itself.
+    assert!(trace_campaign(&spec, Some((4, 0))).is_err());
+    assert!(sched_stats_campaign(&spec, Some((4, 0))).is_err());
 }
 
 /// The validation rules for the candidate knobs.
