@@ -46,7 +46,7 @@ pub use policy::{
 };
 pub use registry::{PolicyEntry, PolicyParamSpec, PolicyRegistry, ResolvedParams};
 pub use scheduler::{
-    Grant, Policy, RequestState, SchedStats, ScheduleOutcome, Scheduler, SchedulerConfig, SolveMode,
+    Grant, RequestState, SchedStats, ScheduleOutcome, Scheduler, SchedulerConfig, SolveMode,
 };
 pub use temporal::{
     spatial_only_value, temporal_exhaustive, temporal_greedy, Placement, TemporalConfig,

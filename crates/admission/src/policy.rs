@@ -76,7 +76,7 @@ use wcdma_mac::LinkDir;
 use crate::feedback::QosFeedback;
 use crate::measurement::Region;
 use crate::objective::Objective;
-use crate::scheduler::{Policy, RequestState, SchedulerConfig};
+use crate::scheduler::{RequestState, SchedulerConfig};
 
 /// A boxed, heap-allocated policy object — the form the scheduler, the
 /// simulation configuration and the registry trade in.
@@ -979,35 +979,6 @@ impl AdmissionPolicy for GracefulDegradation {
     }
 }
 
-impl From<Policy> for BoxedPolicy {
-    /// Converts the deprecated [`Policy`] enum into the trait object it
-    /// shims.
-    ///
-    /// # Panics
-    ///
-    /// On `Policy::Fcfs { max_concurrent: Some(0) }`, which has no sound
-    /// meaning (see [`Fcfs::new`]). The struct constructors report this as
-    /// a `Result`; the enum cannot, so the conversion fails loudly instead
-    /// of silently never granting.
-    fn from(p: Policy) -> Self {
-        match p {
-            Policy::JabaSd {
-                objective,
-                exact,
-                node_limit,
-            } => Box::new(JabaSd {
-                objective,
-                exact,
-                node_limit,
-            }),
-            Policy::Fcfs { max_concurrent } => {
-                Box::new(Fcfs::new(max_concurrent).expect("invalid Policy::Fcfs"))
-            }
-            Policy::EqualShare => Box::new(EqualShare),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1085,51 +1056,11 @@ mod tests {
     }
 
     #[test]
-    fn enum_shim_matches_trait_structs_outcome_for_outcome() {
-        // The deprecated enum and the trait structs must be the same
-        // policies: identical ScheduleOutcomes on the same instance.
-        let specs = three_reqs();
-        let pairs: Vec<(Policy, BoxedPolicy)> = vec![
-            (Policy::jaba_sd_default(), JabaSd::default_j2().into_boxed()),
-            (
-                Policy::Fcfs {
-                    max_concurrent: None,
-                },
-                Fcfs::unlimited().into_boxed(),
-            ),
-            (
-                Policy::Fcfs {
-                    max_concurrent: Some(1),
-                },
-                Fcfs::single().into_boxed(),
-            ),
-            (Policy::EqualShare, EqualShare.into_boxed()),
-        ];
-        for (legacy, modern) in pairs {
-            let name = modern.name();
-            let a = schedule_with(legacy.into(), &specs);
-            let b = schedule_with(modern, &specs);
-            assert_eq!(a.m, b.m, "{name}: grant vectors diverge");
-            assert_eq!(a.delta_beta, b.delta_beta, "{name}");
-            assert_eq!(a.objective_value, b.objective_value, "{name}");
-            assert_eq!(a.optimal, b.optimal, "{name}");
-        }
-    }
-
-    #[test]
     fn fcfs_zero_cap_is_a_constructor_error() {
         let err = Fcfs::new(Some(0)).expect_err("Some(0) must be rejected");
         assert!(err.contains("max_concurrent"), "{err}");
         assert!(Fcfs::new(Some(1)).is_ok());
         assert!(Fcfs::new(None).is_ok());
-        // The enum shim has no Result channel: it must fail loudly, not
-        // silently deny every request forever.
-        let outcome = std::panic::catch_unwind(|| {
-            BoxedPolicy::from(Policy::Fcfs {
-                max_concurrent: Some(0),
-            })
-        });
-        assert!(outcome.is_err(), "enum shim must reject Some(0) loudly");
     }
 
     #[test]

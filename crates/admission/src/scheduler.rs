@@ -1,5 +1,4 @@
-//! The scheduling sub-layer: the per-frame burst scheduler and the
-//! deprecated [`Policy`] enum shim.
+//! The scheduling sub-layer: the per-frame burst scheduler.
 //!
 //! Each frame, the pending burst requests of one link direction are turned
 //! into the integer program of Section 3.2 — the admissible region from the
@@ -28,7 +27,6 @@ use wcdma_phy::SpreadingConfig;
 use crate::csi::{delta_beta, PhyModel};
 use crate::feedback::QosFeedback;
 use crate::measurement::{copy_region_into, forward_region_into, reverse_region_into, Region};
-use crate::objective::Objective;
 use crate::policy::{BoxedPolicy, PolicyContext, PolicyScratch};
 
 /// A pending burst request paired with its measurement report.
@@ -79,48 +77,6 @@ pub struct ScheduleOutcome {
     pub region: Region,
     /// Whether the exact solver completed (always true for heuristics).
     pub optimal: bool,
-}
-
-/// Deprecated closed policy set, kept one release as a thin shim over the
-/// open [`crate::policy`] API.
-///
-/// Prefer the policy structs ([`crate::policy::JabaSd`],
-/// [`crate::policy::Fcfs`], [`crate::policy::EqualShare`]) or a
-/// [`crate::registry::PolicyRegistry`] lookup: the enum cannot express
-/// registry-only policies (weighted fair share, threshold reservation, user
-/// additions) and will be removed. Every variant converts losslessly via
-/// `Into<BoxedPolicy>`, which is how `Scheduler::new` still accepts it.
-#[derive(Debug, Clone)]
-pub enum Policy {
-    /// The paper's jointly adaptive burst admission (spatial dimension).
-    JabaSd {
-        /// J1 or J2.
-        objective: Objective,
-        /// Exact branch-and-bound (true) or density greedy (false).
-        exact: bool,
-        /// Node cap for the exact solver (0 = unlimited).
-        node_limit: u64,
-    },
-    /// First-come-first-serve maximal grants (cdma2000 \[1\]).
-    Fcfs {
-        /// Maximum number of simultaneous bursts (None = unlimited;
-        /// Some(1) = the strict single-burst baseline). Some(0) is invalid
-        /// and rejected on conversion — see [`crate::policy::Fcfs::new`].
-        max_concurrent: Option<usize>,
-    },
-    /// Equal sharing between requests (ref \[8\]).
-    EqualShare,
-}
-
-impl Policy {
-    /// The paper's headline configuration: exact JABA-SD under J2.
-    pub fn jaba_sd_default() -> Self {
-        Policy::JabaSd {
-            objective: Objective::j2_default(),
-            exact: true,
-            node_limit: 200_000,
-        }
-    }
 }
 
 /// Static scheduler configuration.
@@ -273,14 +229,13 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Creates a scheduler with the given configuration and policy —
-    /// either a policy object ([`BoxedPolicy`], or any concrete policy via
-    /// [`into_boxed`](crate::policy::AdmissionPolicy::into_boxed)) or a
-    /// deprecated [`Policy`] enum value.
-    pub fn new(cfg: SchedulerConfig, policy: impl Into<BoxedPolicy>) -> Self {
+    /// Creates a scheduler with the given configuration and policy object
+    /// (any concrete policy boxes via
+    /// [`into_boxed`](crate::policy::AdmissionPolicy::into_boxed)).
+    pub fn new(cfg: SchedulerConfig, policy: BoxedPolicy) -> Self {
         Self {
             cfg,
-            policy: policy.into(),
+            policy,
             mode: SolveMode::Warm,
             fwd_ws: SchedWorkspace::default(),
             rev_ws: SchedWorkspace::default(),
@@ -487,6 +442,8 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective::Objective;
+    use crate::policy::{AdmissionPolicy, EqualShare, Fcfs, JabaSd};
     use wcdma_cdma::DataUserMeasurement;
     use wcdma_geo::CellId;
 
@@ -542,8 +499,8 @@ mod tests {
             .collect()
     }
 
-    fn sched(policy: Policy) -> Scheduler {
-        Scheduler::new(SchedulerConfig::default_config(), policy)
+    fn sched(policy: impl AdmissionPolicy + 'static) -> Scheduler {
+        Scheduler::new(SchedulerConfig::default_config(), policy.into_boxed())
     }
 
     fn loads(n: usize, fwd: f64) -> (Vec<f64>, Vec<f64>) {
@@ -553,7 +510,7 @@ mod tests {
 
     #[test]
     fn jaba_grants_within_region() {
-        let mut s = sched(Policy::jaba_sd_default());
+        let mut s = sched(JabaSd::default_j2());
         let (fwd, rev) = loads(2, 10.0);
         let specs = vec![
             req(0, 0, 0.2, 10.0, 1e6, 0.1),
@@ -574,7 +531,7 @@ mod tests {
     fn jaba_prefers_cheap_good_channel_users() {
         // Same cell, same queue: user 0 has better channel (higher δβ) and
         // cheaper FCH power. Tight budget: JABA-SD must favour user 0.
-        let mut s = sched(Policy::JabaSd {
+        let mut s = sched(JabaSd {
             objective: Objective::J1,
             exact: true,
             node_limit: 0,
@@ -603,7 +560,7 @@ mod tests {
             req(0, 0, 0.05, 12.0, 1e7, 0.0),  // strong, fresh
             req(1, 0, 0.055, 2.0, 1e7, 10.0), // weak, starving
         ];
-        let mut s1 = sched(Policy::JabaSd {
+        let mut s1 = sched(JabaSd {
             objective: Objective::J1,
             exact: true,
             node_limit: 0,
@@ -611,7 +568,7 @@ mod tests {
         let j1 = s1
             .schedule(LinkDir::Forward, &fwd, &rev, &reqs(&specs))
             .clone();
-        let mut s2 = sched(Policy::JabaSd {
+        let mut s2 = sched(JabaSd {
             objective: Objective::J2 {
                 lambda: 40.0,
                 mu: 1.0,
@@ -630,9 +587,7 @@ mod tests {
 
     #[test]
     fn fcfs_grants_in_arrival_order() {
-        let mut s = sched(Policy::Fcfs {
-            max_concurrent: None,
-        });
+        let mut s = sched(Fcfs::unlimited());
         let (fwd, rev) = loads(1, 19.0);
         // Oldest request is the *expensive weak* user: FCFS serves it first
         // anyway (that is its pathology).
@@ -647,9 +602,7 @@ mod tests {
 
     #[test]
     fn fcfs_single_burst_limit() {
-        let mut s = sched(Policy::Fcfs {
-            max_concurrent: Some(1),
-        });
+        let mut s = sched(Fcfs::single());
         let (fwd, rev) = loads(1, 5.0); // plenty of headroom
         let specs = vec![
             req(0, 0, 0.05, 10.0, 1e7, 1.0),
@@ -668,7 +621,7 @@ mod tests {
 
     #[test]
     fn equal_share_splits_evenly() {
-        let mut s = sched(Policy::EqualShare);
+        let mut s = sched(EqualShare);
         let (fwd, rev) = loads(1, 10.0);
         let specs = vec![
             req(0, 0, 0.1, 10.0, 1e7, 0.0),
@@ -697,7 +650,7 @@ mod tests {
             req(2, 1, 0.10, 9.0, 1e7, 0.1),
             req(3, 1, 0.25, 7.0, 1e7, 0.9),
         ];
-        let mut j1 = sched(Policy::JabaSd {
+        let mut j1 = sched(JabaSd {
             objective: Objective::J1,
             exact: true,
             node_limit: 0,
@@ -706,15 +659,11 @@ mod tests {
             .schedule(LinkDir::Forward, &fwd, &rev, &reqs(&specs))
             .clone();
         for policy in [
-            Policy::Fcfs {
-                max_concurrent: None,
-            },
-            Policy::Fcfs {
-                max_concurrent: Some(1),
-            },
-            Policy::EqualShare,
+            Fcfs::unlimited().into_boxed(),
+            Fcfs::single().into_boxed(),
+            EqualShare.into_boxed(),
         ] {
-            let mut base = sched(policy.clone());
+            let mut base = Scheduler::new(SchedulerConfig::default_config(), policy.clone());
             let out_base = base.schedule(LinkDir::Forward, &fwd, &rev, &reqs(&specs));
             assert!(
                 out_opt.objective_value >= out_base.objective_value - 1e-9,
@@ -727,7 +676,7 @@ mod tests {
 
     #[test]
     fn reverse_direction_uses_interference_region() {
-        let mut s = sched(Policy::jaba_sd_default());
+        let mut s = sched(JabaSd::default_j2());
         let cfg = SchedulerConfig::default_config();
         let fwd = vec![10.0; 2];
         // Reverse loads near the limit: little headroom.
@@ -746,7 +695,7 @@ mod tests {
 
     #[test]
     fn outage_user_rejected() {
-        let mut s = sched(Policy::jaba_sd_default());
+        let mut s = sched(JabaSd::default_j2());
         let (fwd, rev) = loads(1, 5.0);
         // FCH Eb/I0 of -30 dB: δβ̄ ≈ 0 → inadmissible.
         let specs = vec![req(0, 0, 0.1, -30.0, 1e7, 0.0)];
@@ -756,7 +705,7 @@ mod tests {
 
     #[test]
     fn duration_bound_caps_small_bursts() {
-        let mut s = sched(Policy::jaba_sd_default());
+        let mut s = sched(JabaSd::default_j2());
         let (fwd, rev) = loads(1, 5.0);
         // Tiny 2 kbit burst: eq. 24 caps m well below M.
         let specs = vec![req(0, 0, 0.05, 12.0, 2_000.0, 0.0)];
@@ -768,7 +717,7 @@ mod tests {
 
     #[test]
     fn empty_request_list() {
-        let mut s = sched(Policy::jaba_sd_default());
+        let mut s = sched(JabaSd::default_j2());
         let (fwd, rev) = loads(1, 5.0);
         let out = s.schedule(LinkDir::Forward, &fwd, &rev, &[]);
         assert!(out.grants.is_empty());
@@ -831,8 +780,8 @@ mod tests {
                 req(5, 0, 0.15, 9.0, 1e6, 0.3),
             ],
         ];
-        let mut warm = sched(Policy::jaba_sd_default());
-        let mut cold = sched(Policy::jaba_sd_default());
+        let mut warm = sched(JabaSd::default_j2());
+        let mut cold = sched(JabaSd::default_j2());
         cold.set_mode(SolveMode::Cold);
         assert_eq!(cold.mode(), SolveMode::Cold);
         for specs in &rounds {

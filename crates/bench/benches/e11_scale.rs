@@ -36,26 +36,14 @@
 //! interleaved cold/warm pairs the median warm/cold ratio is at least 0.8
 //! (and the hit rate clears the 50 % bar the tests pin).
 //!
-//! The bench also carries the **dispatch-overhead smoke** for the open
-//! admission-policy API: the scheduler's policy is a boxed
-//! `AdmissionPolicy` trait object, constructed either from the deprecated
-//! `Policy` enum shim or resolved by name from the `PolicyRegistry`. Both
-//! must run the frame pipeline at the same speed (asserted within 2 % in
-//! quick mode) — the assert guards the *construction paths* (parameter
-//! drift between the shim and the registry defaults, or a wrapper layer
-//! sneaking into either) rather than dyn-vs-static dispatch, since the
-//! static enum-match scheduler no longer exists. The absolute frames/s
-//! rows in `BENCH_e11_scale.json` are the cross-PR trend guard for the
-//! boxed pipeline's cost itself (PR 2's enum-match scheduler recorded
-//! 9063 fps at 200 mobiles; the boxed redesign measured 9086 on the same
-//! machine).
-//!
 //! The **measurement-feedback smoke** prices the in-loop QoS machinery
 //! behind the `measured-region` policy (per-frame violation accounting +
 //! the windowed monitor): with every mismatch knob disabled its decisions
 //! are bit-identical to `jaba-sd-j2`, so the frames/s gap is pure
-//! feedback overhead — asserted ≤ 2 % in quick mode and recorded in the
-//! snapshot's `feedback` object.
+//! feedback overhead. Like the scheduling guard, quick mode asserts a
+//! wide, median-of-k bound — over 5 interleaved jaba/measured pairs the
+//! median measured/jaba ratio is at least 0.8 — and the snapshot's
+//! `feedback` object records the medians.
 //!
 //! Set `WCDMA_BENCH_QUICK=1` (CI smoke mode) to shrink the sweep so the
 //! bench cannot bit-rot without burning CI minutes.
@@ -63,7 +51,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
-use wcdma_admission::{Policy, PolicyRegistry, SchedStats};
+use wcdma_admission::{PolicyRegistry, SchedStats};
 use wcdma_bench::banner;
 use wcdma_sim::{SimConfig, Simulation, Table};
 
@@ -126,34 +114,18 @@ fn large_rows() -> Vec<(usize, usize, f64)> {
     ]
 }
 
-/// Measures the enum-shim-constructed scheduler against the
-/// registry-resolved one (which must carry identical policy parameters)
-/// and returns `(enum_fps, registry_fps)`, best-of-`trials` interleaved
-/// so machine noise hits both variants alike. Both produce boxed
-/// schedulers: a gap beyond noise means the two construction paths no
-/// longer build the same policy.
-fn dispatch_overhead(n_mobiles: usize, frames: usize, trials: usize) -> (f64, f64) {
-    let enum_cfg = scale_cfg(n_mobiles).with_policy(Policy::jaba_sd_default());
-    let registry_cfg = scale_cfg(n_mobiles).with_policy(
-        PolicyRegistry::standard()
-            .resolve("jaba-sd-j2")
-            .expect("standard registry name"),
-    );
-    let mut best = (0.0f64, 0.0f64);
-    for _ in 0..trials {
-        best.0 = best.0.max(cfg_frames_per_sec(enum_cfg.clone(), frames));
-        best.1 = best.1.max(cfg_frames_per_sec(registry_cfg.clone(), frames));
-    }
-    best
-}
+/// Interleaved jaba/measured pairs behind the quick-mode feedback guard.
+const FEEDBACK_GUARD_PAIRS: usize = 5;
 
 /// Measures the model-trusting baseline against the measurement-based
 /// `measured-region` policy with every mismatch knob at its disabled
 /// default. With no faults and no load stress the AIMD scale stays at
 /// η = 1 and the decisions are bit-identical to JABA-SD, so the frames/s
 /// gap prices exactly the QoS-feedback plumbing (per-frame window
-/// accounting + the monitor handoff). Best-of-`trials`, interleaved.
-fn feedback_overhead(n_mobiles: usize, frames: usize, trials: usize) -> (f64, f64) {
+/// accounting + the monitor handoff). Returns the medians of `pairs`
+/// interleaved runs as `(jaba_fps, measured_fps, measured/jaba ratio)`,
+/// the ratio taken per pair so machine noise hits both sides alike.
+fn feedback_overhead(n_mobiles: usize, frames: usize, pairs: usize) -> (f64, f64, f64) {
     let resolve = |name: &str| {
         PolicyRegistry::standard()
             .resolve(name)
@@ -161,12 +133,21 @@ fn feedback_overhead(n_mobiles: usize, frames: usize, trials: usize) -> (f64, f6
     };
     let jaba_cfg = scale_cfg(n_mobiles).with_policy(resolve("jaba-sd-j2"));
     let measured_cfg = scale_cfg(n_mobiles).with_policy(resolve("measured-region"));
-    let mut best = (0.0f64, 0.0f64);
-    for _ in 0..trials {
-        best.0 = best.0.max(cfg_frames_per_sec(jaba_cfg.clone(), frames));
-        best.1 = best.1.max(cfg_frames_per_sec(measured_cfg.clone(), frames));
+    let (mut jaba, mut measured, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..pairs {
+        let j = cfg_frames_per_sec(jaba_cfg.clone(), frames);
+        let m = cfg_frames_per_sec(measured_cfg.clone(), frames);
+        jaba.push(j);
+        measured.push(m);
+        ratios.push(m / j);
     }
-    best
+    (median_of(jaba), median_of(measured), median_of(ratios))
+}
+
+/// The median of a non-empty sample (the upper one for an even count).
+fn median_of(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 fn quick_mode() -> bool {
@@ -294,7 +275,7 @@ fn sched_sweep(quick: bool) -> Vec<SchedRow> {
         .collect()
 }
 
-/// Writes the sweep plus the dispatch smoke as a machine-readable snapshot
+/// Writes the sweeps plus the feedback smoke as a machine-readable snapshot
 /// (CI uploads it as `BENCH_e11_scale.json` so the perf trajectory
 /// accumulates over PRs).
 #[allow(clippy::too_many_arguments)]
@@ -305,8 +286,7 @@ fn write_json_snapshot(
     scale: &[(usize, usize, f64)],
     sweep: &[(usize, usize, usize, f64)],
     sched: &[SchedRow],
-    dispatch: (f64, f64),
-    feedback: (f64, f64),
+    feedback: (f64, f64, f64),
 ) {
     let entries: Vec<String> = rows
         .iter()
@@ -351,7 +331,6 @@ fn write_json_snapshot(
             )
         })
         .collect();
-    let (enum_fps, registry_fps) = dispatch;
     // `cores` lets downstream trend tooling discard thread-sweep rows
     // measured on a single-core container, where every threads > 1 cell is
     // an overhead floor rather than a scaling measurement; the explicit
@@ -363,16 +342,14 @@ fn write_json_snapshot(
     } else {
         ""
     };
-    let (jaba_fps, measured_fps) = feedback;
+    let (jaba_fps, measured_fps, ratio) = feedback;
     let json = format!(
-        "{{\n  \"bench\": \"e11_scale\",\n  \"quick\": {quick},\n  \"cores\": {cores},{note}\n  \"canonical_order_version\": {},\n  \"rows\": [\n{}\n  ],\n  \"scale_rows\": [\n{}\n  ],\n  \"thread_sweep\": [\n{}\n  ],\n  \"sched_sweep\": [\n{}\n  ],\n  \"dispatch\": {{\"enum_shim_fps\": {enum_fps:.1}, \"registry_boxed_fps\": {registry_fps:.1}, \"ratio\": {:.4}}},\n  \"feedback\": {{\"jaba_sd_fps\": {jaba_fps:.1}, \"measured_region_fps\": {measured_fps:.1}, \"ratio\": {:.4}}}\n}}\n",
+        "{{\n  \"bench\": \"e11_scale\",\n  \"quick\": {quick},\n  \"cores\": {cores},{note}\n  \"canonical_order_version\": {},\n  \"rows\": [\n{}\n  ],\n  \"scale_rows\": [\n{}\n  ],\n  \"thread_sweep\": [\n{}\n  ],\n  \"sched_sweep\": [\n{}\n  ],\n  \"feedback\": {{\"jaba_sd_fps\": {jaba_fps:.1}, \"measured_region_fps\": {measured_fps:.1}, \"ratio\": {ratio:.4}}}\n}}\n",
         wcdma_math::CANONICAL_ORDER_VERSION,
         entries.join(",\n"),
         scale_entries.join(",\n"),
         sweep_entries.join(",\n"),
         sched_entries.join(",\n"),
-        registry_fps / enum_fps,
-        measured_fps / jaba_fps
     );
     match std::fs::write(path, json) {
         Ok(()) => println!("wrote {path}"),
@@ -507,15 +484,14 @@ fn print_experiment() {
         // the bound is wide and taken over a median: SCHED_GUARD_PAIRS
         // interleaved cold/warm pairs, median warm/cold ratio ≥ 0.8.
         let row = &sched[0];
-        let mut ratios: Vec<f64> = (0..SCHED_GUARD_PAIRS)
+        let ratios: Vec<f64> = (0..SCHED_GUARD_PAIRS)
             .map(|_| {
                 let (cold_fps, _) = sched_cell(row.mobiles, true, QUICK_SCHED_FRAMES);
                 let (warm_fps, _) = sched_cell(row.mobiles, false, QUICK_SCHED_FRAMES);
                 warm_fps / cold_fps
             })
             .collect();
-        ratios.sort_by(f64::total_cmp);
-        let median = ratios[ratios.len() / 2];
+        let median = median_of(ratios.clone());
         println!(
             "sched guard: warm/cold median {median:.3} over {SCHED_GUARD_PAIRS} pairs {ratios:.3?}"
         );
@@ -533,47 +509,25 @@ fn print_experiment() {
         );
     }
 
-    // Dispatch-overhead smoke: enum-shim vs registry-resolved boxed-trait
-    // scheduler on the same scenario. Best-of-N interleaved trials; on a
-    // noisy runner a gap over threshold gets one clean re-measure before
-    // the quick-mode assert fails the bench.
-    let frames = if quick { 250 } else { 300 };
-    let (mut enum_fps, mut registry_fps) = dispatch_overhead(200, frames, 7);
-    let gap = |a: f64, b: f64| (a - b).abs() / a.max(b);
-    if quick && gap(enum_fps, registry_fps) > 0.02 {
-        (enum_fps, registry_fps) = dispatch_overhead(200, frames, 7);
-    }
-    println!(
-        "policy dispatch: enum-shim {enum_fps:.1} fps vs registry-boxed {registry_fps:.1} fps \
-         ({:+.2} % gap)",
-        100.0 * (registry_fps / enum_fps - 1.0)
-    );
-    if quick {
-        assert!(
-            gap(enum_fps, registry_fps) <= 0.02,
-            "boxed-trait dispatch overhead exceeds 2 %: enum-shim {enum_fps:.1} fps vs \
-             registry-boxed {registry_fps:.1} fps"
-        );
-    }
-
     // Measurement-feedback overhead smoke: with every mismatch knob at
     // its disabled default, `measured-region` makes the same decisions as
     // `jaba-sd-j2` (η holds at 1) and the only added work is the QoS
-    // window accounting and monitor handoff — which must cost ≤ 2 %.
-    let (mut jaba_fps, mut measured_fps) = feedback_overhead(200, frames, 7);
-    if quick && measured_fps < 0.98 * jaba_fps {
-        (jaba_fps, measured_fps) = feedback_overhead(200, frames, 7);
-    }
+    // window accounting and monitor handoff. Whole-frame timings spread
+    // 10–30 % on shared machines, so the quick-mode guard is the same
+    // wide median-of-k bound as the scheduling guard.
+    let frames = if quick { 250 } else { 300 };
+    let (jaba_fps, measured_fps, ratio) = feedback_overhead(200, frames, FEEDBACK_GUARD_PAIRS);
     println!(
         "measurement feedback: jaba-sd-j2 {jaba_fps:.1} fps vs measured-region \
-         {measured_fps:.1} fps ({:+.2} % gap, mismatch disabled)",
-        100.0 * (measured_fps / jaba_fps - 1.0)
+         {measured_fps:.1} fps (median measured/jaba {ratio:.3} over \
+         {FEEDBACK_GUARD_PAIRS} pairs, mismatch disabled)"
     );
     if quick {
         assert!(
-            measured_fps >= 0.98 * jaba_fps,
-            "measurement-feedback path costs more than 2 % with mismatch disabled: \
-             jaba-sd-j2 {jaba_fps:.1} fps vs measured-region {measured_fps:.1} fps"
+            ratio >= 0.8,
+            "measurement-feedback path clearly slower with mismatch disabled: median \
+             measured/jaba {ratio:.3} (jaba-sd-j2 {jaba_fps:.1} fps, measured-region \
+             {measured_fps:.1} fps)"
         );
     }
 
@@ -586,8 +540,7 @@ fn print_experiment() {
                 &scale,
                 &sweep,
                 &sched,
-                (enum_fps, registry_fps),
-                (jaba_fps, measured_fps),
+                (jaba_fps, measured_fps, ratio),
             );
         }
     }

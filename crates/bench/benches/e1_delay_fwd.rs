@@ -5,11 +5,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wcdma_bench::{banner, policies, quick_base};
+use wcdma_admission::{AdmissionPolicy, Fcfs};
+use wcdma_bench::{banner, quick_base};
 use wcdma_mac::LinkDir;
 use wcdma_sim::experiments::delay_vs_load;
 use wcdma_sim::table::ci;
-use wcdma_sim::{Simulation, Table};
+use wcdma_sim::{SimConfig, Simulation, Table};
 
 fn print_experiment() {
     banner(
@@ -17,7 +18,7 @@ fn print_experiment() {
         "mean burst delay vs load, forward link (policy comparison)",
     );
     let base = quick_base();
-    let pols = policies();
+    let pols = SimConfig::comparison_policies();
     let refs: Vec<(&str, _)> = pols.iter().map(|(n, p)| (*n, p.clone())).collect();
     let rows = delay_vs_load(&base, LinkDir::Forward, &[8, 24, 48], &refs, 2);
     let mut t = Table::new(&[
@@ -51,9 +52,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("sim_10s_jaba_sd", |b| {
         b.iter(|| Simulation::new(black_box(cfg.clone())).run())
     });
-    let fcfs = cfg.with_policy(wcdma_admission::Policy::Fcfs {
-        max_concurrent: None,
-    });
+    let fcfs = cfg.with_policy(Fcfs::unlimited().into_boxed());
     group.bench_function("sim_10s_fcfs", |b| {
         b.iter(|| Simulation::new(black_box(fcfs.clone())).run())
     });

@@ -6,11 +6,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wcdma_bench::{banner, policies, quick_base};
+use wcdma_bench::{banner, quick_base};
 use wcdma_mac::LinkDir;
 use wcdma_sim::experiments::delay_vs_load;
 use wcdma_sim::table::ci;
-use wcdma_sim::{Simulation, Table};
+use wcdma_sim::{SimConfig, Simulation, Table};
 
 fn print_experiment() {
     banner(
@@ -18,7 +18,7 @@ fn print_experiment() {
         "mean burst delay vs load, reverse link (policy comparison)",
     );
     let base = quick_base();
-    let pols = policies();
+    let pols = SimConfig::comparison_policies();
     let refs: Vec<(&str, _)> = pols.iter().map(|(n, p)| (*n, p.clone())).collect();
     let rows = delay_vs_load(&base, LinkDir::Reverse, &[8, 24, 48], &refs, 2);
     let mut t = Table::new(&[

@@ -5,10 +5,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wcdma_bench::{banner, policies, quick_base};
+use wcdma_bench::{banner, quick_base};
 use wcdma_mac::LinkDir;
 use wcdma_sim::experiments::{capacity_at_delay_target, CapacityMetric};
-use wcdma_sim::{Simulation, Table};
+use wcdma_sim::{SimConfig, Simulation, Table};
 
 fn print_experiment() {
     banner(
@@ -16,7 +16,7 @@ fn print_experiment() {
         "data-user capacity, reverse link, mean-delay target 6 s",
     );
     let base = quick_base();
-    let pols = policies();
+    let pols = SimConfig::comparison_policies();
     let refs: Vec<(&str, _)> = pols.iter().map(|(n, p)| (*n, p.clone())).collect();
     let rows = capacity_at_delay_target(
         &base,

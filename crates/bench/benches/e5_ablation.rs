@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wcdma_admission::Policy;
+use wcdma_admission::{AdmissionPolicy, Fcfs, JabaSd};
 use wcdma_bench::{banner, quick_base};
 use wcdma_mac::LinkDir;
 use wcdma_sim::experiments::phy_ablation;
@@ -17,13 +17,8 @@ fn print_experiment() {
     banner("E5", "PHY x policy ablation (adaptive vs fixed)");
     let base = quick_base();
     let pols = vec![
-        ("jaba-sd-j2", Policy::jaba_sd_default()),
-        (
-            "fcfs",
-            Policy::Fcfs {
-                max_concurrent: None,
-            },
-        ),
+        ("jaba-sd-j2", JabaSd::default_j2().into_boxed()),
+        ("fcfs", Fcfs::unlimited().into_boxed()),
     ];
     let rows = phy_ablation(&base, LinkDir::Forward, &[8], &pols, 2);
     let mut t = Table::new(&["phy", "policy", "N_d", "mean delay [s]", "cell tput [kbps]"]);

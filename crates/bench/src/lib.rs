@@ -8,7 +8,6 @@
 //! 2. registers Criterion timings on the computational kernel behind the
 //!    experiment, so `cargo bench` also tracks the cost of the machinery.
 
-use wcdma_admission::Policy;
 use wcdma_sim::SimConfig;
 
 /// Quick experiment base profile: 7-cell system, 20 s runs, tuned into the
@@ -26,11 +25,6 @@ pub fn quick_base() -> SimConfig {
     c.warmup_s = 4.0;
     c.seed = 0xBE9C;
     c
-}
-
-/// The policy set compared throughout the evaluation.
-pub fn policies() -> Vec<(&'static str, Policy)> {
-    SimConfig::comparison_policies()
 }
 
 /// Prints a named experiment banner.

@@ -36,9 +36,9 @@ use std::process::ExitCode;
 
 use wcdma_sim::campaign::{
     builtin, builtin_names, campaign_csv, campaign_json, campaign_status, campaign_summary_json,
-    campaign_trace_csv, merge_dirs, run_spec_service, run_spec_threads_candidates,
-    sched_stats_campaign, trace_campaign, CampaignResult, PolicyRegistry, ScenarioSpec,
-    ServiceConfig,
+    campaign_trace_csv, merge_dirs, run_spec, run_spec_service, sched_stats_campaign,
+    trace_campaign, write_artefacts, write_atomic, CampaignResult, PolicyRegistry, RunOptions,
+    ScenarioSpec, ServiceConfig,
 };
 use wcdma_sim::stats::ReplicationStats;
 use wcdma_sim::table::ci;
@@ -122,10 +122,9 @@ struct RunArgs {
     quick: bool,
     trace: bool,
     sched_stats: bool,
-    shards: usize,
-    frame_threads: usize,
-    candidate_k: Option<usize>,
-    candidate_refresh: Option<usize>,
+    /// `--shards`, `--frame-threads`, and the candidate flags; shared by
+    /// the batch run, the service, and the instrumentation passes.
+    opts: RunOptions,
     reps: Option<usize>,
     out: PathBuf,
     /// Checkpoint directory — switches the run into service mode.
@@ -201,15 +200,18 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
         }
         "run" => {
             let mut target = None;
+            let (mut candidate_k, mut candidate_refresh) = (None, None);
             let mut run = RunArgs {
                 target: Target::Builtin("paper-eval".into()),
                 quick: false,
                 trace: false,
                 sched_stats: false,
-                shards: 0,
-                frame_threads: 0,
-                candidate_k: None,
-                candidate_refresh: None,
+                // Unlike the library default, the CLI auto-sizes frame
+                // threads from the cores the shards leave over.
+                opts: RunOptions {
+                    frame_threads: 0,
+                    ..RunOptions::default()
+                },
                 reps: None,
                 out: PathBuf::from("campaign-out"),
                 out_dir: None,
@@ -228,24 +230,24 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
                     }
                     "--shards" => {
                         let v = it.next().ok_or("--shards needs a value")?;
-                        run.shards = v
+                        run.opts.shards = v
                             .parse::<usize>()
                             .map_err(|_| format!("bad --shards value {v:?}"))?;
-                        if run.shards == 0 {
+                        if run.opts.shards == 0 {
                             return Err("--shards must be ≥ 1".into());
                         }
                     }
                     "--frame-threads" => {
                         let v = it.next().ok_or("--frame-threads needs a value")?;
                         // 0 is the explicit spelling of "auto".
-                        run.frame_threads = v
+                        run.opts.frame_threads = v
                             .parse::<usize>()
                             .map_err(|_| format!("bad --frame-threads value {v:?}"))?;
                     }
                     "--candidate-k" => {
                         let v = it.next().ok_or("--candidate-k needs a value")?;
                         // 0 is the explicit spelling of "every cell" (exact).
-                        run.candidate_k = Some(
+                        candidate_k = Some(
                             v.parse::<usize>()
                                 .map_err(|_| format!("bad --candidate-k value {v:?}"))?,
                         );
@@ -258,7 +260,7 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
                         if n == 0 {
                             return Err("--candidate-refresh must be ≥ 1".into());
                         }
-                        run.candidate_refresh = Some(n);
+                        candidate_refresh = Some(n);
                     }
                     "--reps" => {
                         let v = it.next().ok_or("--reps needs a value")?;
@@ -294,9 +296,14 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
                     name => set_target(&mut target, Target::Builtin(name.to_string()))?,
                 }
             }
-            if run.candidate_refresh.is_some() && run.candidate_k.is_none() {
+            if candidate_refresh.is_some() && candidate_k.is_none() {
                 return Err("--candidate-refresh needs --candidate-k".into());
             }
+            // k alone picks up the SimConfig baseline refresh cadence.
+            run.opts.candidates = candidate_k.map(|k| {
+                let baseline = wcdma_sim::SimConfig::baseline().candidate_refresh;
+                (k, candidate_refresh.unwrap_or(baseline))
+            });
             if run.out_dir.is_none() {
                 if run.slice != (1, 1) {
                     return Err("--grid-slice needs --out-dir (slices journal into it)".into());
@@ -522,15 +529,6 @@ fn summary_table(result: &CampaignResult) -> Table {
     t
 }
 
-/// Writes an artefact atomically (tmp + rename). Service runs share their
-/// checkpoint directory with the journal, so a kill mid-write must leave
-/// either the previous artefact or the new one — never a torn file.
-fn write_artefact(dir: &Path, file: &str, contents: &str) -> Result<PathBuf, String> {
-    let path = dir.join(file);
-    wcdma_sim::campaign::write_atomic(&path, contents)?;
-    Ok(path)
-}
-
 fn cmd_run(args: &RunArgs) -> Result<(), String> {
     let mut spec = load_spec(&args.target)?;
     if args.quick {
@@ -545,78 +543,30 @@ fn cmd_run(args: &RunArgs) -> Result<(), String> {
         spec.name,
         spec.n_scenarios(),
         spec.replications,
-        if args.shards == 0 {
+        if args.opts.shards == 0 {
             "auto".to_string()
         } else {
-            args.shards.to_string()
+            args.opts.shards.to_string()
         }
     );
-    // --candidate-refresh without --candidate-k is rejected at parse time;
-    // k alone picks up the SimConfig baseline refresh cadence.
-    let candidates = args.candidate_k.map(|k| {
-        let refresh = args
-            .candidate_refresh
-            .unwrap_or(wcdma_sim::SimConfig::baseline().candidate_refresh);
-        (k, refresh)
-    });
     if let Some(dir) = &args.out_dir {
-        return cmd_run_service(args, &spec, dir, candidates);
+        return cmd_run_service(args, &spec, dir);
     }
-    let result = run_spec_threads_candidates(&spec, args.shards, args.frame_threads, candidates)?;
+    let result = run_spec(&spec, &args.opts)?;
     println!("{}", summary_table(&result).render());
-
-    std::fs::create_dir_all(&args.out)
-        .map_err(|e| format!("cannot create {}: {e}", args.out.display()))?;
-    let csv = write_artefact(
-        &args.out,
-        &format!("{}.csv", spec.name),
+    let docs: [&str; 3] = [
         &campaign_csv(&result),
-    )?;
-    let json = write_artefact(
-        &args.out,
-        &format!("{}.json", spec.name),
         &campaign_json(&result),
-    )?;
-    let bench = write_artefact(
-        &args.out,
-        "BENCH_campaign.json",
         &campaign_summary_json(&result),
-    )?;
-    println!(
-        "wrote {}, {}, {}",
-        csv.display(),
-        json.display(),
-        bench.display()
-    );
-    if args.trace {
-        println!("tracing policy decisions (first replication of every scenario)…");
-        let traces = trace_campaign(&spec, candidates)?;
-        let trace = write_artefact(
-            &args.out,
-            &format!("{}-trace.csv", spec.name),
-            &campaign_trace_csv(&traces),
-        )?;
-        println!("wrote {}", trace.display());
-    }
-    if args.sched_stats {
-        println!("collecting scheduling statistics (first replication of every scenario)…");
-        let stats = sched_stats_campaign(&spec, candidates)?;
-        println!("{}", sched_stats_table(&stats).render());
-    }
-    Ok(())
+    ];
+    print_written(&write_artefacts(&args.out, &spec.name, docs)?);
+    instrument(args, &spec, &args.out)
 }
 
 /// Service-mode `campaign run`: checkpointed, resumable, sliceable.
-fn cmd_run_service(
-    args: &RunArgs,
-    spec: &ScenarioSpec,
-    dir: &Path,
-    candidates: Option<(usize, usize)>,
-) -> Result<(), String> {
+fn cmd_run_service(args: &RunArgs, spec: &ScenarioSpec, dir: &Path) -> Result<(), String> {
     let cfg = ServiceConfig {
-        shards: args.shards,
-        frame_threads: args.frame_threads,
-        candidates,
+        run: args.opts,
         slice_index: args.slice.0,
         slice_count: args.slice.1,
         max_cells: args.max_cells,
@@ -651,25 +601,29 @@ fn cmd_run_service(
         );
         return Ok(());
     }
-    let paths: Vec<String> = outcome
-        .artefacts
-        .iter()
-        .map(|p| p.display().to_string())
-        .collect();
+    print_written(&outcome.artefacts);
+    instrument(args, spec, dir)
+}
+
+fn print_written(paths: &[PathBuf]) {
+    let paths: Vec<String> = paths.iter().map(|p| p.display().to_string()).collect();
     println!("wrote {}", paths.join(", "));
+}
+
+/// The `--trace` and `--sched-stats` passes: re-run the first replication
+/// of every scenario under the run's own options, writing the trace into
+/// `dir` atomically (it may share a checkpoint directory with a journal).
+fn instrument(args: &RunArgs, spec: &ScenarioSpec, dir: &Path) -> Result<(), String> {
     if args.trace {
         println!("tracing policy decisions (first replication of every scenario)…");
-        let traces = trace_campaign(spec, candidates)?;
-        let trace = write_artefact(
-            dir,
-            &format!("{}-trace.csv", spec.name),
-            &campaign_trace_csv(&traces),
-        )?;
-        println!("wrote {}", trace.display());
+        let traces = trace_campaign(spec, &args.opts)?;
+        let path = dir.join(format!("{}-trace.csv", spec.name));
+        write_atomic(&path, &campaign_trace_csv(&traces))?;
+        println!("wrote {}", path.display());
     }
     if args.sched_stats {
         println!("collecting scheduling statistics (first replication of every scenario)…");
-        let stats = sched_stats_campaign(spec, candidates)?;
+        let stats = sched_stats_campaign(spec, &args.opts)?;
         println!("{}", sched_stats_table(&stats).render());
     }
     Ok(())
@@ -795,10 +749,11 @@ mod tests {
                 quick: true,
                 trace: false,
                 sched_stats: false,
-                shards: 4,
-                frame_threads: 2,
-                candidate_k: None,
-                candidate_refresh: None,
+                opts: RunOptions {
+                    shards: 4,
+                    frame_threads: 2,
+                    candidates: None,
+                },
                 reps: Some(5),
                 out: PathBuf::from("results"),
                 out_dir: None,
@@ -890,14 +845,18 @@ mod tests {
     fn candidate_flags_parse_and_reject_garbage() {
         match parse(&["campaign", "run", "--candidate-k", "4"]).unwrap() {
             Command::Run(args) => {
-                assert_eq!(args.candidate_k, Some(4));
-                assert_eq!(args.candidate_refresh, None, "refresh defaults downstream");
+                let baseline = wcdma_sim::SimConfig::baseline().candidate_refresh;
+                assert_eq!(
+                    args.opts.candidates,
+                    Some((4, baseline)),
+                    "refresh defaults to the baseline cadence"
+                );
             }
             other => panic!("expected run, got {other:?}"),
         }
         // 0 is the explicit spelling of "every cell".
         match parse(&["campaign", "run", "--candidate-k", "0"]).unwrap() {
-            Command::Run(args) => assert_eq!(args.candidate_k, Some(0)),
+            Command::Run(args) => assert_eq!(args.opts.candidates.map(|(k, _)| k), Some(0)),
             other => panic!("expected run, got {other:?}"),
         }
         match parse(&[
@@ -910,10 +869,7 @@ mod tests {
         ])
         .unwrap()
         {
-            Command::Run(args) => {
-                assert_eq!(args.candidate_k, Some(4));
-                assert_eq!(args.candidate_refresh, Some(10));
-            }
+            Command::Run(args) => assert_eq!(args.opts.candidates, Some((4, 10))),
             other => panic!("expected run, got {other:?}"),
         }
         assert!(parse(&["campaign", "run", "--candidate-k"]).is_err());
@@ -926,12 +882,12 @@ mod tests {
     #[test]
     fn frame_threads_flag_defaults_to_auto_and_rejects_garbage() {
         match parse(&["campaign", "run"]).unwrap() {
-            Command::Run(args) => assert_eq!(args.frame_threads, 0, "default is auto"),
+            Command::Run(args) => assert_eq!(args.opts.frame_threads, 0, "default is auto"),
             other => panic!("expected run, got {other:?}"),
         }
         // 0 is accepted as the explicit spelling of auto.
         match parse(&["campaign", "run", "--frame-threads", "0"]).unwrap() {
-            Command::Run(args) => assert_eq!(args.frame_threads, 0),
+            Command::Run(args) => assert_eq!(args.opts.frame_threads, 0),
             other => panic!("expected run, got {other:?}"),
         }
         assert!(parse(&["campaign", "run", "--frame-threads"]).is_err());
@@ -1017,10 +973,9 @@ mod tests {
             Command::Run(args) => {
                 assert_eq!(args.target, Target::Builtin("paper-eval".into()));
                 assert!(!args.quick);
-                assert_eq!(args.shards, 0);
-                assert_eq!(args.frame_threads, 0);
-                assert_eq!(args.candidate_k, None);
-                assert_eq!(args.candidate_refresh, None);
+                assert_eq!(args.opts.shards, 0);
+                assert_eq!(args.opts.frame_threads, 0);
+                assert_eq!(args.opts.candidates, None);
                 assert_eq!(args.out, PathBuf::from("campaign-out"));
             }
             other => panic!("expected run, got {other:?}"),
@@ -1057,7 +1012,7 @@ mod tests {
             Command::Run(args) => {
                 assert_eq!(args.target, Target::Builtin("speed-sweep".into()));
                 assert!(args.quick);
-                assert_eq!(args.shards, 4);
+                assert_eq!(args.opts.shards, 4);
             }
             other => panic!("expected run, got {other:?}"),
         }

@@ -2,8 +2,10 @@
 //!
 //! All three emitters are pure functions of a [`CampaignResult`], so the
 //! emitted artefacts inherit the runner's bit-for-bit shard invariance.
+//! [`write_artefacts`] is the one place their documents reach the disk.
 
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 use wcdma_mac::LinkDir;
 use wcdma_math::stats::Welford;
@@ -12,6 +14,7 @@ use crate::stats::ReplicationStats;
 use crate::table::Table;
 use crate::trace::DecisionRecord;
 
+use super::journal::write_atomic;
 use super::runner::{CampaignResult, ScenarioResult};
 
 /// Accessor into one metric accumulator of the streaming stats.
@@ -295,10 +298,37 @@ pub fn campaign_summary_json(result: &CampaignResult) -> String {
     )
 }
 
+/// File names of a campaign's three artefacts, in the order CSV, JSON,
+/// `BENCH_campaign.json` summary.
+pub(crate) fn artefact_files(name: &str) -> [String; 3] {
+    [
+        format!("{name}.csv"),
+        format!("{name}.json"),
+        "BENCH_campaign.json".to_string(),
+    ]
+}
+
+/// Writes a campaign's three artefact documents — CSV, JSON, and the
+/// `BENCH_campaign.json` summary, in that order — into `dir`, creating it
+/// if needed, and returns their paths. Each file lands through [`write_atomic`], so a kill mid-write
+/// leaves either the previous artefact or the new one, never a torn file.
+pub fn write_artefacts(dir: &Path, name: &str, docs: [&str; 3]) -> Result<Vec<PathBuf>, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    artefact_files(name)
+        .iter()
+        .zip(docs)
+        .map(|(file, doc)| {
+            let path = dir.join(file);
+            write_atomic(&path, doc)?;
+            Ok(path)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::runner::run_campaign;
+    use crate::campaign::runner::{run_campaign, RunOptions};
     use crate::campaign::spec::Scenario;
     use crate::config::SimConfig;
 
@@ -316,7 +346,11 @@ mod tests {
             ],
             cfg: base,
         }];
-        run_campaign("tiny", scenarios, 2, 1)
+        let opts = RunOptions {
+            shards: 1,
+            ..RunOptions::default()
+        };
+        run_campaign("tiny", scenarios, 2, &opts).expect("valid campaign")
     }
 
     #[test]

@@ -12,13 +12,13 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::stats::{ReplicationStats, SimReport};
+use crate::stats::SimReport;
 
 use super::emit;
 use super::journal::{
-    read_journal, write_atomic, JournalEntry, Manifest, JOURNAL_FILE, MANIFEST_FILE, SPEC_FILE,
+    read_journal, JournalEntry, Manifest, JOURNAL_FILE, MANIFEST_FILE, SPEC_FILE,
 };
-use super::runner::{CampaignResult, ScenarioResult};
+use super::runner::CampaignResult;
 use super::spec::ScenarioSpec;
 
 /// Validates `dirs` as the complete slice set of one campaign, folds
@@ -162,40 +162,19 @@ pub fn merge_dirs(dirs: &[PathBuf], out_dir: &Path) -> Result<Vec<PathBuf>, Stri
 
     // Canonical fold — scenario-major, replication order — then the
     // same batch emitters the single-process run uses.
-    let mut cell_iter = cells.into_iter();
-    let mut results = Vec::with_capacity(scenarios.len());
-    for scenario in scenarios {
-        let mut stats = ReplicationStats::new();
-        let mut reports = Vec::with_capacity(n_reps);
-        for _ in 0..n_reps {
-            let report = cell_iter
-                .next()
-                .expect("one cell per job")
-                .expect("completeness checked above");
-            stats.push(&report);
-            reports.push(report);
-        }
-        results.push(ScenarioResult {
-            scenario,
-            stats,
-            reports,
-        });
-    }
-    let result = CampaignResult {
-        name: first.name.clone(),
-        replications: n_reps,
-        scenarios: results,
-    };
-
-    std::fs::create_dir_all(out_dir)
-        .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
-    let csv = out_dir.join(format!("{}.csv", result.name));
-    let json = out_dir.join(format!("{}.json", result.name));
-    let bench = out_dir.join("BENCH_campaign.json");
-    write_atomic(&csv, &emit::campaign_csv(&result))?;
-    write_atomic(&json, &emit::campaign_json(&result))?;
-    write_atomic(&bench, &emit::campaign_summary_json(&result))?;
-    Ok(vec![csv, json, bench])
+    let cells = cells
+        .into_iter()
+        .map(|cell| cell.expect("completeness checked above"));
+    let result = CampaignResult::fold(&first.name, scenarios, n_reps, cells);
+    emit::write_artefacts(
+        out_dir,
+        &result.name,
+        [
+            &emit::campaign_csv(&result),
+            &emit::campaign_json(&result),
+            &emit::campaign_summary_json(&result),
+        ],
+    )
 }
 
 #[cfg(test)]

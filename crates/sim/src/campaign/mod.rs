@@ -12,13 +12,14 @@
 //!   ([`TrafficMix`], [`SpeedClass`], [`CsiQuality`], and the open
 //!   admission-policy registry [`PolicyRegistry`] — names with optional
 //!   `key=value` parameters, e.g. `threshold-reservation:margin=0.4`).
-//! * [`runner`] — [`run_campaign`], a work-stealing sharded driver over the
-//!   (scenario × replication) job grid with deterministic per-replication
-//!   seed substreams; results are folded in replication order through
-//!   [`crate::stats::ReplicationStats`], so the statistics are bit-identical
-//!   regardless of the shard count.
+//! * [`runner`] — [`run_campaign`] / [`run_spec`], a work-stealing sharded
+//!   driver over the (scenario × replication) job grid with deterministic
+//!   per-replication seed substreams, configured by one [`RunOptions`];
+//!   results are folded in replication order by [`ScenarioResult::fold`],
+//!   so the statistics are bit-identical regardless of the shard count.
 //! * [`emit`] — CSV and JSON renderers, including the
-//!   `BENCH_campaign.json`-style summary consumed by CI.
+//!   `BENCH_campaign.json`-style summary consumed by CI, and
+//!   [`write_artefacts`], which writes them atomically.
 //! * [`mod@builtin`] — the named campaigns shipped with the repo (the
 //!   paper evaluation matrix, the ported load/speed/policy sweeps, hotspot
 //!   stress).
@@ -38,13 +39,14 @@ pub mod service;
 pub mod spec;
 
 pub use builtin::{builtin, builtin_names};
-pub use emit::{campaign_csv, campaign_json, campaign_summary_json, campaign_trace_csv};
+pub use emit::{
+    campaign_csv, campaign_json, campaign_summary_json, campaign_trace_csv, write_artefacts,
+};
 pub use journal::{write_atomic, Manifest, CHECKPOINT_FORMAT_VERSION};
 pub use merge::merge_dirs;
 pub use runner::{
-    arbitrate_frame_threads, run_campaign, run_campaign_threads, run_campaign_threads_candidates,
-    run_grid_jobs, run_spec, run_spec_threads, run_spec_threads_candidates, sched_stats_campaign,
-    trace_campaign, CampaignResult, ScenarioResult,
+    arbitrate_frame_threads, run_campaign, run_grid_jobs, run_spec, sched_stats_campaign,
+    trace_campaign, CampaignResult, RunOptions, ScenarioResult,
 };
 pub use service::{run_spec_service, status as campaign_status, ServiceConfig, ServiceOutcome};
 pub use spec::{

@@ -22,6 +22,40 @@ use crate::trace::{run_with_trace, DecisionRecord};
 
 use super::spec::{Scenario, ScenarioSpec};
 
+/// How a campaign runs: the knobs shared by [`run_campaign`],
+/// [`run_spec`], the service ([`super::ServiceConfig::run`]), and the
+/// first-replication passes ([`trace_campaign`], [`sched_stats_campaign`]).
+/// The thread knobs never change results; `candidates` does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunOptions {
+    /// Worker threads over the (scenario × replication) job grid (`0` ⇒
+    /// one per available core).
+    pub shards: usize,
+    /// Intra-frame threads per replication (`0` ⇒ auto), arbitrated
+    /// against the worker count by [`arbitrate_frame_threads`] so the two
+    /// parallelism layers never oversubscribe the cores.
+    pub frame_threads: usize,
+    /// Candidate-cell-list override: with `Some((k, refresh))` every
+    /// replication runs with `candidate_k = k` and
+    /// `candidate_refresh = refresh` (see
+    /// [`SimConfig::with_candidates`](crate::SimConfig::with_candidates)).
+    /// Unlike the thread knobs this **changes results** when `k > 0` culls
+    /// cells — deterministically, but it is a physics approximation, which
+    /// is why it is an explicit opt-in and not arbitrated automatically.
+    pub candidates: Option<(usize, usize)>,
+}
+
+impl Default for RunOptions {
+    /// Auto shards, one frame thread, the exact model.
+    fn default() -> Self {
+        Self {
+            shards: 0,
+            frame_threads: 1,
+            candidates: None,
+        }
+    }
+}
+
 /// One scenario's aggregated campaign outcome.
 #[derive(Debug, Clone)]
 pub struct ScenarioResult {
@@ -34,6 +68,24 @@ pub struct ScenarioResult {
     pub reports: Vec<SimReport>,
 }
 
+impl ScenarioResult {
+    /// Folds one scenario's reports, given in replication order, into its
+    /// cross-replication statistics. This is the one canonical fold: the
+    /// batch runner, the service, and merge all build their results here,
+    /// which is what keeps their artefacts byte-identical.
+    pub fn fold(scenario: Scenario, reports: Vec<SimReport>) -> Self {
+        let mut stats = ReplicationStats::new();
+        for report in &reports {
+            stats.push(report);
+        }
+        Self {
+            scenario,
+            stats,
+            reports,
+        }
+    }
+}
+
 /// A completed campaign: one [`ScenarioResult`] per matrix cell, in
 /// expansion order.
 #[derive(Debug, Clone)]
@@ -44,6 +96,28 @@ pub struct CampaignResult {
     pub replications: usize,
     /// Per-scenario results, in matrix expansion order.
     pub scenarios: Vec<ScenarioResult>,
+}
+
+impl CampaignResult {
+    /// Folds a whole grid whose reports are given in job order
+    /// (scenario-major, replication order).
+    pub(crate) fn fold(
+        name: &str,
+        scenarios: Vec<Scenario>,
+        n_reps: usize,
+        reports: impl IntoIterator<Item = SimReport>,
+    ) -> Self {
+        let mut reports = reports.into_iter();
+        let scenarios = scenarios
+            .into_iter()
+            .map(|sc| ScenarioResult::fold(sc, reports.by_ref().take(n_reps).collect()))
+            .collect();
+        Self {
+            name: name.to_string(),
+            replications: n_reps,
+            scenarios,
+        }
+    }
 }
 
 /// Caps the per-replication intra-frame thread count so that
@@ -64,35 +138,22 @@ pub fn arbitrate_frame_threads(requested: usize, shards: usize) -> usize {
     }
 }
 
-/// The configuration of replication `rep` of a scenario: its seed substream
-/// `mix_seed(seed, 1 + rep)`, plus the candidate-cell-list override when
-/// one is given.
-fn replication_cfg(base: &SimConfig, rep: usize, candidates: Option<(usize, usize)>) -> SimConfig {
-    let mut cfg = base.with_seed(wcdma_math::mix_seed(base.seed, 1 + rep as u64));
-    if let Some((k, refresh)) = candidates {
-        cfg.candidate_k = k;
-        cfg.candidate_refresh = refresh;
-    }
-    cfg
-}
-
-/// Expands a spec and checks a candidate-cell-list override against every
-/// scenario, so a bad override (refresh = 0, k below the active-set size)
-/// is a normal error instead of a panic inside a worker thread.
-fn expand_with_candidates(
-    spec: &ScenarioSpec,
+/// Checks a candidate-cell-list override against every scenario, so a bad
+/// override (refresh = 0, k below the active-set size) is a normal error
+/// naming the scenario instead of a panic inside a worker thread.
+pub(crate) fn check_candidates(
+    scenarios: &[Scenario],
     candidates: Option<(usize, usize)>,
-) -> Result<Vec<Scenario>, String> {
-    let scenarios = spec.expand()?;
+) -> Result<(), String> {
     if let Some((k, refresh)) = candidates {
-        for sc in &scenarios {
+        for sc in scenarios {
             sc.cfg
                 .with_candidates(k, refresh)
                 .validate()
                 .map_err(|e| format!("scenario {:?}: {e}", sc.label))?;
         }
     }
-    Ok(scenarios)
+    Ok(())
 }
 
 /// Worker threads for `n_jobs` jobs: `shards` (`0` ⇒ one per available
@@ -108,13 +169,32 @@ fn worker_count(shards: usize, n_jobs: usize) -> usize {
     wanted.min(n_jobs).max(1)
 }
 
-/// Runs `work(i)` once for every `i < n_jobs` on `workers` scoped threads
-/// that claim indices off a shared atomic cursor, so a slow job cannot
-/// strand the other workers. Setting `stop` makes every worker exit before
-/// claiming another index.
-fn steal_jobs(n_jobs: usize, workers: usize, stop: &AtomicBool, work: impl Fn(usize) + Sync) {
+/// Runs `run` on the configuration of every job in `jobs` (global indices
+/// `scenario * n_reps + replication`) and hands each output to
+/// `on_complete(job, output)` from the worker thread. Workers claim jobs
+/// off a shared atomic cursor, so a slow job cannot strand the others;
+/// setting `stop` makes every worker exit before claiming another job.
+///
+/// A job's configuration is its scenario's with the seed substream
+/// `mix_seed(seed, 1 + replication)`, the candidate override of `opts`, and
+/// the frame-thread count arbitrated against the worker count — so every
+/// output depends only on the job's grid coordinates and `candidates`.
+fn run_jobs<T>(
+    scenarios: &[Scenario],
+    n_reps: usize,
+    jobs: &[usize],
+    opts: &RunOptions,
+    stop: &AtomicBool,
+    run: impl Fn(SimConfig) -> T + Sync,
+    on_complete: impl Fn(usize, T) + Sync,
+) {
+    if jobs.is_empty() {
+        return;
+    }
+    let workers = worker_count(opts.shards, jobs.len());
+    let frame_threads = arbitrate_frame_threads(opts.frame_threads, workers);
     let cursor = AtomicUsize::new(0);
-    let (cursor, work) = (&cursor, &work);
+    let (cursor, run, on_complete) = (&cursor, &run, &on_complete);
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(move || loop {
@@ -122,13 +202,46 @@ fn steal_jobs(n_jobs: usize, workers: usize, stop: &AtomicBool, work: impl Fn(us
                     break;
                 }
                 let next = cursor.fetch_add(1, Ordering::Relaxed);
-                if next >= n_jobs {
+                if next >= jobs.len() {
                     break;
                 }
-                work(next);
+                let job = jobs[next];
+                let base = &scenarios[job / n_reps].cfg;
+                let rep = (job % n_reps) as u64;
+                let mut cfg = base.with_seed(wcdma_math::mix_seed(base.seed, 1 + rep));
+                if let Some((k, refresh)) = opts.candidates {
+                    cfg.candidate_k = k;
+                    cfg.candidate_refresh = refresh;
+                }
+                cfg.frame_threads = frame_threads;
+                on_complete(job, run(cfg));
             });
         }
     });
+}
+
+/// Runs every job of the grid through `run` and returns the outputs in job
+/// order; each output lands in its own slot, so the order does not depend
+/// on the worker count.
+fn run_all<T: Send + Sync>(
+    scenarios: &[Scenario],
+    n_reps: usize,
+    opts: &RunOptions,
+    run: impl Fn(SimConfig) -> T + Sync,
+) -> Vec<T> {
+    let n_jobs = scenarios.len() * n_reps;
+    let jobs: Vec<usize> = (0..n_jobs).collect();
+    let mut slots: Vec<OnceLock<T>> = Vec::new();
+    slots.resize_with(n_jobs, OnceLock::new);
+    let never = AtomicBool::new(false);
+    run_jobs(scenarios, n_reps, &jobs, opts, &never, run, |job, out| {
+        let claimed = slots[job].set(out).is_ok();
+        assert!(claimed, "job claimed exactly once");
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("all jobs completed"))
+        .collect()
 }
 
 /// Runs an arbitrary subset of the (scenario × replication) job grid.
@@ -139,10 +252,10 @@ fn steal_jobs(n_jobs: usize, workers: usize, stop: &AtomicBool, work: impl Fn(us
 /// must key everything on the job index.
 ///
 /// Every cell is bit-identical to the same cell of a full
-/// [`run_campaign_threads_candidates`] run: a replication's seed depends
-/// only on its grid coordinates, so *which* subset runs (and on how many
-/// workers) cannot change any cell. This is what makes checkpoint resume
-/// and multi-process grid slicing byte-exact.
+/// [`run_campaign`] run: a replication's seed depends only on its grid
+/// coordinates, so *which* subset runs (and on how many workers) cannot
+/// change any cell. This is what makes checkpoint resume and
+/// multi-process grid slicing byte-exact.
 ///
 /// Setting `stop` makes every worker exit before claiming another job;
 /// cells already in flight still complete and are reported. The
@@ -159,195 +272,83 @@ pub fn run_grid_jobs(
     stop: &AtomicBool,
     on_complete: &(dyn Fn(usize, &SimReport) + Sync),
 ) {
-    if jobs.is_empty() {
-        return;
-    }
-    let workers = worker_count(shards, jobs.len());
-    let frame_threads = arbitrate_frame_threads(frame_threads, workers);
-    steal_jobs(jobs.len(), workers, stop, |next| {
-        let job = jobs[next];
-        let (si, rep) = (job / n_reps, job % n_reps);
-        let mut cfg = replication_cfg(&scenarios[si].cfg, rep, candidates);
-        cfg.frame_threads = frame_threads;
-        let report = Simulation::new(cfg).run();
-        on_complete(job, &report);
-    });
+    let opts = RunOptions {
+        shards,
+        frame_threads,
+        candidates,
+    };
+    run_jobs(
+        scenarios,
+        n_reps,
+        jobs,
+        &opts,
+        stop,
+        |cfg| Simulation::new(cfg).run(),
+        |job, report| on_complete(job, &report),
+    );
 }
 
-/// Runs every scenario `n_reps` times across `shards` worker threads
-/// (`shards == 0` ⇒ one per available core). Work-stealing over the job
-/// grid; deterministic per-replication seed substreams; the result is
-/// bit-identical for every shard count. Each replication runs with one
-/// intra-frame thread — use [`run_campaign_threads`] to also parallelize
-/// within frames.
+/// Runs every scenario `n_reps` times under `opts`: work-stealing over the
+/// job grid with deterministic per-replication seed substreams, folded in
+/// replication order. The result is bit-identical for every
+/// `(shards, frame_threads)` combination: shard invariance comes from the
+/// replication-order fold, frame-thread invariance from the
+/// fixed-chunk-order fold inside the frame pipeline.
+///
+/// Errors, before anything runs, when there is nothing to run or when the
+/// candidate override is invalid for a scenario (the message names it).
 pub fn run_campaign(
     name: &str,
     scenarios: Vec<Scenario>,
     n_reps: usize,
-    shards: usize,
-) -> CampaignResult {
-    run_campaign_threads(name, scenarios, n_reps, shards, 1)
-}
-
-/// [`run_campaign`] with nested parallelism: every replication runs its
-/// frame pipeline on `frame_threads` threads (`0` ⇒ auto), arbitrated by
-/// [`arbitrate_frame_threads`] against the shard count so the two
-/// parallelism layers never oversubscribe the cores. Results are
-/// bit-identical for every `(shards, frame_threads)` combination: shard
-/// invariance comes from the replication-order fold, frame-thread
-/// invariance from the fixed-chunk-order fold inside the frame pipeline.
-pub fn run_campaign_threads(
-    name: &str,
-    scenarios: Vec<Scenario>,
-    n_reps: usize,
-    shards: usize,
-    frame_threads: usize,
-) -> CampaignResult {
-    run_campaign_threads_candidates(name, scenarios, n_reps, shards, frame_threads, None)
-}
-
-/// [`run_campaign_threads`] with a candidate-cell-list override: when
-/// `candidates` is `Some((k, refresh))`, every replication runs with
-/// `candidate_k = k` and `candidate_refresh = refresh` (see
-/// [`SimConfig::with_candidates`](crate::SimConfig::with_candidates)).
-/// Unlike the thread knobs this **changes results** when `k > 0` culls
-/// cells — deterministically, but it is a physics approximation, which is
-/// why it is an explicit opt-in and not arbitrated automatically.
-pub fn run_campaign_threads_candidates(
-    name: &str,
-    scenarios: Vec<Scenario>,
-    n_reps: usize,
-    shards: usize,
-    frame_threads: usize,
-    candidates: Option<(usize, usize)>,
-) -> CampaignResult {
-    assert!(n_reps >= 1, "need at least one replication");
-    assert!(!scenarios.is_empty(), "need at least one scenario");
-    let n_jobs = scenarios.len() * n_reps;
-    let jobs: Vec<usize> = (0..n_jobs).collect();
-
-    // Each job slot is written exactly once by whichever shard claims it.
-    let mut slots: Vec<OnceLock<SimReport>> = Vec::new();
-    slots.resize_with(n_jobs, OnceLock::new);
-    run_grid_jobs(
-        &scenarios,
-        n_reps,
-        &jobs,
-        shards,
-        frame_threads,
-        candidates,
-        &AtomicBool::new(false),
-        &|job, report| {
-            slots[job]
-                .set(report.clone())
-                .expect("job claimed exactly once");
-        },
-    );
-
-    // Deterministic fold: scenario-major, replication order.
-    let mut results = Vec::with_capacity(scenarios.len());
-    let mut slot_iter = slots.into_iter();
-    for scenario in scenarios {
-        let mut stats = ReplicationStats::new();
-        let mut reports = Vec::with_capacity(n_reps);
-        for _ in 0..n_reps {
-            let report = slot_iter
-                .next()
-                .expect("one slot per job")
-                .take()
-                .expect("all jobs completed");
-            stats.push(&report);
-            reports.push(report);
-        }
-        results.push(ScenarioResult {
-            scenario,
-            stats,
-            reports,
-        });
-    }
-    CampaignResult {
-        name: name.to_string(),
-        replications: n_reps,
-        scenarios: results,
-    }
-}
-
-/// Expands a [`ScenarioSpec`] and runs it: the one-call campaign driver
-/// used by the CLI and the examples.
-pub fn run_spec(spec: &ScenarioSpec, shards: usize) -> Result<CampaignResult, String> {
-    run_spec_threads(spec, shards, 1)
-}
-
-/// [`run_spec`] with an intra-frame thread count (`0` ⇒ auto), arbitrated
-/// against the shard count by [`arbitrate_frame_threads`].
-pub fn run_spec_threads(
-    spec: &ScenarioSpec,
-    shards: usize,
-    frame_threads: usize,
+    opts: &RunOptions,
 ) -> Result<CampaignResult, String> {
-    run_spec_threads_candidates(spec, shards, frame_threads, None)
+    if n_reps == 0 {
+        return Err("need at least one replication".into());
+    }
+    if scenarios.is_empty() {
+        return Err("need at least one scenario".into());
+    }
+    check_candidates(&scenarios, opts.candidates)?;
+    let reports = run_all(&scenarios, n_reps, opts, |cfg| Simulation::new(cfg).run());
+    Ok(CampaignResult::fold(name, scenarios, n_reps, reports))
 }
 
-/// [`run_spec_threads`] with the candidate-cell-list override of
-/// [`run_campaign_threads_candidates`] — the CLI's
-/// `--candidate-k` / `--candidate-refresh` flags land here.
-pub fn run_spec_threads_candidates(
-    spec: &ScenarioSpec,
-    shards: usize,
-    frame_threads: usize,
-    candidates: Option<(usize, usize)>,
-) -> Result<CampaignResult, String> {
-    let scenarios = expand_with_candidates(spec, candidates)?;
-    Ok(run_campaign_threads_candidates(
-        &spec.name,
-        scenarios,
-        spec.replications,
-        shards,
-        frame_threads,
-        candidates,
-    ))
+/// Expands a [`ScenarioSpec`] and runs it with [`run_campaign`]: the
+/// one-call campaign driver used by the CLI and the examples.
+pub fn run_spec(spec: &ScenarioSpec, opts: &RunOptions) -> Result<CampaignResult, String> {
+    run_campaign(&spec.name, spec.expand()?, spec.replications, opts)
 }
 
 /// Re-runs the *first replication* of every matrix cell through `run` and
 /// returns `(cell label, output)` per cell, in expansion order. The
-/// configuration is exactly what [`run_grid_jobs`] gives replication 0,
-/// candidate-cell-list override included, so the re-run is bit-identical
-/// to the campaign's own first replication. Cells run in parallel (one
-/// worker per core, see [`steal_jobs`]); each cell's output lands in its
-/// own slot, so the result does not depend on the worker count.
+/// configuration is exactly what [`run_spec`] gives replication 0 under
+/// the same `opts`, so the re-run is bit-identical to the campaign's own
+/// first replication; cells run on the same worker and frame-thread counts.
 fn rerun_first_replications<T: Send + Sync>(
     spec: &ScenarioSpec,
-    candidates: Option<(usize, usize)>,
+    opts: &RunOptions,
     run: impl Fn(SimConfig) -> T + Sync,
 ) -> Result<Vec<(String, T)>, String> {
-    let scenarios = expand_with_candidates(spec, candidates)?;
-    let n_jobs = scenarios.len();
-    let mut slots: Vec<OnceLock<T>> = Vec::new();
-    slots.resize_with(n_jobs, OnceLock::new);
-    let never = AtomicBool::new(false);
-    steal_jobs(n_jobs, worker_count(0, n_jobs), &never, |job| {
-        let cfg = replication_cfg(&scenarios[job].cfg, 0, candidates);
-        let claimed = slots[job].set(run(cfg)).is_ok();
-        assert!(claimed, "job claimed exactly once");
-    });
+    let scenarios = spec.expand()?;
+    check_candidates(&scenarios, opts.candidates)?;
+    let outputs = run_all(&scenarios, 1, opts, run);
     Ok(scenarios
         .into_iter()
-        .zip(slots)
-        .map(|(sc, mut slot)| (sc.label, slot.take().expect("all jobs completed")))
+        .map(|sc| sc.label)
+        .zip(outputs)
         .collect())
 }
 
 /// Re-runs the first replication of every matrix cell with a decision
 /// trace attached and returns `(cell label, decisions)` per cell, in
 /// expansion order — bit-identical to the campaign's own first replication
-/// under the same `candidates` override (see
-/// [`run_spec_threads_candidates`]). Feed it to
-/// [`super::emit::campaign_trace_csv`].
+/// under the same `opts`. Feed it to [`super::emit::campaign_trace_csv`].
 pub fn trace_campaign(
     spec: &ScenarioSpec,
-    candidates: Option<(usize, usize)>,
+    opts: &RunOptions,
 ) -> Result<Vec<(String, Vec<DecisionRecord>)>, String> {
-    rerun_first_replications(spec, candidates, |cfg| run_with_trace(cfg).1)
+    rerun_first_replications(spec, opts, |cfg| run_with_trace(cfg).1)
 }
 
 /// Re-runs the first replication of every matrix cell and returns
@@ -357,9 +358,9 @@ pub fn trace_campaign(
 /// observability only.
 pub fn sched_stats_campaign(
     spec: &ScenarioSpec,
-    candidates: Option<(usize, usize)>,
+    opts: &RunOptions,
 ) -> Result<Vec<(String, SchedStats)>, String> {
-    rerun_first_replications(spec, candidates, |cfg| {
+    rerun_first_replications(spec, opts, |cfg| {
         Simulation::new(cfg).run_with_sched_stats().1
     })
 }
@@ -380,9 +381,20 @@ mod tests {
         ]
     }
 
+    fn with_shards(shards: usize) -> RunOptions {
+        RunOptions {
+            shards,
+            ..RunOptions::default()
+        }
+    }
+
+    fn run_tiny(scenarios: Vec<Scenario>, opts: &RunOptions) -> CampaignResult {
+        run_campaign("tiny", scenarios, 2, opts).expect("valid campaign")
+    }
+
     #[test]
     fn campaign_runs_every_cell() {
-        let result = run_campaign("tiny", tiny_scenarios(), 2, 2);
+        let result = run_tiny(tiny_scenarios(), &with_shards(2));
         assert_eq!(result.scenarios.len(), 2);
         for sr in &result.scenarios {
             assert_eq!(sr.reports.len(), 2);
@@ -393,7 +405,7 @@ mod tests {
 
     #[test]
     fn shard_count_does_not_change_results() {
-        let run = |shards| run_campaign("tiny", tiny_scenarios(), 2, shards);
+        let run = |shards| run_tiny(tiny_scenarios(), &with_shards(shards));
         let one = run(1);
         let four = run(4);
         for (a, b) in one.scenarios.iter().zip(&four.scenarios) {
@@ -407,7 +419,14 @@ mod tests {
         // 1 shard so the arbitration budget leaves room for >1 frame
         // thread on any multi-core machine; results must match the
         // single-threaded fold bit for bit either way.
-        let run = |ft| run_campaign_threads("tiny", tiny_scenarios(), 2, 1, ft);
+        let run = |frame_threads| {
+            let opts = RunOptions {
+                shards: 1,
+                frame_threads,
+                candidates: None,
+            };
+            run_tiny(tiny_scenarios(), &opts)
+        };
         let one = run(1);
         let auto = run(0);
         for (a, b) in one.scenarios.iter().zip(&auto.scenarios) {
@@ -436,7 +455,7 @@ mod tests {
         // Resume/slicing correctness in miniature: any subset of the grid,
         // on any worker count, reproduces the full run's cells bit-exactly.
         let scenarios = tiny_scenarios();
-        let full = run_campaign("tiny", scenarios.clone(), 2, 1);
+        let full = run_tiny(scenarios.clone(), &with_shards(1));
         let got = std::sync::Mutex::new(Vec::new());
         run_grid_jobs(
             &scenarios,
@@ -478,8 +497,19 @@ mod tests {
     fn replication_seeds_match_standalone_runs() {
         let scenarios = tiny_scenarios();
         let cfg = scenarios[1].cfg.clone();
-        let result = run_campaign("tiny", scenarios, 2, 0);
+        let result = run_tiny(scenarios, &RunOptions::default());
         let standalone = Simulation::new(cfg.with_seed(wcdma_math::mix_seed(cfg.seed, 2))).run();
         assert_eq!(result.scenarios[1].reports[1], standalone);
+    }
+
+    #[test]
+    fn bad_candidate_override_is_an_error_naming_the_scenario() {
+        let opts = RunOptions {
+            candidates: Some((4, 0)),
+            ..with_shards(2)
+        };
+        let err = run_campaign("tiny", tiny_scenarios(), 2, &opts).expect_err("refresh 0");
+        assert!(err.contains("scenario \"a\""), "{err}");
+        assert!(err.contains("candidate refresh"), "{err}");
     }
 }

@@ -1,6 +1,6 @@
 //! The campaign service: durable, resumable, partitionable campaign runs.
 //!
-//! [`run_spec_service`] is [`super::runner::run_spec_threads_candidates`]
+//! [`run_spec_service`] is [`super::runner::run_spec`]
 //! wrapped in a checkpoint directory (see [`super::journal`] for the
 //! on-disk format): every completed replication is journaled as it
 //! finishes, so a killed run restarts and skips finished cells, and
@@ -38,8 +38,8 @@ use super::journal::{
     read_journal, repair_tail, validate_name, write_atomic, JournalEntry, JournalWriter, Manifest,
     CHECKPOINT_FORMAT_VERSION, JOURNAL_FILE, MANIFEST_FILE, SPEC_FILE,
 };
-use super::runner::{run_grid_jobs, ScenarioResult};
-use super::spec::ScenarioSpec;
+use super::runner::{check_candidates, run_grid_jobs, RunOptions, ScenarioResult};
+use super::spec::{Scenario, ScenarioSpec};
 
 /// Environment variable: milliseconds to sleep after journaling each
 /// cell. Zero-cost when unset; CI's kill-and-resume leg sets it so a
@@ -47,17 +47,13 @@ use super::spec::ScenarioSpec;
 /// lands.
 pub const PACE_ENV: &str = "WCDMA_SERVICE_PACE_MS";
 
-/// Knobs for a service-mode campaign run. The thread knobs
-/// (`shards`/`frame_threads`) never affect results; `candidates` does,
-/// which is why it is part of the checkpoint identity.
+/// Knobs for a service-mode campaign run.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads over the job grid (`0` ⇒ one per core).
-    pub shards: usize,
-    /// Intra-frame threads per replication (`0` ⇒ auto-arbitrated).
-    pub frame_threads: usize,
-    /// Candidate-cell-list override `(k, refresh)`; changes results.
-    pub candidates: Option<(usize, usize)>,
+    /// How the cells run. The thread knobs never affect results;
+    /// `candidates` does, which is why it is part of the checkpoint
+    /// identity.
+    pub run: RunOptions,
     /// 1-based slice index (`1` for an unsliced run).
     pub slice_index: usize,
     /// Total slice count (`1` for an unsliced run).
@@ -72,9 +68,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
-            shards: 0,
-            frame_threads: 1,
-            candidates: None,
+            run: RunOptions::default(),
             slice_index: 1,
             slice_count: 1,
             max_cells: None,
@@ -182,6 +176,38 @@ struct Artefacts {
     frontier: usize,
 }
 
+impl Artefacts {
+    /// Streams out, in canonical order, every scenario past the frontier
+    /// whose replications are all in `completed`, and returns their folded
+    /// results — folded exactly as the batch runner folds them.
+    fn advance(
+        &mut self,
+        scenarios: &[Scenario],
+        n_reps: usize,
+        axis_keys: &[String],
+        completed: &HashMap<usize, SimReport>,
+    ) -> Vec<ScenarioResult> {
+        let mut done = Vec::new();
+        while let Some(scenario) = scenarios.get(self.frontier) {
+            let jobs = self.frontier * n_reps..(self.frontier + 1) * n_reps;
+            let Some(reports) = jobs.map(|job| completed.get(&job).cloned()).collect() else {
+                break;
+            };
+            let sr = ScenarioResult::fold(scenario.clone(), reports);
+            if self.frontier > 0 {
+                self.json.push_str(emit::JSON_SCENARIO_SEP);
+                self.summary.push_str(emit::JSON_SCENARIO_SEP);
+            }
+            self.csv.push_str(&emit::campaign_csv_row(&sr, axis_keys));
+            self.json.push_str(&emit::campaign_json_scenario(&sr));
+            self.summary.push_str(&emit::campaign_summary_scenario(&sr));
+            self.frontier += 1;
+            done.push(sr);
+        }
+        done
+    }
+}
+
 /// Runs (or resumes) `spec` as a durable campaign rooted at `dir`.
 /// Creates the checkpoint on first use, validates it on resume, journals
 /// every completed cell, streams artefact rows as scenarios complete
@@ -202,14 +228,7 @@ pub fn run_spec_service(
     // half-built checkpoint directory behind.
     validate_name(&spec.name)?;
     let scenarios = spec.expand()?;
-    if let Some((k, refresh)) = cfg.candidates {
-        for sc in &scenarios {
-            sc.cfg
-                .with_candidates(k, refresh)
-                .validate()
-                .map_err(|e| format!("scenario {:?}: {e}", sc.label))?;
-        }
-    }
+    check_candidates(&scenarios, cfg.run.candidates)?;
     let n_reps = spec.replications;
     let want = Manifest {
         format: CHECKPOINT_FORMAT_VERSION,
@@ -220,7 +239,7 @@ pub fn run_spec_service(
         replications: n_reps,
         slice_index: cfg.slice_index,
         slice_count: cfg.slice_count,
-        candidates: cfg.candidates,
+        candidates: cfg.run.candidates,
     };
     if dir.join(MANIFEST_FILE).exists() {
         check_compat(&Manifest::load(dir)?, &want, dir)?;
@@ -269,35 +288,14 @@ pub fn run_spec_service(
         .first()
         .map(|s| s.axes.iter().map(|(k, _)| k.clone()).collect())
         .unwrap_or_default();
-    // Refolds one fully-journaled scenario, in canonical replication
-    // order — identical to what the batch runner folds.
-    let scenario_result = |si: usize, completed: &HashMap<usize, SimReport>| -> ScenarioResult {
-        let mut stats = ReplicationStats::new();
-        let mut reports = Vec::with_capacity(n_reps);
-        for rep in 0..n_reps {
-            let r = completed[&(si * n_reps + rep)].clone();
-            stats.push(&r);
-            reports.push(r);
-        }
-        ScenarioResult {
-            scenario: scenarios[si].clone(),
-            stats,
-            reports,
-        }
-    };
-    let scenario_complete = |si: usize, completed: &HashMap<usize, SimReport>| {
-        (0..n_reps).all(|rep| completed.contains_key(&(si * n_reps + rep)))
-    };
+    let files = emit::artefact_files(&want.name);
     let write_partials = |a: &Artefacts| -> Result<(), String> {
-        let w = |suffix: &str, text: &str| {
-            let path = dir.join(format!("{}{suffix}", want.name));
-            std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
-        };
-        w(".csv.partial", &a.csv)?;
-        w(".json.partial", &a.json)?;
-        let bench = dir.join("BENCH_campaign.json.partial");
-        std::fs::write(&bench, &a.summary)
-            .map_err(|e| format!("cannot write {}: {e}", bench.display()))
+        for (file, doc) in files.iter().zip([&a.csv, &a.json, &a.summary]) {
+            let path = dir.join(format!("{file}.partial"));
+            std::fs::write(&path, doc)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        }
+        Ok(())
     };
 
     // Rebuild the streamed artefacts from the journal alone (unsliced
@@ -311,28 +309,18 @@ pub fn run_spec_service(
         frontier: 0,
     });
     if let Some(a) = &mut art {
-        while a.frontier < scenarios.len() && scenario_complete(a.frontier, &completed) {
-            let sr = scenario_result(a.frontier, &completed);
-            if a.frontier > 0 {
-                a.json.push_str(emit::JSON_SCENARIO_SEP);
-                a.summary.push_str(emit::JSON_SCENARIO_SEP);
-            }
-            a.csv.push_str(&emit::campaign_csv_row(&sr, &axis_keys));
-            a.json.push_str(&emit::campaign_json_scenario(&sr));
-            a.summary.push_str(&emit::campaign_summary_scenario(&sr));
-            a.frontier += 1;
-        }
+        let replayed = a.advance(&scenarios, n_reps, &axis_keys, &completed);
         // Fold tripwires: the journaled cross-replication fold must match
         // this binary's refold of the same cells bit-for-bit.
         for (si, state) in &folds {
-            if *si >= a.frontier {
+            let Some(sr) = replayed.get(*si) else {
                 return Err(format!(
                     "{}: fold snapshot for scenario {si} but that scenario's cells are \
                      incomplete — the journal is corrupt",
                     jpath.display()
                 ));
-            }
-            if fold_raw(&scenario_result(*si, &completed).stats) != *state {
+            };
+            if fold_raw(&sr.stats) != *state {
                 return Err(format!(
                     "{}: fold snapshot mismatch for scenario {si}: the journaled fold differs \
                      from this binary's refold of the same cells — the journal is corrupt or \
@@ -383,9 +371,9 @@ pub fn run_spec_service(
         &scenarios,
         n_reps,
         &todo,
-        cfg.shards,
-        cfg.frame_threads,
-        cfg.candidates,
+        cfg.run.shards,
+        cfg.run.frame_threads,
+        cfg.run.candidates,
         &stop,
         &|job, report| {
             let mut s = shared.lock().unwrap();
@@ -404,21 +392,11 @@ pub fn run_spec_service(
                 s.completed.insert(job, report.clone());
                 if let Some(a) = s.art.as_mut() {
                     let before = a.frontier;
-                    while a.frontier < scenarios.len()
-                        && scenario_complete(a.frontier, &s.completed)
-                    {
-                        let sr = scenario_result(a.frontier, &s.completed);
-                        s.writer.append_fold(a.frontier, &fold_raw(&sr.stats))?;
-                        if a.frontier > 0 {
-                            a.json.push_str(emit::JSON_SCENARIO_SEP);
-                            a.summary.push_str(emit::JSON_SCENARIO_SEP);
-                        }
-                        a.csv.push_str(&emit::campaign_csv_row(&sr, &axis_keys));
-                        a.json.push_str(&emit::campaign_json_scenario(&sr));
-                        a.summary.push_str(&emit::campaign_summary_scenario(&sr));
-                        a.frontier += 1;
+                    let done = a.advance(&scenarios, n_reps, &axis_keys, &s.completed);
+                    for (i, sr) in done.iter().enumerate() {
+                        s.writer.append_fold(before + i, &fold_raw(&sr.stats))?;
                     }
-                    if a.frontier != before {
+                    if !done.is_empty() {
                         write_partials(a)?;
                     }
                 }
@@ -454,20 +432,10 @@ pub fn run_spec_service(
             // final names via tmp + rename, then the partials go away.
             a.json.push_str(emit::CAMPAIGN_JSON_CLOSE);
             a.summary.push_str(emit::CAMPAIGN_JSON_CLOSE);
-            let csv = dir.join(format!("{}.csv", want.name));
-            let json = dir.join(format!("{}.json", want.name));
-            let bench = dir.join("BENCH_campaign.json");
-            write_atomic(&csv, &a.csv)?;
-            write_atomic(&json, &a.json)?;
-            write_atomic(&bench, &a.summary)?;
-            for partial in [
-                format!("{}.csv.partial", want.name),
-                format!("{}.json.partial", want.name),
-                "BENCH_campaign.json.partial".to_string(),
-            ] {
-                let _ = std::fs::remove_file(dir.join(partial));
+            artefacts = emit::write_artefacts(dir, &want.name, [&a.csv, &a.json, &a.summary])?;
+            for file in &files {
+                let _ = std::fs::remove_file(dir.join(format!("{file}.partial")));
             }
-            artefacts = vec![csv, json, bench];
         }
     }
     Ok(ServiceOutcome {
@@ -578,6 +546,13 @@ mod tests {
         dir
     }
 
+    fn one_shard() -> RunOptions {
+        RunOptions {
+            shards: 1,
+            ..RunOptions::default()
+        }
+    }
+
     fn tiny_spec() -> ScenarioSpec {
         // 1 scenario × 2 replications, 3 data users, 6 simulated seconds —
         // small enough that every unit test here runs real cells.
@@ -606,7 +581,7 @@ mod tests {
         let dir = tmpdir("fpr");
         let spec = tiny_spec();
         let cfg = ServiceConfig {
-            shards: 1,
+            run: one_shard(),
             max_cells: Some(1),
             ..ServiceConfig::default()
         };
@@ -631,7 +606,7 @@ mod tests {
         let dir = tmpdir("mismatch");
         let spec = tiny_spec();
         let cfg = ServiceConfig {
-            shards: 1,
+            run: one_shard(),
             max_cells: Some(0),
             ..ServiceConfig::default()
         };
@@ -651,7 +626,10 @@ mod tests {
             &spec,
             &dir,
             &ServiceConfig {
-                candidates: Some((3, 8)),
+                run: RunOptions {
+                    candidates: Some((3, 8)),
+                    ..cfg.run
+                },
                 ..cfg.clone()
             },
         )
@@ -669,7 +647,10 @@ mod tests {
             &spec,
             &dir,
             &ServiceConfig {
-                shards: 4,
+                run: RunOptions {
+                    shards: 4,
+                    ..RunOptions::default()
+                },
                 max_cells: Some(2),
                 ..ServiceConfig::default()
             },
@@ -684,7 +665,10 @@ mod tests {
             &spec,
             &dir,
             &ServiceConfig {
-                shards: 2,
+                run: RunOptions {
+                    shards: 2,
+                    ..RunOptions::default()
+                },
                 ..ServiceConfig::default()
             },
         )
@@ -700,7 +684,7 @@ mod tests {
         let dir = tmpdir("status");
         let spec = tiny_spec();
         let cfg = ServiceConfig {
-            shards: 1,
+            run: one_shard(),
             max_cells: Some(1),
             ..ServiceConfig::default()
         };

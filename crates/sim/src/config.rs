@@ -1,6 +1,8 @@
 //! Simulation scenario configuration.
 
-use wcdma_admission::{BoxedPolicy, Objective, PhyModel, Policy, SchedulerConfig};
+use wcdma_admission::{
+    AdmissionPolicy, BoxedPolicy, EqualShare, Fcfs, JabaSd, PhyModel, SchedulerConfig,
+};
 use wcdma_cdma::CdmaConfig;
 use wcdma_mac::{LinkDir, MacTimers};
 use wcdma_phy::{BerModel, FixedPhy, SpreadingConfig, Vtaoc};
@@ -172,10 +174,9 @@ pub struct SimConfig {
     pub target_ber: f64,
     /// Design-point mean CSI (dB) for the fixed PHY baseline.
     pub fixed_design_csi_db: f64,
-    /// Scheduling policy under test — any [`wcdma_admission::AdmissionPolicy`]
-    /// object; registry names resolve via
-    /// [`wcdma_admission::PolicyRegistry::resolve`], and the deprecated
-    /// [`Policy`] enum still converts through `.into()`.
+    /// Scheduling policy under test — any [`AdmissionPolicy`] object (a
+    /// concrete policy boxes via [`AdmissionPolicy::into_boxed`]); registry
+    /// names resolve via [`wcdma_admission::PolicyRegistry::resolve`].
     pub policy: BoxedPolicy,
     /// Minimum justified burst duration T1 (s).
     pub t1_min_burst_s: f64,
@@ -240,7 +241,7 @@ impl SimConfig {
             phy: PhyKind::Adaptive,
             target_ber: 1e-3,
             fixed_design_csi_db: 3.0,
-            policy: Policy::jaba_sd_default().into(),
+            policy: JabaSd::default_j2().into_boxed(),
             t1_min_burst_s: 0.04,
             duration_s: 60.0,
             warmup_s: 5.0,
@@ -321,12 +322,10 @@ impl SimConfig {
         Ok(())
     }
 
-    /// Returns a copy with a different policy (sweep helper). Accepts a
-    /// policy object, or a deprecated [`Policy`] enum value via its shim
-    /// conversion.
-    pub fn with_policy(&self, policy: impl Into<BoxedPolicy>) -> Self {
+    /// Returns a copy with a different policy object (sweep helper).
+    pub fn with_policy(&self, policy: BoxedPolicy) -> Self {
         let mut c = self.clone();
-        c.policy = policy.into();
+        c.policy = policy;
         c
     }
 
@@ -407,35 +406,18 @@ impl SimConfig {
         c
     }
 
-    /// The paper's comparison table as deprecated [`Policy`] enum values —
-    /// kept for the experiment drivers' signatures. The open, superset
-    /// registry (including the policies the enum cannot express) is
+    /// The paper's comparison table: JABA-SD under J2 and J1, FCFS with
+    /// and without the single-burst cap, and equal sharing. The open,
+    /// superset registry (including policies outside the paper) is
     /// [`wcdma_admission::PolicyRegistry::standard`], which the campaign
     /// layer's [`crate::campaign::policy_by_name`] resolves through.
-    pub fn comparison_policies() -> Vec<(&'static str, Policy)> {
+    pub fn comparison_policies() -> Vec<(&'static str, BoxedPolicy)> {
         vec![
-            ("jaba-sd-j2", Policy::jaba_sd_default()),
-            (
-                "jaba-sd-j1",
-                Policy::JabaSd {
-                    objective: Objective::J1,
-                    exact: true,
-                    node_limit: 200_000,
-                },
-            ),
-            (
-                "fcfs",
-                Policy::Fcfs {
-                    max_concurrent: None,
-                },
-            ),
-            (
-                "fcfs-1",
-                Policy::Fcfs {
-                    max_concurrent: Some(1),
-                },
-            ),
-            ("equal-share", Policy::EqualShare),
+            ("jaba-sd-j2", JabaSd::default_j2().into_boxed()),
+            ("jaba-sd-j1", JabaSd::j1().into_boxed()),
+            ("fcfs", Fcfs::unlimited().into_boxed()),
+            ("fcfs-1", Fcfs::single().into_boxed()),
+            ("equal-share", EqualShare.into_boxed()),
         ]
     }
 }

@@ -674,7 +674,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::config::PhyKind;
-    use wcdma_admission::Policy;
+    use wcdma_admission::{AdmissionPolicy, Fcfs};
 
     fn quick_cfg() -> SimConfig {
         let mut c = SimConfig::baseline();
@@ -748,9 +748,7 @@ mod tests {
 
     #[test]
     fn fcfs_policy_runs() {
-        let cfg = quick_cfg().with_policy(Policy::Fcfs {
-            max_concurrent: None,
-        });
+        let cfg = quick_cfg().with_policy(Fcfs::unlimited().into_boxed());
         let report = Simulation::new(cfg).run();
         assert!(report.bursts_completed > 0);
     }

@@ -5,10 +5,10 @@
 //! deliberately configuration-driven so the quick bench profiles and the
 //! full paper-scale profiles share code.
 
-use wcdma_admission::Policy;
+use wcdma_admission::{AdmissionPolicy, BoxedPolicy, JabaSd};
 use wcdma_mac::LinkDir;
 
-use crate::campaign::{run_campaign, Scenario};
+use crate::campaign::{run_campaign, RunOptions, Scenario};
 use crate::config::{PhyKind, SimConfig};
 use crate::runner::{run_replications, Aggregate};
 
@@ -32,7 +32,7 @@ pub fn delay_vs_load(
     base: &SimConfig,
     dir: LinkDir,
     loads: &[usize],
-    policies: &[(&str, Policy)],
+    policies: &[(&str, BoxedPolicy)],
     n_reps: usize,
 ) -> Vec<LoadRow> {
     let mut scenarios = Vec::new();
@@ -60,7 +60,8 @@ pub fn delay_vs_load(
         // non-empty assertion.
         return Vec::new();
     }
-    let result = run_campaign("delay_vs_load", scenarios, n_reps, 0);
+    let result = run_campaign("delay_vs_load", scenarios, n_reps, &RunOptions::default())
+        .expect("non-empty grid, no candidate override");
     keys.into_iter()
         .zip(result.scenarios)
         .map(|((policy, n_data), sr)| LoadRow {
@@ -100,7 +101,7 @@ pub fn capacity_at_delay_target(
     metric: CapacityMetric,
     target_delay_s: f64,
     loads: &[usize],
-    policies: &[(&str, Policy)],
+    policies: &[(&str, BoxedPolicy)],
     n_reps: usize,
 ) -> Vec<CapacityRow> {
     assert!(target_delay_s > 0.0);
@@ -180,7 +181,7 @@ pub fn phy_ablation(
     base: &SimConfig,
     dir: LinkDir,
     loads: &[usize],
-    policies: &[(&str, Policy)],
+    policies: &[(&str, BoxedPolicy)],
     n_reps: usize,
 ) -> Vec<AblationRow> {
     let mut rows = Vec::new();
@@ -230,11 +231,14 @@ pub fn objective_tradeoff(
         } else {
             Objective::J2 { lambda, mu: 1.0 }
         };
-        let cfg = base.with_direction(dir).with_policy(Policy::JabaSd {
-            objective,
-            exact: true,
-            node_limit: 200_000,
-        });
+        let cfg = base.with_direction(dir).with_policy(
+            JabaSd {
+                objective,
+                exact: true,
+                node_limit: 200_000,
+            }
+            .into_boxed(),
+        );
         let agg = run_replications(&cfg, n_reps);
         rows.push(ObjectiveRow { lambda, agg });
     }
@@ -308,7 +312,8 @@ pub fn speed_sweep(
     if scenarios.is_empty() {
         return Vec::new();
     }
-    let result = run_campaign("speed_sweep", scenarios, n_reps, 0);
+    let result = run_campaign("speed_sweep", scenarios, n_reps, &RunOptions::default())
+        .expect("non-empty grid, no candidate override");
     speeds_kmh
         .iter()
         .zip(result.scenarios)
@@ -384,7 +389,7 @@ mod tests {
 
     #[test]
     fn delay_vs_load_produces_grid() {
-        let policies = vec![("jaba", Policy::jaba_sd_default())];
+        let policies = vec![("jaba", JabaSd::default_j2().into_boxed())];
         let rows = delay_vs_load(&tiny(), LinkDir::Forward, &[2, 4], &policies, 1);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].n_data, 2);
@@ -393,7 +398,7 @@ mod tests {
 
     #[test]
     fn capacity_scan_stops_at_target() {
-        let policies = vec![("jaba", Policy::jaba_sd_default())];
+        let policies = vec![("jaba", JabaSd::default_j2().into_boxed())];
         // Absurdly lax target: capacity = max load tested.
         let rows = capacity_at_delay_target(
             &tiny(),
@@ -427,7 +432,7 @@ mod tests {
 
     #[test]
     fn ablation_covers_both_phys() {
-        let policies = vec![("jaba", Policy::jaba_sd_default())];
+        let policies = vec![("jaba", JabaSd::default_j2().into_boxed())];
         let rows = phy_ablation(&tiny(), LinkDir::Forward, &[2], &policies, 1);
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().any(|r| r.phy == PhyKind::Adaptive));
@@ -460,7 +465,7 @@ mod tests {
 
     #[test]
     fn empty_sweep_axes_yield_empty_rows() {
-        let policies = vec![("jaba", Policy::jaba_sd_default())];
+        let policies = vec![("jaba", JabaSd::default_j2().into_boxed())];
         assert!(delay_vs_load(&tiny(), LinkDir::Forward, &[], &policies, 1).is_empty());
         assert!(delay_vs_load(&tiny(), LinkDir::Forward, &[2], &[], 1).is_empty());
         assert!(speed_sweep(&tiny(), LinkDir::Forward, &[], 1).is_empty());
@@ -471,13 +476,13 @@ mod tests {
         // The campaign-backed sweep must reproduce exactly what a
         // per-cell run_replications loop produced before the port.
         let base = tiny();
-        let policies = vec![("jaba", Policy::jaba_sd_default())];
+        let policies = vec![("jaba", JabaSd::default_j2().into_boxed())];
         let rows = delay_vs_load(&base, LinkDir::Forward, &[2], &policies, 2);
         let direct = run_replications(
             &base
                 .with_direction(LinkDir::Forward)
                 .with_n_data(2)
-                .with_policy(Policy::jaba_sd_default()),
+                .with_policy(JabaSd::default_j2().into_boxed()),
             2,
         );
         assert_eq!(rows[0].agg.reports, direct.reports);

@@ -33,7 +33,7 @@ pub mod traffic;
 
 pub use campaign::{
     campaign_status, merge_dirs, run_campaign, run_spec, run_spec_service, CampaignResult,
-    Scenario, ScenarioSpec, ServiceConfig, ServiceOutcome,
+    RunOptions, Scenario, ScenarioSpec, ServiceConfig, ServiceOutcome,
 };
 pub use config::{MismatchConfig, PhyKind, SimConfig, TrafficConfig};
 pub use engine::Simulation;

@@ -10,7 +10,7 @@
 
 use wcdma_math::stats::MeanCi;
 
-use crate::campaign::{run_campaign, Scenario, ScenarioResult};
+use crate::campaign::{run_campaign, RunOptions, Scenario, ScenarioResult};
 use crate::config::SimConfig;
 use crate::stats::{ReplicationStats, SimReport};
 
@@ -53,7 +53,13 @@ impl From<ScenarioResult> for Aggregate {
 pub fn run_replications(cfg: &SimConfig, n_reps: usize) -> Aggregate {
     assert!(n_reps >= 1);
     let scenario = Scenario::single("replications", cfg.clone());
-    let mut result = run_campaign("replications", vec![scenario], n_reps, 0);
+    let mut result = run_campaign(
+        "replications",
+        vec![scenario],
+        n_reps,
+        &RunOptions::default(),
+    )
+    .expect("one scenario, no candidate override");
     Aggregate::from(result.scenarios.pop().expect("one scenario in, one out"))
 }
 

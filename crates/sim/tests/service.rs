@@ -8,7 +8,9 @@ use std::path::{Path, PathBuf};
 
 use wcdma_sim::campaign::journal::{JOURNAL_FILE, MANIFEST_FILE};
 use wcdma_sim::campaign::spec::{MismatchLevel, TrafficMix};
-use wcdma_sim::{campaign_status, merge_dirs, run_spec_service, ScenarioSpec, ServiceConfig};
+use wcdma_sim::{
+    campaign_status, merge_dirs, run_spec_service, RunOptions, ScenarioSpec, ServiceConfig,
+};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wcdma-svc-it-{tag}-{}", std::process::id()));
@@ -34,7 +36,10 @@ fn small_spec() -> ScenarioSpec {
 
 fn svc(overrides: impl FnOnce(&mut ServiceConfig)) -> ServiceConfig {
     let mut cfg = ServiceConfig {
-        shards: 1,
+        run: RunOptions {
+            shards: 1,
+            ..RunOptions::default()
+        },
         ..ServiceConfig::default()
     };
     overrides(&mut cfg);

@@ -5,7 +5,7 @@
 //! cargo run --release --example campaign_quickstart
 //! ```
 
-use wcdma::sim::campaign::{builtin, campaign_csv, campaign_summary_json, run_spec};
+use wcdma::sim::campaign::{builtin, campaign_csv, campaign_summary_json, run_spec, RunOptions};
 use wcdma::sim::stats::ReplicationStats;
 use wcdma::sim::table::ci;
 use wcdma::sim::Table;
@@ -25,7 +25,7 @@ fn main() {
     );
     println!("{}", spec.to_toml());
 
-    let result = run_spec(&spec, 0).expect("campaign runs");
+    let result = run_spec(&spec, &RunOptions::default()).expect("campaign runs");
 
     let mut t = Table::new(&["scenario", "mean delay [s]", "cell tput [kbps]", "denial"]);
     for sr in &result.scenarios {

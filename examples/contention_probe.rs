@@ -1,6 +1,6 @@
 //! Load-regime probe: find where the admission policies diverge.
 //! Prints delay/throughput/denial for three policies across load points.
-use wcdma::admission::Policy;
+use wcdma::admission::{AdmissionPolicy, EqualShare, Fcfs};
 use wcdma::mac::LinkDir;
 use wcdma::sim::{SimConfig, Simulation};
 
@@ -19,11 +19,8 @@ fn main() {
             c.seed = 77;
             let c = c.with_direction(dir);
             let jaba = Simulation::new(c.clone()).run();
-            let fcfs1 = Simulation::new(c.with_policy(Policy::Fcfs {
-                max_concurrent: Some(1),
-            }))
-            .run();
-            let eq = Simulation::new(c.with_policy(Policy::EqualShare)).run();
+            let fcfs1 = Simulation::new(c.with_policy(Fcfs::single().into_boxed())).run();
+            let eq = Simulation::new(c.with_policy(EqualShare.into_boxed())).run();
             println!("nd={nd}");
             for (n, r) in [("jaba", &jaba), ("fcfs1", &fcfs1), ("equal", &eq)] {
                 println!(

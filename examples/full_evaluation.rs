@@ -9,7 +9,7 @@
 //! `cargo bench`; this binary exists so the whole evaluation can be
 //! regenerated in one run and diffed against EXPERIMENTS.md.
 
-use wcdma::admission::Policy;
+use wcdma::admission::{AdmissionPolicy, Fcfs, JabaSd};
 use wcdma::mac::LinkDir;
 use wcdma::math::db_to_lin;
 use wcdma::phy::{mode_throughput, BerModel, FixedPhy, Vtaoc, NUM_MODES};
@@ -28,10 +28,6 @@ fn base() -> SimConfig {
     c.warmup_s = 4.0;
     c.seed = 0xBE9C;
     c
-}
-
-fn policies() -> Vec<(&'static str, Policy)> {
-    SimConfig::comparison_policies()
 }
 
 fn banner(id: &str, what: &str) {
@@ -88,7 +84,7 @@ fn main() {
     // ---- E1 / E2 ----
     for (id, dir) in [("E1", LinkDir::Forward), ("E2", LinkDir::Reverse)] {
         banner(id, &format!("mean burst delay vs load ({dir:?} link)"));
-        let pols = policies();
+        let pols = SimConfig::comparison_policies();
         let refs: Vec<(&str, _)> = pols.iter().map(|(n, p)| (*n, p.clone())).collect();
         let rows = delay_vs_load(&base(), dir, &[8, 24, 48], &refs, 3);
         let mut t = Table::new(&[
@@ -117,7 +113,7 @@ fn main() {
         "E3",
         "data-user capacity, reverse link, mean-delay target 6 s",
     );
-    let pols = policies();
+    let pols = SimConfig::comparison_policies();
     let refs: Vec<(&str, _)> = pols.iter().map(|(n, p)| (*n, p.clone())).collect();
     let rows = capacity_at_delay_target(
         &base(),
@@ -169,13 +165,8 @@ fn main() {
     // ---- E5 ----
     banner("E5", "PHY x policy ablation");
     let pols = vec![
-        ("jaba-sd-j2", Policy::jaba_sd_default()),
-        (
-            "fcfs",
-            Policy::Fcfs {
-                max_concurrent: None,
-            },
-        ),
+        ("jaba-sd-j2", JabaSd::default_j2().into_boxed()),
+        ("fcfs", Fcfs::unlimited().into_boxed()),
     ];
     let rows = phy_ablation(&base(), LinkDir::Forward, &[32], &pols, 2);
     let mut t = Table::new(&["phy", "policy", "mean delay [s]", "cell tput [kbps]"]);

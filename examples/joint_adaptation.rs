@@ -7,7 +7,7 @@
 //! cargo run --release --example joint_adaptation
 //! ```
 
-use wcdma::admission::Policy;
+use wcdma::admission::{AdmissionPolicy, Fcfs, JabaSd};
 use wcdma::mac::LinkDir;
 use wcdma::sim::experiments::phy_ablation;
 use wcdma::sim::table::{ci, Table};
@@ -20,13 +20,8 @@ fn main() {
     base.warmup_s = 4.0;
 
     let policies = vec![
-        ("jaba-sd-j2", Policy::jaba_sd_default()),
-        (
-            "fcfs",
-            Policy::Fcfs {
-                max_concurrent: None,
-            },
-        ),
+        ("jaba-sd-j2", JabaSd::default_j2().into_boxed()),
+        ("fcfs", Fcfs::unlimited().into_boxed()),
     ];
     println!("E5: PHY × admission-policy ablation (forward link)\n");
     let rows = phy_ablation(&base, LinkDir::Forward, &[4, 8], &policies, 2);

@@ -30,13 +30,12 @@ fn main() {
     };
 
     let policies = SimConfig::comparison_policies();
-    let policy_refs: Vec<(&str, _)> = policies.iter().map(|(n, p)| (*n, p.clone())).collect();
 
     println!(
         "E1: mean burst delay vs offered load (forward link, {} profile)\n",
         if full { "full" } else { "quick" }
     );
-    let rows = delay_vs_load(&base, LinkDir::Forward, &loads, &policy_refs, reps);
+    let rows = delay_vs_load(&base, LinkDir::Forward, &loads, &policies, reps);
 
     let mut table = Table::new(&[
         "policy",

@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use wcdma::admission::{Policy, RequestState, Scheduler, SchedulerConfig};
+use wcdma::admission::{AdmissionPolicy, JabaSd, RequestState, Scheduler, SchedulerConfig};
 use wcdma::mac::LinkDir;
 use wcdma::sim::{SimConfig, Simulation};
 
@@ -178,8 +178,10 @@ fn steady_state_frames_do_not_allocate() {
     // per-direction workspaces have seen the problem shape. Waiting times
     // advance every round, as they do in the engine.
     let net = common::warm_network(12, 6, 0xA110F, 25);
-    let mut scheduler =
-        Scheduler::new(SchedulerConfig::default_config(), Policy::jaba_sd_default());
+    let mut scheduler = Scheduler::new(
+        SchedulerConfig::default_config(),
+        JabaSd::default_j2().into_boxed(),
+    );
     let mut requests: Vec<RequestState> = net
         .data_mobiles()
         .iter()

@@ -4,8 +4,15 @@
 
 use wcdma::sim::campaign::{
     builtin, campaign_csv, campaign_json, campaign_summary_json, run_campaign, run_spec,
-    ScenarioSpec,
+    RunOptions, ScenarioSpec,
 };
+
+fn with_shards(shards: usize) -> RunOptions {
+    RunOptions {
+        shards,
+        ..RunOptions::default()
+    }
+}
 
 /// The acceptance matrix (3 traffic mixes × 2 speed classes × 2 policies =
 /// 12 scenarios), shrunk to a few simulated seconds per replication so the
@@ -27,8 +34,15 @@ fn paper_eval_matrix_is_shard_invariant() {
     );
     let scenarios = spec.expand().expect("valid spec");
 
-    let run =
-        |shards: usize| run_campaign(&spec.name, scenarios.clone(), spec.replications, shards);
+    let run = |shards: usize| {
+        run_campaign(
+            &spec.name,
+            scenarios.clone(),
+            spec.replications,
+            &with_shards(shards),
+        )
+        .expect("valid campaign")
+    };
     let baseline = run(1);
     assert_eq!(baseline.scenarios.len(), 12);
     for sr in &baseline.scenarios {
@@ -90,7 +104,7 @@ policy = [\"jaba-sd-j2\", \"fcfs\"]
         spec
     );
 
-    let result = run_spec(&spec, 2).expect("campaign runs");
+    let result = run_spec(&spec, &with_shards(2)).expect("campaign runs");
     assert_eq!(result.scenarios.len(), 2);
     let csv = campaign_csv(&result);
     assert_eq!(csv.lines().count(), 3, "header + 2 scenario rows:\n{csv}");

@@ -14,7 +14,7 @@
 
 use wcdma::math::mix_seed;
 use wcdma::sim::campaign::{
-    run_spec_threads_candidates, sched_stats_campaign, trace_campaign, ScenarioSpec,
+    run_spec, sched_stats_campaign, trace_campaign, RunOptions, ScenarioSpec,
 };
 use wcdma::sim::{run_with_trace, SimConfig, Simulation};
 
@@ -94,10 +94,14 @@ fn campaign_trace_and_sched_stats_rerun_the_culled_replication() {
         policies: vec!["jaba-sd-j2".into(), "fcfs".into()],
         ..ScenarioSpec::default()
     };
-    let over = Some((4, 8));
-    let campaign = run_spec_threads_candidates(&spec, 2, 1, over).expect("valid override");
-    let traces = trace_campaign(&spec, over).expect("valid override");
-    let stats = sched_stats_campaign(&spec, over).expect("valid override");
+    let over = RunOptions {
+        shards: 2,
+        frame_threads: 1,
+        candidates: Some((4, 8)),
+    };
+    let campaign = run_spec(&spec, &over).expect("valid override");
+    let traces = trace_campaign(&spec, &over).expect("valid override");
+    let stats = sched_stats_campaign(&spec, &over).expect("valid override");
     assert_eq!(traces.len(), campaign.scenarios.len());
     assert_eq!(stats.len(), campaign.scenarios.len());
     for ((sr, (label, records)), (stats_label, sched)) in
@@ -123,8 +127,13 @@ fn campaign_trace_and_sched_stats_rerun_the_culled_replication() {
         assert_eq!(sched, &expected_stats, "{label}: stats of the culled run");
     }
     // A bad override is an error, exactly as for the campaign run itself.
-    assert!(trace_campaign(&spec, Some((4, 0))).is_err());
-    assert!(sched_stats_campaign(&spec, Some((4, 0))).is_err());
+    let bad = RunOptions {
+        candidates: Some((4, 0)),
+        ..over
+    };
+    assert!(run_spec(&spec, &bad).is_err());
+    assert!(trace_campaign(&spec, &bad).is_err());
+    assert!(sched_stats_campaign(&spec, &bad).is_err());
 }
 
 /// The validation rules for the candidate knobs.

@@ -2,7 +2,8 @@
 //! by a real simulated network, and PHY/channel consistency.
 
 use wcdma::admission::{
-    forward_region, reverse_region, Policy, RequestState, Scheduler, SchedulerConfig,
+    forward_region, reverse_region, AdmissionPolicy, JabaSd, RequestState, Scheduler,
+    SchedulerConfig,
 };
 use wcdma::geo::CellId;
 use wcdma::mac::LinkDir;
@@ -57,8 +58,10 @@ fn network_measurements_build_valid_regions() {
 #[test]
 fn scheduler_on_live_network_grants_feasibly() {
     let net = warm_network(10, 6, 13);
-    let mut scheduler =
-        Scheduler::new(SchedulerConfig::default_config(), Policy::jaba_sd_default());
+    let mut scheduler = Scheduler::new(
+        SchedulerConfig::default_config(),
+        JabaSd::default_j2().into_boxed(),
+    );
     let requests: Vec<RequestState> = net
         .data_mobiles()
         .iter()
@@ -88,8 +91,10 @@ fn granted_burst_power_is_within_predicted_headroom() {
     // no cell exceeds its budget on the next frame (the admissible region
     // really does protect the power budget).
     let mut net = warm_network(10, 6, 17);
-    let mut scheduler =
-        Scheduler::new(SchedulerConfig::default_config(), Policy::jaba_sd_default());
+    let mut scheduler = Scheduler::new(
+        SchedulerConfig::default_config(),
+        JabaSd::default_j2().into_boxed(),
+    );
     let data = net.data_mobiles();
     let requests: Vec<RequestState> = data
         .iter()
@@ -130,7 +135,10 @@ fn vtaoc_throughput_consistent_with_network_quality() {
     // For a warmed network, every data user's δβ̄ must be finite,
     // non-negative, and bounded by 1/β_f.
     let net = warm_network(6, 4, 23);
-    let scheduler = Scheduler::new(SchedulerConfig::default_config(), Policy::jaba_sd_default());
+    let scheduler = Scheduler::new(
+        SchedulerConfig::default_config(),
+        JabaSd::default_j2().into_boxed(),
+    );
     for &j in &net.data_mobiles() {
         let meas = net.measurement_view(j);
         for dir in [LinkDir::Forward, LinkDir::Reverse] {
@@ -188,8 +196,10 @@ fn adjacent_cell_simultaneous_transactions_are_coupled() {
     );
 
     // The joint solve respects it.
-    let mut scheduler =
-        Scheduler::new(SchedulerConfig::default_config(), Policy::jaba_sd_default());
+    let mut scheduler = Scheduler::new(
+        SchedulerConfig::default_config(),
+        JabaSd::default_j2().into_boxed(),
+    );
     let owned = [m0, m1];
     let requests: Vec<RequestState> = owned
         .iter()

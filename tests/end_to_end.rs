@@ -1,7 +1,7 @@
 //! End-to-end integration tests: full dynamic simulations across every
 //! crate, checking the paper's qualitative claims on seeded runs.
 
-use wcdma::admission::Policy;
+use wcdma::admission::{AdmissionPolicy, Fcfs, JabaSd};
 use wcdma::mac::LinkDir;
 use wcdma::sim::{PhyKind, SimConfig, Simulation};
 
@@ -27,10 +27,7 @@ fn jaba_sd_beats_single_burst_fcfs_on_delay() {
     // The paper's headline claim: multi-burst optimal scheduling beats the
     // cdma2000 single-burst FCFS handling on average packet delay.
     let jaba = Simulation::new(base_cfg()).run();
-    let fcfs1 = Simulation::new(base_cfg().with_policy(Policy::Fcfs {
-        max_concurrent: Some(1),
-    }))
-    .run();
+    let fcfs1 = Simulation::new(base_cfg().with_policy(Fcfs::single().into_boxed())).run();
     assert!(
         jaba.mean_delay_s <= fcfs1.mean_delay_s,
         "JABA-SD {} s vs FCFS-1 {} s",
@@ -111,11 +108,16 @@ fn all_policies_complete_bursts() {
 fn greedy_jaba_close_to_exact() {
     use wcdma::admission::Objective;
     let exact = Simulation::new(base_cfg()).run();
-    let greedy = Simulation::new(base_cfg().with_policy(Policy::JabaSd {
-        objective: Objective::j2_default(),
-        exact: false,
-        node_limit: 0,
-    }))
+    let greedy = Simulation::new(
+        base_cfg().with_policy(
+            JabaSd {
+                objective: Objective::j2_default(),
+                exact: false,
+                node_limit: 0,
+            }
+            .into_boxed(),
+        ),
+    )
     .run();
     assert!(greedy.bursts_completed > 0);
     // Greedy should be within 2x of exact on delay (usually much closer).

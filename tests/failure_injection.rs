@@ -1,6 +1,8 @@
 //! Failure-injection and pathological-input integration tests.
 
-use wcdma::admission::{Policy, RequestState, Scheduler, SchedulerConfig};
+use wcdma::admission::{
+    AdmissionPolicy, EqualShare, Fcfs, JabaSd, RequestState, Scheduler, SchedulerConfig,
+};
 use wcdma::cdma::{CdmaConfig, DataUserMeasurement, Network, UserKind};
 use wcdma::geo::{CellId, HexLayout, Point};
 use wcdma::mac::LinkDir;
@@ -24,8 +26,10 @@ fn meas(mobile: usize, cell: u32, fch_power: f64, ebi0_db: f64) -> DataUserMeasu
 
 #[test]
 fn exhausted_power_budget_rejects_everything() {
-    let mut scheduler =
-        Scheduler::new(SchedulerConfig::default_config(), Policy::jaba_sd_default());
+    let mut scheduler = Scheduler::new(
+        SchedulerConfig::default_config(),
+        JabaSd::default_j2().into_boxed(),
+    );
     // All cells exactly at P_max: zero headroom everywhere.
     let pmax = SchedulerConfig::default_config().pmax_w;
     let fwd = vec![pmax; 3];
@@ -52,7 +56,7 @@ fn exhausted_power_budget_rejects_everything() {
 #[test]
 fn exhausted_reverse_budget_rejects_everything() {
     let cfg = SchedulerConfig::default_config();
-    let mut scheduler = Scheduler::new(cfg.clone(), Policy::jaba_sd_default());
+    let mut scheduler = Scheduler::new(cfg.clone(), JabaSd::default_j2().into_boxed());
     let fwd = vec![5.0; 2];
     // Reverse load already at the limit.
     let rev = vec![cfg.lmax_w; 2];
@@ -72,11 +76,9 @@ fn grant_storm_never_violates_region() {
     // 30 simultaneous requests against one nearly-full cell: whatever the
     // policy does, the outcome must stay admissible.
     for policy in [
-        Policy::jaba_sd_default(),
-        Policy::Fcfs {
-            max_concurrent: None,
-        },
-        Policy::EqualShare,
+        JabaSd::default_j2().into_boxed(),
+        Fcfs::unlimited().into_boxed(),
+        EqualShare.into_boxed(),
     ] {
         let mut scheduler = Scheduler::new(SchedulerConfig::default_config(), policy);
         let fwd = vec![19.2];
@@ -205,11 +207,12 @@ fn zero_priority_vs_high_priority_ordering() {
     // tight budget.
     let mut scheduler = Scheduler::new(
         SchedulerConfig::default_config(),
-        Policy::JabaSd {
+        JabaSd {
             objective: wcdma::admission::Objective::J1,
             exact: true,
             node_limit: 0,
-        },
+        }
+        .into_boxed(),
     );
     let fwd = vec![19.5]; // 0.5 W headroom
     let rev = vec![1e-13];

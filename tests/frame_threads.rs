@@ -3,10 +3,13 @@
 //! whose per-cell load partials fold in chunk order, so reports, decision
 //! traces, and campaign artefacts must be **bit-identical** for every
 //! thread count. These tests pin that invariant on the 12-cell paper-eval
-//! matrix, on campaign artefacts, and on the finished-burst compaction
-//! path (frames completing several bursts at once).
+//! matrix, on campaign artefacts and decision traces, and on the
+//! finished-burst compaction path (frames completing several bursts at
+//! once).
 
-use wcdma::sim::campaign::{builtin, campaign_csv, campaign_json, run_spec_threads, Scenario};
+use wcdma::sim::campaign::{
+    builtin, campaign_csv, campaign_json, run_spec, trace_campaign, RunOptions, Scenario,
+};
 use wcdma::sim::{run_with_trace, SimConfig, Simulation};
 
 /// The paper evaluation matrix (3 mixes × 2 speeds × 2 policies = 12
@@ -58,9 +61,17 @@ fn campaign_artefacts_are_byte_identical_across_frame_threads() {
     spec.duration_s = 4.0;
     spec.warmup_s = 1.0;
     spec.replications = 2;
-    let one = run_spec_threads(&spec, 2, 1).expect("runs");
-    let auto = run_spec_threads(&spec, 2, 0).expect("runs");
-    let four = run_spec_threads(&spec, 1, 4).expect("runs");
+    let run = |shards, frame_threads| {
+        let opts = RunOptions {
+            shards,
+            frame_threads,
+            candidates: None,
+        };
+        run_spec(&spec, &opts).expect("runs")
+    };
+    let one = run(2, 1);
+    let auto = run(2, 0);
+    let four = run(1, 4);
     assert_eq!(campaign_csv(&one), campaign_csv(&auto), "CSV must not move");
     assert_eq!(campaign_csv(&one), campaign_csv(&four), "CSV must not move");
     assert_eq!(
@@ -73,6 +84,29 @@ fn campaign_artefacts_are_byte_identical_across_frame_threads() {
         campaign_json(&four),
         "JSON must not move"
     );
+}
+
+/// `campaign run --trace` re-runs replication 0 of every scenario under the
+/// run's own options: the decision trace of the burst-stress campaign is
+/// record-for-record identical at 1 and 2 frame threads (one shard, so
+/// the arbitration leaves room for the second frame thread).
+#[test]
+fn campaign_trace_is_identical_across_frame_threads() {
+    let spec = builtin("burst-stress").expect("builtin").quickened();
+    let trace = |frame_threads| {
+        let opts = RunOptions {
+            shards: 1,
+            frame_threads,
+            candidates: None,
+        };
+        trace_campaign(&spec, &opts).expect("valid spec")
+    };
+    let one = trace(1);
+    assert!(
+        one.iter().all(|(_, records)| !records.is_empty()),
+        "every burst-stress cell must make decisions"
+    );
+    assert_eq!(one, trace(2), "trace must not move with frame threads");
 }
 
 /// A burst-churn scenario: many data users firing small bursts, so frames

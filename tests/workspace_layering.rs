@@ -11,7 +11,9 @@
 //! (The graph itself is kept acyclic by Cargo: a dependency cycle between
 //! the member crates is a hard build error.)
 
-use wcdma::admission::{forward_region, Policy, Region, Scheduler, SchedulerConfig};
+use wcdma::admission::{
+    forward_region, AdmissionPolicy, JabaSd, Region, Scheduler, SchedulerConfig,
+};
 use wcdma::cdma::Network;
 use wcdma::channel::ChannelLink;
 use wcdma::geo::{CellId, HexLayout};
@@ -118,8 +120,11 @@ fn cdma_mac_ilp_feed_admission() {
     assert!(queue.pending()[0].waiting_time(0.5) > 0.4);
 
     // admission sits on top: a scheduler exists for the policy under test
-    // (the deprecated enum shim converts into the trait object).
-    let scheduler = Scheduler::new(SchedulerConfig::default_config(), Policy::jaba_sd_default());
+    // (a concrete policy boxes into the trait object).
+    let scheduler = Scheduler::new(
+        SchedulerConfig::default_config(),
+        JabaSd::default_j2().into_boxed(),
+    );
     assert_eq!(scheduler.policy().name(), "jaba-sd");
 }
 
@@ -132,6 +137,6 @@ fn admission_feeds_sim() {
     cfg.n_data = 3;
     cfg.duration_s = 6.0;
     cfg.warmup_s = 1.0;
-    let report = Simulation::new(cfg.with_policy(Policy::jaba_sd_default())).run();
+    let report = Simulation::new(cfg.with_policy(JabaSd::default_j2().into_boxed())).run();
     assert!(report.per_cell_throughput_kbps >= 0.0);
 }
