@@ -36,8 +36,8 @@ pub mod temporal;
 pub use csi::{delta_beta, sch_mean_csi, PhyModel};
 pub use feedback::{DirQos, QosFeedback, QosMonitor, DEFAULT_QOS_WINDOW_FRAMES};
 pub use measurement::{
-    copy_region_into, forward_region, forward_region_into, region_problem, reverse_region,
-    reverse_region_into, Region,
+    forward_region, forward_region_into, region_problem, reverse_region, reverse_region_into,
+    Region,
 };
 pub use objective::{delay_penalty, Objective};
 pub use policy::{

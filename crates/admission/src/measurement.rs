@@ -145,21 +145,6 @@ pub fn forward_region_into<'m, I>(
     }
 }
 
-/// Copies `src` into `dst`, recycling `dst`'s old rows through `spare`.
-pub fn copy_region_into(src: &Region, dst: &mut Region, spare: &mut Vec<Vec<f64>>) {
-    spare.append(&mut dst.a);
-    for row in &src.a {
-        let mut r = spare.pop().unwrap_or_default();
-        r.clear();
-        r.extend_from_slice(row);
-        dst.a.push(r);
-    }
-    dst.b.clear();
-    dst.b.extend_from_slice(&src.b);
-    dst.cells.clear();
-    dst.cells.extend_from_slice(&src.cells);
-}
-
 /// Builds the reverse-link admissible region (eq. 9–18).
 ///
 /// * `rev_load_w` — current reverse received power per cell, `L_k`;

@@ -26,7 +26,7 @@ use wcdma_phy::SpreadingConfig;
 
 use crate::csi::{delta_beta, PhyModel};
 use crate::feedback::QosFeedback;
-use crate::measurement::{copy_region_into, forward_region_into, reverse_region_into, Region};
+use crate::measurement::{forward_region_into, reverse_region_into, Region};
 use crate::policy::{BoxedPolicy, PolicyContext, PolicyScratch};
 
 /// A pending burst request paired with its measurement report.
@@ -151,19 +151,16 @@ pub enum SolveMode {
     Cold,
 }
 
-/// Per-direction persistent scheduling state: the region (plus its row
-/// pools), δβ̄/bounds columns, the policy scratch, and the outcome buffer.
+/// Per-direction persistent scheduling state: the outcome buffer (whose
+/// region and δβ̄ column are built in place and lent to the policy), the
+/// region's row pool, the bounds column, and the policy scratch.
 #[derive(Debug, Clone, Default)]
 struct SchedWorkspace {
-    region: Region,
-    /// Recycled rows for `region` rebuilds.
+    outcome: ScheduleOutcome,
+    /// Recycled rows for `outcome.region` rebuilds.
     spare_rows: Vec<Vec<f64>>,
-    /// Recycled rows for the outcome's region copy.
-    outcome_spare: Vec<Vec<f64>>,
-    dbetas: Vec<f64>,
     bounds: Vec<(u32, u32)>,
     scratch: PolicyScratch,
-    outcome: ScheduleOutcome,
     rounds: u64,
     /// High-water marks: a solve whose dimensions fit under these ran
     /// without growing any buffer.
@@ -335,6 +332,7 @@ impl Scheduler {
         ws.rounds += 1;
         let n = requests.len();
         let gamma_s = cfg.spreading.gamma_s;
+        let out = &mut ws.outcome;
 
         match dir {
             LinkDir::Forward => forward_region_into(
@@ -342,7 +340,7 @@ impl Scheduler {
                 cfg.pmax_w,
                 gamma_s,
                 requests.iter().map(|r| r.meas),
-                &mut ws.region,
+                &mut out.region,
                 &mut ws.spare_rows,
             ),
             LinkDir::Reverse => reverse_region_into(
@@ -351,35 +349,35 @@ impl Scheduler {
                 gamma_s,
                 cfg.kappa,
                 requests.iter().map(|r| r.meas),
-                &mut ws.region,
+                &mut out.region,
                 &mut ws.spare_rows,
             ),
         }
-        ws.dbetas.clear();
-        ws.dbetas
+        out.delta_beta.clear();
+        out.delta_beta
             .extend(requests.iter().map(|r| delta_beta_for(cfg, r.meas, dir)));
         ws.bounds.clear();
         ws.bounds.extend(
             requests
                 .iter()
-                .zip(&ws.dbetas)
+                .zip(&out.delta_beta)
                 .map(|(r, &db)| grant_bounds_for(cfg, r.size_bits, db)),
         );
 
         stats.solves += 1;
-        if ws.rounds > 1 && n <= ws.cap_requests && ws.region.b.len() <= ws.cap_rows {
+        if ws.rounds > 1 && n <= ws.cap_requests && out.region.b.len() <= ws.cap_rows {
             stats.warm_hits += 1;
         }
         ws.cap_requests = ws.cap_requests.max(n);
-        ws.cap_rows = ws.cap_rows.max(ws.region.b.len());
+        ws.cap_rows = ws.cap_rows.max(out.region.b.len());
 
         let nodes_before = ws.scratch.bb_total_nodes();
         policy.decide_into(
             &PolicyContext {
                 dir,
-                region: &ws.region,
+                region: &out.region,
                 requests,
-                delta_beta: &ws.dbetas,
+                delta_beta: &out.delta_beta,
                 bounds: &ws.bounds,
                 cfg,
                 feedback,
@@ -405,26 +403,23 @@ impl Scheduler {
             );
         }
         assert!(
-            ws.region.admits(&ws.scratch.m),
+            out.region.admits(&ws.scratch.m),
             "policy {:?} produced inadmissible grants",
             policy.name()
         );
 
-        let out = &mut ws.outcome;
         out.m.clear();
         out.m.extend_from_slice(&ws.scratch.m);
-        out.delta_beta.clear();
-        out.delta_beta.extend_from_slice(&ws.dbetas);
         out.objective_value = ws.scratch.objective_value;
         out.optimal = ws.scratch.optimal;
         out.grants.clear();
         for (j, req) in requests.iter().enumerate() {
             if out.m[j] >= 1 {
-                let rate = cfg.spreading.fch_rate * out.m[j] as f64 * ws.dbetas[j];
+                let rate = cfg.spreading.fch_rate * out.m[j] as f64 * out.delta_beta[j];
                 out.grants.push(Grant {
                     user: req.meas.mobile,
                     m: out.m[j],
-                    delta_beta: ws.dbetas[j],
+                    delta_beta: out.delta_beta[j],
                     rate_bps: rate,
                     duration_s: if rate > 0.0 {
                         req.size_bits / rate
@@ -434,7 +429,6 @@ impl Scheduler {
                 });
             }
         }
-        copy_region_into(&ws.region, &mut ws.outcome.region, &mut ws.outcome_spare);
         &ws.outcome
     }
 }

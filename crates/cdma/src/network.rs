@@ -115,11 +115,10 @@ pub struct SchGrant {
 /// Borrowed measurement report accompanying a burst request (Figure 2).
 ///
 /// All slice fields borrow directly from the [`Network`]'s flat per-frame
-/// report buffers, so building one is free: no clone, no allocation. Use
-/// [`MeasurementView::to_owned`] (or [`Network::measurement`]) when an
-/// owned [`DataUserMeasurement`] is genuinely needed — tests, examples, or
-/// storage beyond the frame.
-#[derive(Debug, Clone, Copy)]
+/// report buffers, so building one is free: no clone, no allocation.
+/// Synthetic reports (tests, examples) are owned [`DataUserMeasurement`]s
+/// borrowed through [`DataUserMeasurement::as_view`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurementView<'a> {
     /// Mobile index.
     pub mobile: usize,
@@ -146,28 +145,9 @@ pub struct MeasurementView<'a> {
     pub fch_ebi0_rev: f64,
 }
 
-impl MeasurementView<'_> {
-    /// Clones the borrowed report into an owned [`DataUserMeasurement`].
-    pub fn to_owned(&self) -> DataUserMeasurement {
-        DataUserMeasurement {
-            mobile: self.mobile,
-            active_set: self.active_set.to_vec(),
-            reduced_set: self.reduced_set.to_vec(),
-            fch_fwd_power: self.fch_fwd_power.to_vec(),
-            alpha_fl: self.alpha_fl,
-            alpha_rl: self.alpha_rl,
-            zeta: self.zeta,
-            rev_pilot_ecio: self.rev_pilot_ecio.to_vec(),
-            fwd_pilot_ecio: self.fwd_pilot_ecio.to_vec(),
-            fch_ebi0_fwd: self.fch_ebi0_fwd,
-            fch_ebi0_rev: self.fch_ebi0_rev,
-        }
-    }
-}
-
-/// Owned measurement report (Figure 2) — the thin adapter over
-/// [`MeasurementView`] kept for tests, examples, and anything that must
-/// hold a report beyond the frame that produced it.
+/// Owned measurement report (Figure 2): the fixture type for synthetic
+/// reports (tests, examples), borrowed as a [`MeasurementView`] through
+/// [`as_view`](Self::as_view).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataUserMeasurement {
     /// Mobile index.
@@ -451,7 +431,7 @@ impl Network {
     }
 
     /// The persistent frame worker pool — shared with callers (the
-    /// simulation engine's mobility and CSI loops) so one set of workers
+    /// simulation engine's mobility loop) so one set of workers
     /// serves the whole frame.
     pub fn frame_pool(&self) -> &FramePool {
         &self.pool
@@ -911,13 +891,6 @@ impl Network {
         }
     }
 
-    /// Builds an owned burst-request measurement report for data mobile `j`
-    /// — the adapter over [`Network::measurement_view`] for callers that
-    /// need to keep the report beyond the frame.
-    pub fn measurement(&self, j: usize) -> DataUserMeasurement {
-        self.measurement_view(j).to_owned()
-    }
-
     /// Indices of all data mobiles.
     pub fn data_mobiles(&self) -> Vec<usize> {
         self.kind
@@ -1318,7 +1291,7 @@ mod tests {
         let data = net.data_mobiles();
         assert_eq!(data.len(), 3);
         for &j in &data {
-            let meas = net.measurement(j);
+            let meas = net.measurement_view(j);
             assert!(!meas.active_set.is_empty());
             assert!(!meas.reduced_set.is_empty());
             assert!(meas.reduced_set.len() <= net.config().reduced_active_set);
@@ -1326,10 +1299,10 @@ mod tests {
             assert!(meas.fwd_pilot_ecio.len() <= 8, "SCRM carries ≤ 8 pilots");
             assert!(meas.alpha_fl >= 1.0);
             assert!(meas.zeta > 0.0);
-            for &(_, p) in &meas.fch_fwd_power {
+            for &(_, p) in meas.fch_fwd_power {
                 assert!(p > 0.0 && p.is_finite());
             }
-            for &(_, e) in &meas.rev_pilot_ecio {
+            for &(_, e) in meas.rev_pilot_ecio {
                 assert!(e > 0.0 && e < 1.0, "Ec/Io must be a fraction: {e}");
             }
         }
@@ -1339,20 +1312,22 @@ mod tests {
     fn view_matches_owned_report() {
         let net = small_net(4, 3, 19);
         for &j in &net.data_mobiles() {
-            let owned = net.measurement(j);
             let view = net.measurement_view(j);
-            assert_eq!(owned.mobile, view.mobile);
-            assert_eq!(owned.active_set.as_slice(), view.active_set);
-            assert_eq!(owned.reduced_set.as_slice(), view.reduced_set);
-            assert_eq!(owned.fch_fwd_power.as_slice(), view.fch_fwd_power);
-            assert_eq!(owned.alpha_fl, view.alpha_fl);
-            assert_eq!(owned.rev_pilot_ecio.as_slice(), view.rev_pilot_ecio);
-            assert_eq!(owned.fwd_pilot_ecio.as_slice(), view.fwd_pilot_ecio);
-            assert_eq!(owned.fch_ebi0_fwd, view.fch_ebi0_fwd);
-            assert_eq!(owned.fch_ebi0_rev, view.fch_ebi0_rev);
-            // Round-trip through the adapter pair.
-            assert_eq!(owned, view.to_owned());
-            assert_eq!(owned.as_view().to_owned(), owned);
+            let owned = DataUserMeasurement {
+                mobile: view.mobile,
+                active_set: view.active_set.to_vec(),
+                reduced_set: view.reduced_set.to_vec(),
+                fch_fwd_power: view.fch_fwd_power.to_vec(),
+                alpha_fl: view.alpha_fl,
+                alpha_rl: view.alpha_rl,
+                zeta: view.zeta,
+                rev_pilot_ecio: view.rev_pilot_ecio.to_vec(),
+                fwd_pilot_ecio: view.fwd_pilot_ecio.to_vec(),
+                fch_ebi0_fwd: view.fch_ebi0_fwd,
+                fch_ebi0_rev: view.fch_ebi0_rev,
+            };
+            // The fixture type borrows back into an equal view.
+            assert_eq!(owned.as_view(), view);
         }
     }
 
@@ -1360,7 +1335,7 @@ mod tests {
     #[should_panic(expected = "data users")]
     fn measurement_rejects_voice_user() {
         let net = small_net(1, 0, 5);
-        let _ = net.measurement(0);
+        let _ = net.measurement_view(0);
     }
 
     #[test]
@@ -1451,7 +1426,11 @@ mod tests {
                 "{threads} threads"
             );
             for &j in &one.data_mobiles() {
-                assert_eq!(one.measurement(j), nt.measurement(j), "mobile {j}");
+                assert_eq!(
+                    one.measurement_view(j),
+                    nt.measurement_view(j),
+                    "mobile {j}"
+                );
                 assert_eq!(one.fch_quality(j), nt.fch_quality(j));
             }
         }
@@ -1486,7 +1465,11 @@ mod tests {
         assert_eq!(a.forward_load_w(), b.forward_load_w(), "{what}: P_k");
         assert_eq!(a.reverse_load_w(), b.reverse_load_w(), "{what}: L_k");
         for &j in &a.data_mobiles() {
-            assert_eq!(a.measurement(j), b.measurement(j), "{what}: mobile {j}");
+            assert_eq!(
+                a.measurement_view(j),
+                b.measurement_view(j),
+                "{what}: mobile {j}"
+            );
             assert_eq!(a.fch_quality(j), b.fch_quality(j), "{what}: mobile {j}");
         }
     }

@@ -33,7 +33,7 @@ pub mod stats;
 
 pub use complex::C64;
 pub use db::{db_to_lin, lin_to_db};
-pub use par::{FramePool, Partition, ScatterSlice};
+pub use par::{FramePool, Partition};
 pub use rng::{mix_seed, SplitMix64, Xoshiro256pp};
 pub use simd::{F64x4, CANONICAL_ORDER_VERSION};
 pub use stats::Welford;

@@ -17,9 +17,11 @@
 //! runner guarantees across shard counts, pushed down into the frame.
 //!
 //! [`FramePool`] is the persistent worker pool (no per-frame thread
-//! spawns, no allocations in [`FramePool::run`]); [`Partition`] and
-//! [`ScatterSlice`] are the unsafe-but-narrow windows that let disjoint
-//! chunks of the same buffers be mutated concurrently.
+//! spawns, no allocations in [`FramePool::run`]).
+//! [`FramePool::for_each_chunk_mut`] is the safe way to mutate the chunks
+//! of one slice concurrently; [`Partition`] is the unsafe-but-narrow
+//! window underneath it, for loops that must walk several buffers chunk
+//! by chunk in lock-step (the network step).
 
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -220,6 +222,23 @@ impl FramePool {
         }
         assert!(!worker_panicked, "a FramePool worker panicked in run()");
     }
+
+    /// Runs `f(chunk_index, chunk)` for every `chunk`-element chunk of
+    /// `data` (the last chunk may be shorter), spread over the pool as in
+    /// [`run`](Self::run). Each chunk is handed to exactly one call, so `f`
+    /// has exclusive access to its slice.
+    pub fn for_each_chunk_mut<T, F>(&self, data: &mut [T], chunk: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        let parts = Partition::new(data, chunk);
+        self.run(parts.n_chunks(), |ci| {
+            // SAFETY: `run` claims each chunk index exactly once, so no two
+            // live calls use the same index.
+            f(ci, unsafe { parts.chunk(ci) });
+        });
+    }
 }
 
 impl Drop for FramePool {
@@ -329,47 +348,6 @@ impl<'a, T> Partition<'a, T> {
     }
 }
 
-/// Per-element scattered mutable access to a slice from several threads.
-///
-/// For loops that walk an index list (e.g. the data-user indices) whose
-/// targets are unique but not contiguous: each thread may mutate the
-/// elements whose indices it exclusively owns.
-pub struct ScatterSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: as for `Partition` — `&mut T` windows cross threads, `T: Send`.
-unsafe impl<T: Send> Send for ScatterSlice<'_, T> {}
-unsafe impl<T: Send> Sync for ScatterSlice<'_, T> {}
-
-impl<'a, T> ScatterSlice<'a, T> {
-    /// Wraps `data` for scattered per-element access.
-    pub fn new(data: &'a mut [T]) -> Self {
-        Self {
-            ptr: data.as_mut_ptr(),
-            len: data.len(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Mutable access to element `idx`.
-    ///
-    /// # Safety
-    ///
-    /// No two live calls may use the same `idx`; every index must be
-    /// owned by exactly one thread at a time (e.g. chunks of a duplicate-
-    /// free index list).
-    #[allow(clippy::mut_from_ref)] // the exclusivity contract is the `unsafe`
-    pub unsafe fn get_mut(&self, idx: usize) -> &'a mut T {
-        assert!(idx < self.len, "index out of range");
-        // SAFETY: in-bounds by the assert; exclusive by the caller
-        // contract above.
-        unsafe { &mut *self.ptr.add(idx) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,14 +370,23 @@ mod tests {
 
     #[test]
     fn pool_runs_every_chunk_exactly_once() {
+        // Empty, single-element, and ragged-tail slices (1000 and 37 are
+        // not multiples of the chunk sizes below).
         for threads in [1, 2, 4, 7] {
             let pool = FramePool::new(threads);
-            let mut hits = vec![0u8; 1000];
-            let parts = Partition::new(&mut hits, 1);
-            pool.run(parts.n_chunks(), |ci| unsafe {
-                parts.chunk(ci)[0] += 1;
-            });
-            assert!(hits.iter().all(|&h| h == 1), "threads = {threads}");
+            for len in [0, 1, 37, 1000] {
+                for chunk in [1, 8, 256] {
+                    let mut hits = vec![0u32; len];
+                    pool.for_each_chunk_mut(&mut hits, chunk, |ci, part| {
+                        assert_eq!(part.len(), chunk.min(len - ci * chunk));
+                        for h in part {
+                            *h += 1 + ci as u32;
+                        }
+                    });
+                    let want: Vec<u32> = (0..len).map(|i| 1 + (i / chunk) as u32).collect();
+                    assert_eq!(hits, want, "threads {threads}, len {len}, chunk {chunk}");
+                }
+            }
         }
     }
 
@@ -427,12 +414,11 @@ mod tests {
             let pool = FramePool::new(threads);
             let n_chunks = chunk_count(xs.len(), DEFAULT_CHUNK);
             let mut partials = vec![0.0f64; n_chunks];
-            let parts = Partition::new(&mut partials, 1);
             let xs = &xs;
-            pool.run(n_chunks, |ci| unsafe {
+            pool.for_each_chunk_mut(&mut partials, 1, |ci, partial| {
                 let lo = ci * DEFAULT_CHUNK;
                 let hi = (lo + DEFAULT_CHUNK).min(xs.len());
-                parts.chunk(ci)[0] = xs[lo..hi].iter().sum();
+                partial[0] = xs[lo..hi].iter().sum();
             });
             let mut total = 0.0;
             for p in partials {
@@ -449,29 +435,13 @@ mod tests {
     #[test]
     fn partition_splits_strided_rows() {
         let mut m: Vec<u32> = (0..60).collect(); // 10 rows of stride 6
-        let parts = Partition::new(&mut m, 4 * 6); // 4 rows per chunk
-        assert_eq!(parts.n_chunks(), 3);
-        let lens: Vec<usize> = (0..3).map(|ci| unsafe { parts.chunk(ci).len() }).collect();
-        assert_eq!(lens, vec![24, 24, 12]);
-        unsafe { parts.chunk(2)[0] = 999 };
-        assert_eq!(m[48], 999);
-    }
-
-    #[test]
-    fn scatter_slice_reaches_scattered_indices() {
-        let mut v = vec![0i32; 10];
-        let idx = [9usize, 1, 4];
-        {
-            let sc = ScatterSlice::new(&mut v);
-            let pool = FramePool::new(2);
-            let idx = &idx;
-            pool.run(idx.len(), |ci| unsafe {
-                *sc.get_mut(idx[ci]) = ci as i32 + 1;
-            });
-        }
-        assert_eq!(v[9], 1);
-        assert_eq!(v[1], 2);
-        assert_eq!(v[4], 3);
+        assert_eq!(Partition::new(&mut m, 4 * 6).n_chunks(), 3);
+        // 4 rows per chunk; each chunk stamps its length into its first cell.
+        FramePool::new(2).for_each_chunk_mut(&mut m, 4 * 6, |_, rows| {
+            rows[0] = rows.len() as u32;
+        });
+        assert_eq!([m[0], m[24], m[48]], [24, 24, 12]);
+        assert_eq!(m[1..24], (1..24).collect::<Vec<u32>>()[..]);
     }
 
     #[test]

@@ -24,15 +24,19 @@
 //! order-preserving compaction pass over a persistent scratch list, and
 //! scheduling rounds consume grant outcomes by request order. Allocation
 //! happens only on event edges: a new request entering the queue, a grant
-//! extending the active-burst list, or the ILP solve inside a scheduling
-//! round.
+//! extending the active-burst list, or a scheduling round (its request
+//! list and ILP solve).
 //!
-//! With `SimConfig::frame_threads > 1` the mobility, network, and CSI
-//! loops run chunked on the network's persistent
-//! [`wcdma_math::par::FramePool`]; chunk boundaries are fixed and every
-//! reduction folds in chunk order, so **any thread count produces
-//! bit-identical results** (and the zero-allocation invariant still
-//! holds — the pool allocates nothing per frame).
+//! With `SimConfig::frame_threads > 1` the mobility and network loops run
+//! chunked on the network's persistent [`wcdma_math::par::FramePool`];
+//! chunk boundaries are fixed and every reduction folds in chunk order, so
+//! **any thread count produces bit-identical results** (and the
+//! zero-allocation invariant still holds — the pool allocates nothing per
+//! frame). Those two phases are where a large population's frame time
+//! goes. The rest runs serially: CSI, traffic, and delivery touch only the
+//! data users or the active bursts, and together they are a few percent
+//! of a metro-scale frame (`docs/PERF_LEDGER.md`); scheduling is one
+//! policy decision per direction.
 
 use wcdma_admission::{
     QosMonitor, RequestState, SchedStats, Scheduler, SolveMode, DEFAULT_QOS_WINDOW_FRAMES,
@@ -42,9 +46,9 @@ use wcdma_cdma::{
 };
 use wcdma_channel::CsiEstimator;
 use wcdma_geo::mobility::{MobilityModel, RandomWaypoint};
-use wcdma_geo::{HexLayout, Point};
+use wcdma_geo::HexLayout;
 use wcdma_mac::{BurstRequest, LinkDir, MacStateMachine, RequestQueue};
-use wcdma_math::par::{chunk_count, Partition, ScatterSlice, DEFAULT_CHUNK};
+use wcdma_math::par::DEFAULT_CHUNK;
 use wcdma_math::{mix_seed, Xoshiro256pp};
 
 use crate::config::SimConfig;
@@ -52,24 +56,10 @@ use crate::stats::{SimReport, SimStats};
 use crate::trace::{DecisionRecord, DecisionTrace};
 use crate::traffic::WebSource;
 
-/// Delivery chunk size: active-burst lists are much shorter than the
-/// mobile population, so delivery uses a finer grain than
-/// [`DEFAULT_CHUNK`] to actually spread across workers. Fixed — chunk
-/// boundaries (and therefore the fold order) never depend on thread count.
+/// Delivery chunk size: the delivered-bits total adds one partial sum per
+/// chunk of the active-burst list, in list order. Fixed — it sets the
+/// summation association, so changing it changes every throughput figure.
 const DELIVERY_CHUNK: usize = 32;
-
-/// Reuses a request-scratch allocation across scheduling rounds. The
-/// buffer is emptied first, so no borrow from a previous round survives;
-/// only the raw capacity carries over to the new lifetime.
-fn recycled<'to, 'from>(mut v: Vec<RequestState<'from>>) -> Vec<RequestState<'to>> {
-    v.clear();
-    let (ptr, cap) = (v.as_mut_ptr(), v.capacity());
-    std::mem::forget(v);
-    // SAFETY: the vector is empty, so no element with the old lifetime
-    // exists; `RequestState<'from>` and `RequestState<'to>` have identical
-    // layout (lifetimes are erased at runtime).
-    unsafe { Vec::from_raw_parts(ptr.cast::<RequestState<'to>>(), 0, cap) }
-}
 
 /// A burst currently being transmitted.
 #[derive(Debug, Clone, Copy)]
@@ -107,23 +97,11 @@ pub struct Simulation {
     /// Persistent scratch: indices of bursts finishing this frame
     /// (ascending — the compaction pass consumes them in order).
     finished: Vec<usize>,
-    /// Persistent scratch: per-chunk delivered-bits partial sums (folded
-    /// in chunk order, so any thread count sums identically).
-    deliver_partials: Vec<f64>,
-    /// Persistent scratch: per-chunk finished-burst index lists.
-    finished_chunks: Vec<Vec<usize>>,
     /// Windowed in-loop QoS monitor feeding the scheduler's
     /// [`wcdma_admission::QosFeedback`]. Only allocated when the policy
     /// consumes feedback — model-trusting policies skip the monitor
     /// entirely, keeping the hot path byte-identical to before.
     qos_monitor: Option<QosMonitor>,
-    /// Persistent scratch: the borrowed request views of one scheduling
-    /// round (recycled across rounds via [`recycled`] — the `'static` is
-    /// a placeholder lifetime for the empty, parked buffer).
-    req_scratch: Vec<RequestState<'static>>,
-    /// Persistent scratch: next frame's positions, computed in parallel
-    /// before being applied to the network in mobile order.
-    new_pos: Vec<Point>,
     /// Persistent scratch: snapshots of the pending requests of one
     /// direction, taken before a scheduling round (the queue cannot stay
     /// borrowed while grants mutate it).
@@ -201,8 +179,8 @@ impl Simulation {
                 macs.push(None);
             }
         }
-        // One persistent worker pool serves the whole frame (network,
-        // mobility, and CSI loops); 1 thread degenerates to inline loops.
+        // One persistent worker pool serves the network and mobility
+        // loops; 1 thread degenerates to inline loops.
         net.set_frame_threads(cfg.frame_threads);
         // Candidate cell lists: 0 = every cell (exact, the default).
         net.set_candidates(cfg.candidate_k, cfg.candidate_refresh);
@@ -257,11 +235,7 @@ impl Simulation {
             active_count: vec![0; total],
             pending_count: vec![0; total],
             finished: Vec::new(),
-            deliver_partials: Vec::new(),
-            finished_chunks: Vec::new(),
             qos_monitor,
-            req_scratch: Vec::new(),
-            new_pos: vec![Point::new(0.0, 0.0); total],
             sched_reqs: Vec::new(),
             trace: None,
         }
@@ -341,26 +315,21 @@ impl Simulation {
     pub fn step_frame(&mut self) {
         let dt = self.cfg.cdma.frame_s;
 
-        // 1. Mobility: every walker owns its RNG substream, so the new
-        // positions are computed chunk-parallel into persistent scratch,
-        // then applied to the network in mobile order (the application is
-        // O(n) arithmetic; all randomness is in the parallel part).
-        {
-            let walkers = Partition::new(&mut self.mobility, DEFAULT_CHUNK);
-            let out = Partition::new(&mut self.new_pos, DEFAULT_CHUNK);
-            self.net.frame_pool().run(walkers.n_chunks(), |ci| {
-                // SAFETY: `FramePool::run` claims each chunk exactly once,
-                // and both partitions use the same chunk size, so the
-                // walker/output chunks are exclusive and aligned.
-                unsafe {
-                    for (w, o) in walkers.chunk(ci).iter_mut().zip(out.chunk(ci)) {
-                        *o = w.step(dt);
-                    }
+        // 1. Mobility: every walker owns its RNG substream, so the walkers
+        // step chunk-parallel, then their positions are applied to the
+        // network in mobile order (the application is O(n) arithmetic; all
+        // randomness is in the parallel part).
+        self.net.frame_pool().for_each_chunk_mut(
+            &mut self.mobility,
+            DEFAULT_CHUNK,
+            |_, walkers| {
+                for w in walkers {
+                    w.step(dt);
                 }
-            });
-        }
-        for (j, &pos) in self.new_pos.iter().enumerate() {
-            self.net.move_mobile(j, pos);
+            },
+        );
+        for (j, w) in self.mobility.iter().enumerate() {
+            self.net.move_mobile(j, w.position());
         }
 
         // 2. Network update.
@@ -410,30 +379,13 @@ impl Simulation {
         // 2b. CSI feedback pipelines: what the scheduler will *see* this
         // frame (possibly delayed and noisy versions of the truth). Each
         // estimator pair owns its RNG substream and writes only its own
-        // user's slot, so the loop runs chunk-parallel over the
-        // (duplicate-free) data-user index list.
-        {
-            let idx: &[usize] = &self.data_idx;
-            let net = &self.net;
-            let pipes = ScatterSlice::new(&mut self.csi_pipes);
-            let obs = ScatterSlice::new(&mut self.observed_ebi0);
-            net.frame_pool()
-                .run(chunk_count(idx.len(), DEFAULT_CHUNK), |ci| {
-                    let lo = ci * DEFAULT_CHUNK;
-                    let hi = (lo + DEFAULT_CHUNK).min(idx.len());
-                    for &j in &idx[lo..hi] {
-                        let (true_fwd, true_rev) = net.fch_quality(j);
-                        // SAFETY: `data_idx` holds unique indices and each
-                        // chunk range is claimed exactly once, so every `j`
-                        // is touched by exactly one thread.
-                        unsafe {
-                            *obs.get_mut(j) = match pipes.get_mut(j).as_mut() {
-                                None => (true_fwd, true_rev),
-                                Some((fwd, rev)) => (fwd.observe(true_fwd), rev.observe(true_rev)),
-                            };
-                        }
-                    }
-                });
+        // user's slot.
+        for &j in &self.data_idx {
+            let (true_fwd, true_rev) = self.net.fch_quality(j);
+            self.observed_ebi0[j] = match self.csi_pipes[j].as_mut() {
+                None => (true_fwd, true_rev),
+                Some((fwd, rev)) => (fwd.observe(true_fwd), rev.observe(true_rev)),
+            };
         }
 
         // 3. Traffic + MAC decay.
@@ -462,59 +414,30 @@ impl Simulation {
             }
         }
 
-        // 4. Deliver bits on active bursts, chunk-parallel on the frame
-        // pool. Chunk boundaries are fixed (DELIVERY_CHUNK) and both
-        // reductions — the delivered-bits sum and the finished-index list
-        // — are folded in chunk order on the calling thread afterwards,
-        // so every thread count produces bit-identical results.
+        // 4. Deliver bits on active bursts. Each DELIVERY_CHUNK-burst
+        // chunk sums into a local that is added to the total in chunk
+        // order; finished bursts are listed in ascending order.
         self.finished.clear();
-        let n_chunks = chunk_count(self.active.len(), DELIVERY_CHUNK);
-        if self.deliver_partials.len() < n_chunks {
-            // Event edge: the active list reached a new high-water mark.
-            self.deliver_partials.resize(n_chunks, 0.0);
-            self.finished_chunks.resize_with(n_chunks, Vec::new);
-        }
-        {
-            let t = self.t;
-            let fch_rate = self.cfg.spreading.fch_rate;
-            let net = &self.net;
-            let scheduler = &self.scheduler;
-            let bursts = Partition::new(&mut self.active, DELIVERY_CHUNK);
-            let partials = ScatterSlice::new(&mut self.deliver_partials);
-            let fins = ScatterSlice::new(&mut self.finished_chunks);
-            net.frame_pool().run(n_chunks, |ci| {
-                // SAFETY: `FramePool::run` claims each chunk index exactly
-                // once, and the partial-sum / finished-list slots are
-                // indexed by that same chunk index, so every slot (and
-                // every burst chunk) is touched by exactly one thread.
-                unsafe {
-                    let fin = fins.get_mut(ci);
-                    fin.clear();
-                    let mut sum = 0.0;
-                    for (off, burst) in bursts.chunk(ci).iter_mut().enumerate() {
-                        if t < burst.start_s {
-                            continue; // MAC setup still in progress
-                        }
-                        let meas = net.measurement_view(burst.user);
-                        let db = scheduler.request_delta_beta(meas, burst.dir);
-                        let rate = fch_rate * burst.m as f64 * db;
-                        let delivered = (rate * dt).min(burst.bits_left);
-                        burst.bits_left -= delivered;
-                        sum += delivered;
-                        if burst.bits_left <= 1e-9 {
-                            fin.push(ci * DELIVERY_CHUNK + off);
-                        }
-                    }
-                    *partials.get_mut(ci) = sum;
+        let recording = self.recording();
+        for (ci, bursts) in self.active.chunks_mut(DELIVERY_CHUNK).enumerate() {
+            let mut sum = 0.0;
+            for (off, burst) in bursts.iter_mut().enumerate() {
+                if self.t < burst.start_s {
+                    continue; // MAC setup still in progress
                 }
-            });
-        }
-        let recording_bits = self.t >= self.cfg.warmup_s;
-        for ci in 0..n_chunks {
-            if recording_bits {
-                self.stats.bits_delivered += self.deliver_partials[ci];
+                let meas = self.net.measurement_view(burst.user);
+                let db = self.scheduler.request_delta_beta(meas, burst.dir);
+                let rate = self.cfg.spreading.fch_rate * burst.m as f64 * db;
+                let delivered = (rate * dt).min(burst.bits_left);
+                burst.bits_left -= delivered;
+                sum += delivered;
+                if burst.bits_left <= 1e-9 {
+                    self.finished.push(ci * DELIVERY_CHUNK + off);
+                }
             }
-            self.finished.extend_from_slice(&self.finished_chunks[ci]);
+            if recording {
+                self.stats.bits_delivered += sum;
+            }
         }
         // Single order-preserving compaction pass: completions are
         // processed in ascending burst order (= the deterministic order
@@ -575,32 +498,32 @@ impl Simulation {
         if recording {
             self.stats.request_rounds += 1;
         }
-        // Request views live in a recycled scratch buffer: the lifetime is
-        // per-round (the views borrow the network), the capacity persists.
-        let mut requests = recycled(std::mem::take(&mut self.req_scratch));
-        requests.extend(self.sched_reqs.iter().map(|r| {
-            // The scheduler acts on the *observed* CSI (feedback
-            // pipeline); bits are later delivered at the true rate.
-            let mut meas = self.net.measurement_view(r.user);
-            let (obs_fwd, obs_rev) = self.observed_ebi0[r.user];
-            meas.fch_ebi0_fwd = obs_fwd;
-            meas.fch_ebi0_rev = obs_rev;
-            RequestState {
-                meas,
-                size_bits: r.size_bits,
-                waiting_s: r.waiting_time(self.t),
-                priority: r.priority,
-            }
-        }));
+        // The request views borrow the network, so they live for this round
+        // only (a scheduling round is an allocation edge anyway).
+        let requests: Vec<RequestState<'_>> = self
+            .sched_reqs
+            .iter()
+            .map(|r| {
+                // The scheduler acts on the *observed* CSI (feedback
+                // pipeline); bits are later delivered at the true rate.
+                let mut meas = self.net.measurement_view(r.user);
+                let (obs_fwd, obs_rev) = self.observed_ebi0[r.user];
+                meas.fch_ebi0_fwd = obs_fwd;
+                meas.fch_ebi0_rev = obs_rev;
+                RequestState {
+                    meas,
+                    size_bits: r.size_bits,
+                    waiting_s: r.waiting_time(self.t),
+                    priority: r.priority,
+                }
+            })
+            .collect();
         let outcome = self.scheduler.schedule(
             dir,
             self.net.forward_load_w(),
             self.net.reverse_load_w(),
             &requests,
         );
-        // Park the (emptied) buffer for the next round, ending its borrow
-        // of the network before grants mutate it below.
-        self.req_scratch = recycled(requests);
         if let Some(trace) = self.trace.as_mut() {
             trace.record(DecisionRecord {
                 t_s: self.t,

@@ -144,7 +144,7 @@ fn steady_state_frames_do_not_allocate() {
 
     // Scenario C: the *parallel* frame pipeline (frame_threads > 1) —
     // traffic silenced as in scenario A, but every quiet frame now runs
-    // the chunked mobility / network / CSI loops on the frame pool.
+    // the chunked mobility and network loops on the frame pool.
     // Counted process-wide so allocations on worker threads are seen:
     // the pool hand-off and the per-chunk scratch must be allocation-free
     // in steady state too. The population must exceed the 256-mobile

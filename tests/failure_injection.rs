@@ -6,7 +6,7 @@ use wcdma::admission::{
 use wcdma::cdma::{CdmaConfig, DataUserMeasurement, Network, UserKind};
 use wcdma::geo::{CellId, HexLayout, Point};
 use wcdma::mac::LinkDir;
-use wcdma::sim::{SimConfig, Simulation};
+use wcdma::sim::{SimConfig, SimReport, Simulation};
 
 fn meas(mobile: usize, cell: u32, fch_power: f64, ebi0_db: f64) -> DataUserMeasurement {
     DataUserMeasurement {
@@ -239,4 +239,76 @@ fn zero_priority_vs_high_priority_ordering() {
     std::mem::swap(&mut lo_pri, &mut hi_pri);
     let out2 = scheduler.schedule(LinkDir::Forward, &fwd, &rev, &[lo_pri, hi_pri]);
     assert!(out2.m[0] >= out2.m[1], "symmetry violated: {:?}", out2.m);
+}
+
+/// Every `f64` field of a report is finite.
+fn assert_report_finite(r: &SimReport, what: &str) {
+    for (name, v) in [
+        ("mean_delay_s", r.mean_delay_s),
+        ("p95_delay_s", r.p95_delay_s),
+        ("max_delay_s", r.max_delay_s),
+        ("mean_queue_delay_s", r.mean_queue_delay_s),
+        ("mean_setup_delay_s", r.mean_setup_delay_s),
+        ("throughput_kbps", r.throughput_kbps),
+        ("per_cell_throughput_kbps", r.per_cell_throughput_kbps),
+        ("per_user_throughput_kbps", r.per_user_throughput_kbps),
+        ("mean_grant_m", r.mean_grant_m),
+        ("mean_delta_beta", r.mean_delta_beta),
+        ("denial_rate", r.denial_rate),
+        ("outage_rate", r.outage_rate),
+    ] {
+        assert!(v.is_finite(), "{what}: {name} = {v}");
+    }
+}
+
+/// A named edit of a baseline configuration.
+type ConfigEdge = (&'static str, fn(&mut SimConfig));
+
+/// Configurations at the edges of what `SimConfig::validate` accepts run
+/// 50 frames at 1 and 2 frame threads with every report field finite; the
+/// value just past each rejected edge fails validation instead.
+#[test]
+fn edge_configs_run_with_finite_reports() {
+    // One ring: the smallest layout validation accepts.
+    let base = || {
+        let mut c = SimConfig::baseline();
+        c.rings = 1;
+        c.n_voice = 20;
+        c.n_data = 10;
+        c.traffic.mean_burst_bits = 20_000.0;
+        c.traffic.max_burst_bits = 60_000.0;
+        c.traffic.mean_reading_s = 0.3;
+        c.duration_s = 1.0;
+        c.warmup_s = 0.0;
+        c
+    };
+    let accepted: [ConfigEdge; 4] = [
+        ("n_data = 0", |c| c.n_data = 0),
+        ("n_voice = 0", |c| c.n_voice = 0),
+        // The largest f64 below 1.
+        ("csi_dropout_p = 1 - 2^-53", |c| {
+            c.mismatch.csi_dropout_p = 1.0 - f64::EPSILON / 2.0;
+        }),
+        ("candidate_k = n_cells", |c| {
+            c.candidate_k = HexLayout::new(c.rings, c.cell_radius_m).num_cells();
+        }),
+    ];
+    for (what, edit) in accepted {
+        let mut cfg = base();
+        edit(&mut cfg);
+        assert_eq!(cfg.n_frames(), 50);
+        for threads in [1, 2] {
+            let report = Simulation::new(cfg.with_frame_threads(threads)).run();
+            assert_report_finite(&report, &format!("{what} at {threads} frame threads"));
+        }
+    }
+    let rejected: [ConfigEdge; 2] = [
+        ("rings = 0", |c| c.rings = 0),
+        ("csi_dropout_p = 1", |c| c.mismatch.csi_dropout_p = 1.0),
+    ];
+    for (what, edit) in rejected {
+        let mut cfg = base();
+        edit(&mut cfg);
+        assert!(cfg.validate().is_err(), "{what} must fail validation");
+    }
 }

@@ -5,8 +5,9 @@
 //! thread count. These tests pin that invariant on the 12-cell paper-eval
 //! matrix, on campaign artefacts and decision traces, and on the
 //! finished-burst compaction path (frames completing several bursts at
-//! once).
+//! once); the delivered-bits summation order is pinned by a stored hash.
 
+use wcdma::sim::campaign::journal::fnv1a64;
 use wcdma::sim::campaign::{
     builtin, campaign_csv, campaign_json, run_spec, trace_campaign, RunOptions, Scenario,
 };
@@ -167,6 +168,52 @@ fn multi_burst_completion_frames_replicate_bit_identically() {
         assert_eq!(
             one, multi,
             "churn report differs at {threads} frame threads"
+        );
+    }
+}
+
+/// FNV-1a over `SimReport::encode_record` of [`delivery_cfg`]. The
+/// delivered-bits total is summed per 32-burst chunk of the active list,
+/// and each chunk's sum is added to the total in chunk order; any other
+/// association of that sum moves the throughput bits, and with them this
+/// hash.
+const GOLDEN_DELIVERY_HASH: u64 = 0x6c52_6f78_451f_8212;
+
+/// A short-burst web scenario whose active-burst list averages more than
+/// one 32-burst delivery chunk.
+fn delivery_cfg() -> SimConfig {
+    let mut c = SimConfig::baseline();
+    c.n_voice = 100;
+    c.n_data = 100;
+    c.traffic.mean_burst_bits = 20_000.0;
+    c.traffic.max_burst_bits = 60_000.0;
+    c.traffic.mean_reading_s = 0.3;
+    c.duration_s = 4.0;
+    c.warmup_s = 1.0;
+    c.seed = 0xDE11;
+    c
+}
+
+/// The delivered-bits summation association, pinned by value at every
+/// frame-thread count (CI also runs it on the scalar kernel backend).
+#[test]
+fn delivery_sum_reproduces_committed_golden_hash() {
+    let cfg = delivery_cfg();
+    let mut sim = Simulation::new(cfg.clone());
+    let multi_chunk = (0..cfg.n_frames()).any(|_| {
+        sim.step_frame();
+        sim.active_bursts() > 32
+    });
+    assert!(
+        multi_chunk,
+        "the active list must span several delivery chunks"
+    );
+    for threads in [1, 2, 4] {
+        let report = Simulation::new(cfg.with_frame_threads(threads)).run();
+        let hash = fnv1a64(report.encode_record().as_bytes());
+        assert_eq!(
+            hash, GOLDEN_DELIVERY_HASH,
+            "delivered-bits sum drifted at {threads} frame threads: hashed to {hash:#018x}"
         );
     }
 }

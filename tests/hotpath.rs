@@ -69,7 +69,7 @@ fn large_scenario_smoke() {
 /// (owned reports, SimReport equality), guarding the SoA refactor.
 #[test]
 fn same_seed_bit_identical_across_public_api() {
-    // Network level: loads and owned measurement reports.
+    // Network level: loads and measurement reports.
     let build = || {
         let mut net = Network::new(
             CdmaConfig::default_system(),
@@ -88,7 +88,11 @@ fn same_seed_bit_identical_across_public_api() {
     assert_eq!(a.forward_load_w(), b.forward_load_w());
     assert_eq!(a.reverse_load_w(), b.reverse_load_w());
     for &j in &a.data_mobiles() {
-        assert_eq!(a.measurement(j), b.measurement(j), "report of mobile {j}");
+        assert_eq!(
+            a.measurement_view(j),
+            b.measurement_view(j),
+            "report of mobile {j}"
+        );
         assert_eq!(a.fch_quality(j), b.fch_quality(j));
     }
 

@@ -1,6 +1,6 @@
 //! Warm-started scheduling is a pure optimisation: the scheduler's
-//! persistent per-direction workspaces and the recycled request scratch
-//! must never change a single bit of any run. These tests pin that invariant on the 12-cell paper-eval matrix —
+//! persistent per-direction workspaces must never change a single bit of
+//! any run. These tests pin that invariant on the 12-cell paper-eval matrix —
 //! full `SimReport` plus full per-frame `DecisionRecord` stream equality
 //! between warm (default) and cold (per-round reset) scheduling, and
 //! across `frame_threads` in both modes — and check the optimisation is

@@ -90,13 +90,11 @@ fn phy_geo_feed_cdma_and_math_feeds_ilp() {
 #[test]
 fn cdma_mac_ilp_feed_admission() {
     let net = warm_network(3, 3, 23);
-    let reports: Vec<_> = net
+    let refs: Vec<_> = net
         .data_mobiles()
         .iter()
-        .map(|&j| net.measurement(j))
+        .map(|&j| net.measurement_view(j))
         .collect();
-    // cdma → admission: owned reports adapt into borrowed views.
-    let refs: Vec<_> = reports.iter().map(|r| r.as_view()).collect();
 
     // cdma → admission: measurements → forward admissible region.
     let region: Region = forward_region(
