@@ -89,8 +89,40 @@ const MOBILE_CHUNK: usize = DEFAULT_CHUNK;
 
 /// Default candidate-list refresh cadence in frames (160 ms at the 20 ms
 /// frame): at paper speeds (≤ 100 km/h ≈ 0.56 m/frame) a mobile moves
-/// well under a hundredth of a cell radius between refreshes.
+/// well under a hundredth of a cell radius between refreshes. A cadence
+/// frame only *re-examines* a row: the movement-gap certificate (see
+/// [`CANDIDATE_SLACK_MARGIN_M`]) keeps every row whose top-K set provably
+/// cannot have changed, so most cadence frames cost no more than any other.
 const DEFAULT_CANDIDATE_REFRESH: u64 = 8;
+
+/// Safety margin (m) of the candidate-row movement-gap certificate.
+///
+/// A full selection stores the row's slack, `(d(K+1) − d(K)) / 2`, and
+/// every frame subtracts the mobile's displacement from it. The
+/// wrap-around distance is a minimum of Euclidean distances over site
+/// translations, so it is 1-Lipschitz in the mobile's position: while the
+/// slack stays positive every candidate is still strictly nearer than
+/// every non-candidate, and the top-K set (ties broken by cell id) cannot
+/// have changed. A cadence frame therefore keeps a row whose slack
+/// exceeds this margin and re-selects the rest. The margin only has to
+/// cover floating-point error: twice the distance kernel's (a few 1e-11 m
+/// at 217-cell coordinates) plus one rounding of at most 2⁻⁵³ of the
+/// slack per moving frame, which for a 1 km slack stays below it for
+/// some 9 million frames. A tie (gap 0) never skips.
+const CANDIDATE_SLACK_MARGIN_M: f64 = 1e-6;
+
+/// Per-mobile displacement bookkeeping, one entry per mobile.
+#[derive(Debug, Clone, Copy, Default)]
+struct Motion {
+    /// Displacement since the last step (m); drives shadowing
+    /// decorrelation and is reset every step.
+    moved_m: f64,
+    /// Movement-gap certificate of the candidate row (m): half the gap
+    /// between the (K+1)-th and K-th nearest distances at the last full
+    /// selection, less every displacement since (see
+    /// [`CANDIDATE_SLACK_MARGIN_M`]).
+    cand_slack_m: f64,
+}
 
 /// Kind of user occupying the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,7 +237,7 @@ pub struct Network {
 
     // ---- per-mobile scalar state (one Vec per field, indexed by mobile) ----
     pos: Vec<Point>,
-    moved_m: Vec<f64>,
+    motion: Vec<Motion>,
     kind: Vec<UserKind>,
     voice: Vec<Option<VoiceActivity>>,
     active_set: Vec<ActiveSet>,
@@ -266,6 +298,9 @@ pub struct Network {
     cand_refresh: u64,
     /// Frames stepped so far (drives the refresh cadence).
     frame_idx: u64,
+    /// Full top-K selections run so far (see
+    /// [`Network::candidate_selections`]).
+    cand_selections: u64,
 
     // ---- persistent per-frame scratch, one set per parallel chunk ----
     chunk_scratch: Vec<ChunkScratch>,
@@ -329,6 +364,8 @@ struct ChunkScratch {
     fwd_w: Vec<f64>,
     /// Partial reverse received power per cell, this chunk's mobiles only.
     rev_w: Vec<f64>,
+    /// Full top-K selections run by this chunk this frame.
+    selections: u64,
 }
 
 impl ChunkScratch {
@@ -347,6 +384,7 @@ impl ChunkScratch {
             leg_powers: vec![0.0; active_set_max],
             fwd_w: vec![0.0; n_cells],
             rev_w: vec![0.0; n_cells],
+            selections: 0,
         }
     }
 }
@@ -365,7 +403,7 @@ impl Network {
             n_cells: k,
             n_mobiles: 0,
             pos: Vec::new(),
-            moved_m: Vec::new(),
+            motion: Vec::new(),
             kind: Vec::new(),
             voice: Vec::new(),
             active_set: Vec::new(),
@@ -394,6 +432,7 @@ impl Network {
             cand_identity: true,
             cand_refresh: DEFAULT_CANDIDATE_REFRESH,
             frame_idx: 0,
+            cand_selections: 0,
             chunk_scratch: Vec::new(),
             fch_theta: cfg.fch_processing_gain(),
             base_fwd_w: base_fwd,
@@ -453,7 +492,13 @@ impl Network {
 
     /// Configures the per-mobile candidate cell lists: each mobile only
     /// evaluates its `k` nearest cells (wrap-around distance, ties by
-    /// lower cell id), re-selected every `refresh_frames` frames.
+    /// lower cell id), re-examined every `refresh_frames` frames. A
+    /// re-examination runs the full top-K selection only when the row's
+    /// movement-gap certificate has run out (the mobile may have moved
+    /// half the gap between its K-th and (K+1)-th nearest distances since
+    /// the last selection); otherwise the row provably cannot have changed
+    /// and is kept. Rows are therefore exactly those a full selection on
+    /// every cadence frame would produce.
     ///
     /// `k == 0` (the default) or `k >= num_cells` keeps every cell as a
     /// candidate: the list is the identity `[0, num_cells)` and results
@@ -497,6 +542,15 @@ impl Network {
     /// Candidate refresh cadence in frames.
     pub fn candidate_refresh(&self) -> usize {
         self.cand_refresh as usize
+    }
+
+    /// Full top-K candidate selections run since construction: one per
+    /// mobile on its first step, plus one per cadence re-examination the
+    /// movement-gap certificate did not cover. Identity lists (no
+    /// culling) never select. An exact work count, folded in chunk order,
+    /// so it is the same for every thread count.
+    pub fn candidate_selections(&self) -> u64 {
+        self.cand_selections
     }
 
     /// Stride of the forward-leg / reverse-pilot report tables.
@@ -567,6 +621,37 @@ impl Network {
         self.shadow_tpl.sigma_db()
     }
 
+    /// Reserves room for `additional` more mobiles in every per-mobile
+    /// table, each sized exactly once. Calling it before adding a known
+    /// population avoids the tables' repeated doubling, and with it a
+    /// peak of twice-sized buffers. Results do not depend on it.
+    pub fn reserve_mobiles(&mut self, additional: usize) {
+        let n = additional;
+        let k = self.n_cells;
+        let legs = n * self.leg_stride();
+        self.pos.reserve_exact(n);
+        self.motion.reserve_exact(n);
+        self.kind.reserve_exact(n);
+        self.voice.reserve_exact(n);
+        self.active_set.reserve_exact(n);
+        self.rev_fch_w.reserve_exact(n);
+        self.sch_grant.reserve_exact(n);
+        self.ebi0_fwd.reserve_exact(n);
+        self.ebi0_rev.reserve_exact(n);
+        self.fch_on.reserve_exact(n);
+        self.shadow.reserve_exact(n * k);
+        self.gains.reserve_exact(n * k);
+        self.pilots.reserve_exact(n * k);
+        self.fch_legs.reserve_exact(legs);
+        self.fch_leg_count.reserve_exact(n);
+        self.reduced.reserve_exact(n * self.red_stride());
+        self.reduced_count.reserve_exact(n);
+        self.rep_rev_pilot.reserve_exact(legs);
+        self.rep_fwd_pilot.reserve_exact(n * self.scrm_stride());
+        self.rep_fwd_count.reserve_exact(n);
+        self.cand.reserve_exact(n * self.cand_k);
+    }
+
     /// Adds a mobile at `pos` with the given speed (m/s; fast fading is
     /// handled analytically by the burst layer, so the speed no longer
     /// seeds any per-link state); returns its index.
@@ -599,7 +684,7 @@ impl Network {
             UserKind::Data => None,
         };
         self.pos.push(pos);
-        self.moved_m.push(0.0);
+        self.motion.push(Motion::default());
         self.kind.push(kind);
         self.voice.push(voice);
         self.active_set.push(ActiveSet::new());
@@ -658,7 +743,7 @@ impl Network {
     /// Moves mobile `j` to `pos` (records the displacement for shadowing
     /// decorrelation). Call before [`Network::step`].
     pub fn move_mobile(&mut self, j: usize, pos: Point) {
-        self.moved_m[j] += self.pos[j].dist(pos);
+        self.motion[j].moved_m += self.pos[j].dist(pos);
         self.pos[j] = pos;
     }
 
@@ -780,7 +865,7 @@ impl Network {
                 refresh_all: self.frame_idx % self.cand_refresh == 0,
             };
             let parts = StepParts {
-                moved_m: Partition::new(&mut self.moved_m, MOBILE_CHUNK),
+                motion: Partition::new(&mut self.motion, MOBILE_CHUNK),
                 voice: Partition::new(&mut self.voice, MOBILE_CHUNK),
                 active_set: Partition::new(&mut self.active_set, MOBILE_CHUNK),
                 rev_fch_w: Partition::new(&mut self.rev_fch_w, MOBILE_CHUNK),
@@ -819,6 +904,7 @@ impl Network {
             for (t, &p) in self.rev_total_w.iter_mut().zip(&s.rev_w) {
                 *t += p;
             }
+            self.cand_selections += s.selections;
         }
         // Forward budget clamp: flag and clamp overloaded cells.
         for (over, f) in self.overloaded.iter_mut().zip(&mut self.fwd_total_w) {
@@ -933,7 +1019,8 @@ struct StepShared<'a> {
     cand_k: usize,
     /// Candidate list is the identity `[0, k)` — skip top-K selection.
     cand_identity: bool,
-    /// Re-select every candidate row this frame (cadence hit).
+    /// Re-examine every candidate row this frame (cadence hit); rows the
+    /// movement-gap certificate still covers are kept.
     refresh_all: bool,
 }
 
@@ -941,7 +1028,7 @@ struct StepShared<'a> {
 /// chunks (per-cell and leg tables are partitioned at `MOBILE_CHUNK ×
 /// stride` elements so chunk `ci` of every field covers the same mobiles).
 struct StepParts<'a> {
-    moved_m: Partition<'a, f64>,
+    motion: Partition<'a, Motion>,
     voice: Partition<'a, Option<VoiceActivity>>,
     active_set: Partition<'a, ActiveSet>,
     rev_fch_w: Partition<'a, f64>,
@@ -974,7 +1061,7 @@ unsafe fn step_chunk(sh: &StepShared<'_>, parts: &StepParts<'_>, ci: usize) {
     let base = ci * MOBILE_CHUNK;
     let k = sh.k;
     // SAFETY: `ci` is exclusive per the function contract.
-    let moved_m = unsafe { parts.moved_m.chunk(ci) };
+    let motion = unsafe { parts.motion.chunk(ci) };
     let voice = unsafe { parts.voice.chunk(ci) };
     let active_set = unsafe { parts.active_set.chunk(ci) };
     let rev_fch_w = unsafe { parts.rev_fch_w.chunk(ci) };
@@ -998,16 +1085,18 @@ unsafe fn step_chunk(sh: &StepShared<'_>, parts: &StepParts<'_>, ci: usize) {
 
     scratch.fwd_w.fill(0.0);
     scratch.rev_w.fill(0.0);
-    for (lm, moved) in moved_m.iter_mut().enumerate() {
+    scratch.selections = 0;
+    for (lm, motion) in motion.iter_mut().enumerate() {
         let m = base + lm; // global mobile index (read-only tables)
         let row = lm * k;
         let cand_row = &mut cand[lm * kc..(lm + 1) * kc];
 
-        // Candidate cell list: refresh on the cadence (or on this
-        // mobile's first-ever step, flagged by the sentinel), otherwise
-        // just recompute distances to the standing candidates. Rows are
-        // stored ascending by cell id so the per-cell iteration order
-        // matches the unculled loop.
+        // Candidate cell list: select on this mobile's first-ever step
+        // (flagged by the sentinel) and on cadence frames the movement-gap
+        // certificate no longer covers; otherwise just recompute distances
+        // to the standing candidates. Rows are stored ascending by cell id
+        // so the per-cell iteration order matches the unculled loop.
+        motion.cand_slack_m -= motion.moved_m;
         if sh.cand_identity {
             if cand_row[0] == u32::MAX {
                 for (i, c) in cand_row.iter_mut().enumerate() {
@@ -1017,20 +1106,27 @@ unsafe fn step_chunk(sh: &StepShared<'_>, parts: &StepParts<'_>, ci: usize) {
             // Identity list: the batched all-cells kernel produces exactly
             // the values `distances_subset_into` would (pinned by test).
             sh.layout.distances_into(sh.pos[m], &mut scratch.cand_dist);
-        } else if sh.refresh_all || cand_row[0] == u32::MAX {
+        } else if cand_row[0] == u32::MAX
+            || (sh.refresh_all && motion.cand_slack_m <= CANDIDATE_SLACK_MARGIN_M)
+        {
             sh.layout.distances_into(sh.pos[m], &mut scratch.dist);
             for (c, (slot, &d)) in scratch.sel.iter_mut().zip(scratch.dist.iter()).enumerate() {
                 *slot = (d, c as u32);
             }
             // Total order — distances tie-break by cell id — so the
-            // selected top-K set is unique and sort-algorithm independent.
-            scratch
+            // selected top-K set is unique and algorithm independent. The
+            // partition leaves the top K in `top` and the (K+1)-th nearest
+            // at `next`: together they give the row's certificate.
+            let (top, next, _) = scratch
                 .sel
-                .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            for (slot, s) in cand_row.iter_mut().zip(scratch.sel.iter()) {
+                .select_nth_unstable_by(kc, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let d_k = top.iter().fold(0.0f64, |acc, s| acc.max(s.0));
+            motion.cand_slack_m = 0.5 * (next.0 - d_k);
+            for (slot, s) in cand_row.iter_mut().zip(top.iter()) {
                 *slot = s.1;
             }
             cand_row.sort_unstable();
+            scratch.selections += 1;
             for (d, &c) in scratch.cand_dist.iter_mut().zip(cand_row.iter()) {
                 *d = scratch.dist[c as usize];
             }
@@ -1047,7 +1143,7 @@ unsafe fn step_chunk(sh: &StepShared<'_>, parts: &StepParts<'_>, ci: usize) {
         // per-link rows carry only the 48-byte shadowing hot state. The
         // dB → linear conversion runs as one batched 4-lane exp over the
         // gathered excursions.
-        let shadow_rho = sh.shadow_tpl.rho(*moved, sh.dt);
+        let shadow_rho = sh.shadow_tpl.rho(motion.moved_m, sh.dt);
         let innov_scale = sh.shadow_tpl.innovation_scale(shadow_rho);
         for (db, &c) in scratch.sh_db.iter_mut().zip(cand_row.iter()) {
             let st = &mut shadow[row + c as usize];
@@ -1060,7 +1156,7 @@ unsafe fn step_chunk(sh: &StepShared<'_>, parts: &StepParts<'_>, ci: usize) {
             scratch.cand_gain[i] = g;
             gains[row + c as usize] = g;
         }
-        *moved = 0.0;
+        motion.moved_m = 0.0;
 
         // Pilot measurement against last frame's forward powers: gather
         // the candidate loads, one lane-folded dot for total-rx, then the
@@ -1437,7 +1533,9 @@ mod tests {
     }
 
     /// Builds a populated 7-cell network with the given candidate
-    /// configuration and steps it (grants in play from frame 5).
+    /// configuration and steps it (grants in play from frame 5). Every
+    /// mobile takes a random step of up to 40 m per axis each frame, so
+    /// candidate rows change along the way.
     fn candidate_net(k: usize, refresh: usize, threads: usize, frames: usize) -> Network {
         let cfg = CdmaConfig::default_system();
         let mut net = Network::new(cfg, HexLayout::new(1, 1000.0), 311);
@@ -1446,6 +1544,11 @@ mod tests {
         net.set_candidates(k, refresh);
         net.set_frame_threads(threads);
         for f in 0..frames {
+            for j in 0..net.num_mobiles() {
+                let p = net.mobile_position(j);
+                let step = Point::new(rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0));
+                net.move_mobile(j, Point::new(p.x + step.x, p.y + step.y));
+            }
             if f == 5 {
                 net.set_grant(
                     net.data_mobiles()[0],
@@ -1493,9 +1596,162 @@ mod tests {
         // refresh and all lane-folded sums are chunk-local, so any thread
         // count reproduces the single-thread run bit for bit.
         let one = candidate_net(4, 8, 1, 25);
+        assert!(
+            one.candidate_selections() > one.num_mobiles() as u64,
+            "moving mobiles must re-select some rows after their first step"
+        );
         for threads in [2, 4, 5] {
             let nt = candidate_net(4, 8, threads, 25);
             assert_nets_bit_identical(&one, &nt, "culled, threads");
+            assert_eq!(one.cand, nt.cand, "{threads} threads: candidate rows");
+            assert_eq!(
+                one.candidate_selections(),
+                nt.candidate_selections(),
+                "{threads} threads: selection count"
+            );
+        }
+    }
+
+    /// The top-K rows by brute force: every wrap-around distance, fully
+    /// sorted under the `(distance, id)` order, first `k` ids ascending.
+    fn brute_force_top_k(layout: &HexLayout, p: Point, k: usize) -> Vec<u32> {
+        let mut dist = vec![0.0; layout.num_cells()];
+        layout.distances_into(p, &mut dist);
+        let mut order: Vec<(f64, u32)> = dist
+            .iter()
+            .enumerate()
+            .map(|(c, &d)| (d, c as u32))
+            .collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut top: Vec<u32> = order[..k].iter().map(|s| s.1).collect();
+        top.sort_unstable();
+        top
+    }
+
+    /// One frame of motion for mobile `j` at `p` in the certificate
+    /// scenario (`None` = stays put). Every 4th mobile is stationary;
+    /// every 7th jumps across the cluster by a wrap lattice vector now and
+    /// then; the rest take log-uniform steps of 0.2–800 m and are wrapped
+    /// back by the lattice vector facing the escape if they leave.
+    fn certificate_move(
+        j: usize,
+        f: usize,
+        p: Point,
+        lattice: &[Point],
+        rng: &mut Xoshiro256pp,
+    ) -> Option<Point> {
+        if j % 4 == 0 {
+            return None;
+        }
+        if j % 7 == 0 && f % 5 == 2 {
+            let t = lattice[(j + f) % lattice.len()];
+            return Some(Point::new(p.x - t.x, p.y - t.y));
+        }
+        let len = rng.uniform(0.2f64.ln(), 800f64.ln()).exp();
+        let ang = rng.uniform(0.0, 2.0 * std::f64::consts::PI);
+        let q = Point::new(p.x + len * ang.cos(), p.y + len * ang.sin());
+        if q.x.hypot(q.y) <= 3000.0 {
+            return Some(q);
+        }
+        let facing = |t: &&Point| t.x * q.x + t.y * q.y;
+        let t = lattice
+            .iter()
+            .max_by(|a, b| facing(a).total_cmp(&facing(b)))
+            .expect("six lattice vectors");
+        Some(Point::new(q.x - t.x, q.y - t.y))
+    }
+
+    /// Steps 600 moving mobiles on the 7-cell layout for 24 frames with
+    /// the given candidate configuration, checking every row against
+    /// [`brute_force_top_k`] after each cadence step. On even frames
+    /// mobile 0 sits exactly halfway between sites 0 and 1 (halving is
+    /// exact), a gap of 0 at K = 1; on odd frames it sits 0.1 µm nearer
+    /// site 1, which then wins. Returns the final rows and selection count.
+    fn certificate_scenario(k: usize, cadence: usize, threads: usize) -> (Vec<u32>, u64) {
+        let radius = 1000.0;
+        let layout = HexLayout::new(1, radius);
+        // The 1-ring cluster's wrap lattice: span 3·√3·R at 30° + i·60°.
+        let span = 3.0 * 3f64.sqrt() * radius;
+        let lattice: Vec<Point> = (0..6)
+            .map(|i| {
+                let ang = std::f64::consts::PI / 6.0 * (2 * i + 1) as f64;
+                Point::new(span * ang.cos(), span * ang.sin())
+            })
+            .collect();
+        let what = format!("K = {k}, cadence {cadence}, {threads} threads");
+        let mut net = Network::new(CdmaConfig::default_system(), layout.clone(), 5);
+        let mut rng = Xoshiro256pp::new(0x5EED);
+        let s1 = layout.site(CellId(1));
+        let tie = Point::new(0.5 * s1.x, 0.5 * s1.y);
+        let nudge = 1e-7 / s1.x.hypot(s1.y);
+        let nudged = Point::new(tie.x + nudge * s1.x, tie.y + nudge * s1.y);
+        net.add_mobile(UserKind::Data, tie, 0.0);
+        // Three chunks, the last one partial.
+        for j in 1..600 {
+            let p = Point::new(rng.uniform(-2500.0, 2500.0), rng.uniform(-2500.0, 2500.0));
+            let kind = if j % 5 == 0 {
+                UserKind::Data
+            } else {
+                UserKind::Voice
+            };
+            net.add_mobile(kind, p, 0.0);
+        }
+        net.set_candidates(k, cadence);
+        net.set_frame_threads(threads);
+        let n = net.num_mobiles() as u64;
+        let (mut kept, mut reselected) = (0u64, 0u64);
+        for f in 0..24 {
+            net.move_mobile(0, if f % 2 == 0 { tie } else { nudged });
+            for j in 1..net.num_mobiles() {
+                let p = net.mobile_position(j);
+                if let Some(to) = certificate_move(j, f, p, &lattice, &mut rng) {
+                    net.move_mobile(j, to);
+                }
+            }
+            let cadence_frame = f % cadence == 0;
+            let before = net.candidate_selections();
+            net.step(0.02);
+            let selected = net.candidate_selections() - before;
+            if !cadence_frame {
+                assert_eq!(selected, 0, "{what}: off-cadence frames never select");
+                continue;
+            }
+            if f == 0 {
+                assert_eq!(selected, n, "{what}: the first step selects every row");
+            } else {
+                reselected += selected;
+                kept += n - selected;
+            }
+            for j in 0..net.num_mobiles() {
+                assert_eq!(
+                    net.cand[j * k..(j + 1) * k],
+                    brute_force_top_k(&layout, net.mobile_position(j), k)[..],
+                    "{what}, frame {f}, mobile {j}"
+                );
+            }
+        }
+        assert!(kept > 0, "{what}: the certificate must keep some rows");
+        assert!(reselected > 0, "{what}: some rows must be re-selected");
+        (net.cand.clone(), net.candidate_selections())
+    }
+
+    #[test]
+    fn certified_candidate_rows_match_brute_force_top_k() {
+        // The movement-gap certificate may keep a row only when its top-K
+        // set cannot have changed: after every cadence step each row must
+        // equal a full re-selection, for any K, cadence, and thread count.
+        // K = 1, a middle K, and n − 1 of the 7 cells.
+        for k in [1, 4, 6] {
+            for cadence in [1, 3, 8] {
+                let one = certificate_scenario(k, cadence, 1);
+                for threads in [2, 4] {
+                    assert_eq!(
+                        one,
+                        certificate_scenario(k, cadence, threads),
+                        "K = {k}, cadence {cadence}: {threads} threads"
+                    );
+                }
+            }
         }
     }
 

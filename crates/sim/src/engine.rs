@@ -135,6 +135,11 @@ impl Simulation {
         if cfg.cold_sched {
             scheduler.set_mode(SolveMode::Cold);
         }
+        // Candidate cell lists: 0 = every cell (exact, the default). Set
+        // before placement so the per-mobile tables below are sized once,
+        // at their final stride.
+        net.set_candidates(cfg.candidate_k, cfg.candidate_refresh);
+        net.reserve_mobiles(cfg.n_voice + cfg.n_data);
         let mut placement_rng = Xoshiro256pp::substream(cfg.seed, 0x9_1ACE);
         // Uniform scenarios keep the historical round-robin placement (and
         // its exact RNG consumption); hotspot scenarios overload cell 0.
@@ -182,8 +187,6 @@ impl Simulation {
         // One persistent worker pool serves the network and mobility
         // loops; 1 thread degenerates to inline loops.
         net.set_frame_threads(cfg.frame_threads);
-        // Candidate cell lists: 0 = every cell (exact, the default).
-        net.set_candidates(cfg.candidate_k, cfg.candidate_refresh);
         let ideal_csi = cfg.csi_error_sigma_db == 0.0
             && cfg.csi_delay_frames == 0
             && cfg.mismatch.csi_dropout_p == 0.0;

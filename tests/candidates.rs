@@ -13,8 +13,9 @@
 //! - Invalid knob combinations are rejected by `SimConfig::validate`.
 
 use wcdma::math::mix_seed;
+use wcdma::sim::campaign::journal::fnv1a64;
 use wcdma::sim::campaign::{
-    run_spec, sched_stats_campaign, trace_campaign, RunOptions, ScenarioSpec,
+    campaign_trace_csv, run_spec, sched_stats_campaign, trace_campaign, RunOptions, ScenarioSpec,
 };
 use wcdma::sim::{run_with_trace, SimConfig, Simulation};
 
@@ -134,6 +135,53 @@ fn campaign_trace_and_sched_stats_rerun_the_culled_replication() {
     assert!(run_spec(&spec, &bad).is_err());
     assert!(trace_campaign(&spec, &bad).is_err());
     assert!(sched_stats_campaign(&spec, &bad).is_err());
+}
+
+/// FNV-1a over [`moving_culled_cfg`]'s `SimReport::encode_record` followed
+/// by its decision trace (`campaign_trace_csv`). Recorded while every
+/// cadence frame still re-selected every candidate row from scratch, so it
+/// pins that refresh skipping (the movement-gap certificate) leaves every
+/// candidate row — and so every bit — unchanged.
+const GOLDEN_CULLED_MOTION_HASH: u64 = 0x96bc_ae7d_b7a4_ad6a;
+
+/// A culled 19-cell scenario whose mobiles move at vehicular speed, with a
+/// short refresh cadence: candidate rows are re-examined every other
+/// frame while mobiles cross cell borders.
+fn moving_culled_cfg() -> SimConfig {
+    let mut c = cfg().with_speed_kmh(120.0).with_candidates(4, 2);
+    c.rings = 2;
+    c
+}
+
+#[test]
+fn moving_culled_run_reproduces_committed_golden_hash() {
+    // The scenario exercises both sides of the certificate: some rows are
+    // re-selected after the first step, and most cadence examinations
+    // keep theirs.
+    let cfg = moving_culled_cfg();
+    let mut sim = Simulation::new(cfg.clone());
+    for _ in 0..cfg.n_frames() {
+        sim.step_frame();
+    }
+    let net = sim.network();
+    let mobiles = net.num_mobiles() as u64;
+    let examinations = mobiles * cfg.n_frames().div_ceil(cfg.candidate_refresh) as u64;
+    let selections = net.candidate_selections();
+    assert!(
+        selections > mobiles && selections < examinations / 2,
+        "{selections} selections of {examinations} examinations"
+    );
+    for threads in [1, 4] {
+        let (report, trace) = run_with_trace(moving_culled_cfg().with_frame_threads(threads));
+        assert!(!trace.is_empty(), "scenario must make decisions");
+        let mut bytes = report.encode_record().into_bytes();
+        bytes.extend_from_slice(campaign_trace_csv(&[("culled-motion".into(), trace)]).as_bytes());
+        let hash = fnv1a64(&bytes);
+        assert_eq!(
+            hash, GOLDEN_CULLED_MOTION_HASH,
+            "culled run under motion drifted at {threads} frame threads: hashed to {hash:#018x}"
+        );
+    }
 }
 
 /// The validation rules for the candidate knobs.
