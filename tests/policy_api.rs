@@ -6,6 +6,11 @@
 //!   The hash was taken while the closed `Policy` enum still existed and
 //!   a test checked these same runs against it decision for decision, so
 //!   it carries that equality forward.
+//! * **Registry and mismatch golden** — the same hash over the first
+//!   replication of every `policy-comparison` cell (every registry
+//!   policy) and every `model-mismatch` cell (the faults drive
+//!   `measured-region`'s η and `graceful-degradation`'s ladder), so the
+//!   policies the paper-eval matrix does not name are pinned too.
 //! * **Open registry end-to-end** — the two adaptive-CAC additions
 //!   (weighted fair share, threshold reservation) run through a TOML
 //!   policy axis exactly the way a user would write one.
@@ -23,22 +28,25 @@ use wcdma::sim::SimConfig;
 /// `campaign_trace_csv`.
 const GOLDEN_POLICY_HASH: u64 = 0xd6a8_aea8_b02c_cab9;
 
-/// The paper-eval acceptance matrix (3 mixes × 2 speeds × 2 policies),
-/// shrunk to a few simulated seconds per cell.
-fn paper_eval_quick() -> ScenarioSpec {
-    let mut spec = builtin("paper-eval").expect("built-in campaign");
+/// [`first_replication_hash`] over the `policy-comparison` and
+/// `model-mismatch` built-ins, in that order.
+const GOLDEN_REGISTRY_MISMATCH_HASH: u64 = 0xbb7a_d732_bc69_fce8;
+
+/// A built-in campaign shrunk to a few simulated seconds per cell and one
+/// replication.
+fn quick_builtin(name: &str) -> ScenarioSpec {
+    let mut spec = builtin(name).expect("built-in campaign");
     spec.duration_s = 4.0;
     spec.warmup_s = 1.0;
     spec.replications = 1;
     spec
 }
 
-#[test]
-fn registry_policies_reproduce_the_paper_eval_golden_hash() {
-    let scenarios = paper_eval_quick().expand().expect("valid spec");
-    assert_eq!(scenarios.len(), 12, "the full acceptance matrix");
-    let mut bytes = Vec::new();
-    for sc in scenarios {
+/// Appends every cell's first replication, in expansion order, to
+/// `bytes`: `SimReport::encode_record` then the cell's
+/// `campaign_trace_csv`.
+fn hash_first_replications(spec: &ScenarioSpec, bytes: &mut Vec<u8>) {
+    for sc in spec.expand().expect("valid spec") {
         // Replication-0 seed, exactly as the campaign runner derives it.
         let cfg = sc.cfg.with_seed(wcdma::math::mix_seed(sc.cfg.seed, 1));
         let (report, trace) = run_with_trace(cfg);
@@ -50,10 +58,40 @@ fn registry_policies_reproduce_the_paper_eval_golden_hash() {
         bytes.extend_from_slice(report.encode_record().as_bytes());
         bytes.extend_from_slice(campaign_trace_csv(&[(sc.label, trace)]).as_bytes());
     }
-    let hash = fnv1a64(&bytes);
+}
+
+/// FNV-1a of [`hash_first_replications`] over the named built-ins.
+fn first_replication_hash(names: &[&str]) -> u64 {
+    let mut bytes = Vec::new();
+    for name in names {
+        hash_first_replications(&quick_builtin(name), &mut bytes);
+    }
+    fnv1a64(&bytes)
+}
+
+#[test]
+fn registry_policies_reproduce_the_paper_eval_golden_hash() {
+    assert_eq!(
+        quick_builtin("paper-eval").n_scenarios(),
+        12,
+        "the full acceptance matrix"
+    );
+    let hash = first_replication_hash(&["paper-eval"]);
     assert_eq!(
         hash, GOLDEN_POLICY_HASH,
         "paper-eval policy decisions drifted: hashed to {hash:#018x}"
+    );
+}
+
+#[test]
+fn every_registry_policy_reproduces_the_registry_and_mismatch_golden_hash() {
+    let comparison = quick_builtin("policy-comparison");
+    let names = PolicyRegistry::standard().names();
+    assert_eq!(comparison.policies, names, "covers the whole registry");
+    let hash = first_replication_hash(&["policy-comparison", "model-mismatch"]);
+    assert_eq!(
+        hash, GOLDEN_REGISTRY_MISMATCH_HASH,
+        "registry or mismatch policy decisions drifted: hashed to {hash:#018x}"
     );
 }
 
