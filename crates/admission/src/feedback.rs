@@ -16,7 +16,7 @@
 //! a window of `window_frames` frames closes, incrementing
 //! [`QosFeedback::seq`]. Between window boundaries the feedback bits never
 //! change, so a policy adapting once per `seq` step makes the same
-//! decisions however its rounds are solved (warm/cold bit-identity).
+//! decisions however many rounds it is asked to solve in a window.
 //! Everything is integer accumulation and one `u64 → f64` division per
 //! window — no RNG, no order sensitivity.
 

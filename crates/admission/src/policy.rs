@@ -9,7 +9,8 @@
 //! ([`crate::Scheduler`]) computes everything a policy could want — the
 //! admissible [`Region`], per-request δβ̄, the eq.-24 grant bounds, waiting
 //! times and priorities — packages it into a [`PolicyContext`], and asks an
-//! [`AdmissionPolicy`] object for a [`PolicyDecision`]. Policies never
+//! [`AdmissionPolicy`] object to write its decision into a
+//! [`PolicyScratch`]. Policies never
 //! touch the measurement sub-layer directly, so a new policy is a single
 //! struct plus (optionally) a [`crate::registry::PolicyRegistry`] entry
 //! that makes it addressable from campaign spec files and the `wcdma`
@@ -17,13 +18,14 @@
 //!
 //! # Writing your own policy
 //!
-//! Implement [`AdmissionPolicy`] for a struct. The contract: return one
-//! grant per request (`m.len() == ctx.requests.len()`, `0` = reject), stay
-//! inside `ctx.region` and within the per-request `ctx.bounds`.
+//! Implement [`AdmissionPolicy`] for a struct. The contract: write one
+//! grant per request into `out.m` (`m.len() == ctx.requests.len()`, `0` =
+//! reject), stay inside `ctx.region` and within the per-request
+//! `ctx.bounds`, and set `out.objective_value` and `out.optimal`.
 //!
 //! ```
 //! use wcdma_admission::policy::{
-//!     rate_value, AdmissionPolicy, BoxedPolicy, PolicyContext, PolicyDecision,
+//!     rate_value, AdmissionPolicy, BoxedPolicy, PolicyContext, PolicyScratch,
 //! };
 //! use wcdma_admission::{Scheduler, SchedulerConfig};
 //!
@@ -36,24 +38,22 @@
 //!         "one-each"
 //!     }
 //!
-//!     fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
-//!         let mut m = vec![0u32; ctx.requests.len()];
+//!     fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
+//!         let m = &mut out.m;
+//!         m.clear();
+//!         m.resize(ctx.requests.len(), 0);
 //!         for j in 0..m.len() {
 //!             let (lo, hi) = ctx.bounds[j];
 //!             if hi < lo {
 //!                 continue; // channel in outage — not grantable
 //!             }
 //!             m[j] = 1;
-//!             if !ctx.region.admits(&m) {
+//!             if !ctx.region.admits(m) {
 //!                 m[j] = 0; // would overload a cell — roll back
 //!             }
 //!         }
-//!         let objective_value = rate_value(&m, ctx.delta_beta);
-//!         PolicyDecision {
-//!             m,
-//!             objective_value,
-//!             optimal: true,
-//!         }
+//!         out.objective_value = rate_value(&out.m, ctx.delta_beta);
+//!         out.optimal = true;
 //!     }
 //!
 //!     fn clone_box(&self) -> BoxedPolicy {
@@ -112,9 +112,14 @@ pub struct PolicyContext<'a> {
     pub feedback: &'a QosFeedback,
 }
 
-/// What a policy decided for one scheduling round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyDecision {
+/// What a policy decided for one scheduling round, in decision buffers the
+/// scheduler owns (one per link direction): the grant vector, its
+/// objective value and optimality flag, plus solver state ([`Problem`]
+/// shell and branch-and-bound workspace) that solver-backed
+/// [`AdmissionPolicy::decide`] implementations reuse so a warm scheduling
+/// round allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct PolicyScratch {
     /// Grant vector aligned with the request order (`0` = reject). Must
     /// satisfy the region and the per-request bounds.
     pub m: Vec<u32>,
@@ -124,21 +129,6 @@ pub struct PolicyDecision {
     /// Whether the decision is provably optimal for the policy's own
     /// objective (heuristics report `true`; the exact solver reports
     /// `false` when its node budget ran out).
-    pub optimal: bool,
-}
-
-/// Reusable decision buffers owned by the scheduler, one per link
-/// direction: the grant vector the policy writes into, plus solver state
-/// ([`Problem`] shell and branch-and-bound workspace) that
-/// [`AdmissionPolicy::decide_into`] implementations may reuse so a warm
-/// scheduling round allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct PolicyScratch {
-    /// Grant vector output aligned with the request order (`0` = reject).
-    pub m: Vec<u32>,
-    /// The objective value the policy assigns to its own decision.
-    pub objective_value: f64,
-    /// Whether the decision is provably optimal for the policy's objective.
     pub optimal: bool,
     /// Reusable ILP shell for solver-backed policies.
     problem: Problem,
@@ -151,16 +141,6 @@ impl PolicyScratch {
     /// (feeds the scheduler's `SchedStats::bb_nodes`).
     pub fn bb_total_nodes(&self) -> u64 {
         self.bb.total_nodes()
-    }
-
-    /// The decision held in the output fields, for `decide` implementations
-    /// that run `decide_into` on a fresh scratch.
-    fn into_decision(self) -> PolicyDecision {
-        PolicyDecision {
-            m: self.m,
-            objective_value: self.objective_value,
-            optimal: self.optimal,
-        }
     }
 }
 
@@ -189,21 +169,12 @@ pub trait AdmissionPolicy: std::fmt::Debug + Send + Sync {
         self.name().to_string()
     }
 
-    /// Decides the grants for one scheduling round.
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision;
-
-    /// Decides the grants for one scheduling round into caller-owned
-    /// buffers. The default wraps [`decide`](Self::decide); solver-backed
-    /// policies override it to reuse `out`'s problem shell and workspace so
-    /// a warm round allocates nothing. Must produce the same decision as
-    /// `decide` for the same context.
-    fn decide_into(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
-        let d = self.decide(ctx);
-        out.m.clear();
-        out.m.extend_from_slice(&d.m);
-        out.objective_value = d.objective_value;
-        out.optimal = d.optimal;
-    }
+    /// Decides the grants for one scheduling round into `out`. Must set
+    /// all of `m`, `objective_value` and `optimal`: the scratch persists
+    /// across rounds and still holds the previous decision. Solver-backed
+    /// policies reuse `out`'s problem shell and workspace so a warm round
+    /// allocates nothing.
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch);
 
     /// Whether the policy reads [`PolicyContext::feedback`]. The simulation
     /// runs its QoS monitor and publishes windowed feedback to the
@@ -239,6 +210,14 @@ pub fn rate_value(m: &[u32], delta_beta: &[f64]) -> f64 {
         .zip(delta_beta)
         .map(|(&mj, &db)| mj as f64 * db)
         .sum()
+}
+
+/// Writes a heuristic's grant vector into `out`, valued at its raw rate
+/// ([`rate_value`]) and reported as optimal.
+fn set_rate_decision(out: &mut PolicyScratch, m: Vec<u32>, delta_beta: &[f64]) {
+    out.objective_value = rate_value(&m, delta_beta);
+    out.optimal = true;
+    out.m = m;
 }
 
 /// FCFS filling shared by [`Fcfs`] and [`ThresholdReservation`]: serve
@@ -392,13 +371,7 @@ impl AdmissionPolicy for JabaSd {
         }
     }
 
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
-        let mut out = PolicyScratch::default();
-        self.decide_into(ctx, &mut out);
-        out.into_decision()
-    }
-
-    fn decide_into(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
         self.solve_scaled(ctx, 1.0, out);
     }
 
@@ -462,7 +435,7 @@ impl AdmissionPolicy for Fcfs {
         }
     }
 
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
         let m = fcfs_fill(
             ctx.region,
             ctx.region.b.clone(),
@@ -470,12 +443,7 @@ impl AdmissionPolicy for Fcfs {
             ctx.bounds,
             self.max_concurrent,
         );
-        let objective_value = rate_value(&m, ctx.delta_beta);
-        PolicyDecision {
-            m,
-            objective_value,
-            optimal: true,
-        }
+        set_rate_decision(out, m, ctx.delta_beta);
     }
 
     fn clone_box(&self) -> BoxedPolicy {
@@ -498,7 +466,7 @@ impl AdmissionPolicy for EqualShare {
         "largest common m admissible for every pending request".into()
     }
 
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
         let n = ctx.bounds.len();
         let m_max = ctx.cfg.spreading.max_gain_ratio;
         let mut best = vec![0u32; n];
@@ -514,12 +482,7 @@ impl AdmissionPolicy for EqualShare {
                 break;
             }
         }
-        let objective_value = rate_value(&best, ctx.delta_beta);
-        PolicyDecision {
-            m: best,
-            objective_value,
-            optimal: true,
-        }
+        set_rate_decision(out, best, ctx.delta_beta);
     }
 
     fn clone_box(&self) -> BoxedPolicy {
@@ -593,7 +556,7 @@ impl AdmissionPolicy for WeightedFairShare {
         )
     }
 
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
         let n = ctx.requests.len();
         let weights: Vec<f64> = ctx
             .requests
@@ -635,12 +598,7 @@ impl AdmissionPolicy for WeightedFairShare {
                 saturated[j] = true;
             }
         }
-        let objective_value = rate_value(&m, ctx.delta_beta);
-        PolicyDecision {
-            m,
-            objective_value,
-            optimal: true,
-        }
+        set_rate_decision(out, m, ctx.delta_beta);
     }
 
     fn clone_box(&self) -> BoxedPolicy {
@@ -689,7 +647,7 @@ impl AdmissionPolicy for ThresholdReservation {
         )
     }
 
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
         let reduced: Vec<f64> = ctx
             .region
             .b
@@ -697,12 +655,7 @@ impl AdmissionPolicy for ThresholdReservation {
             .map(|&bk| bk * (1.0 - self.margin))
             .collect();
         let m = fcfs_fill(ctx.region, reduced, ctx.requests, ctx.bounds, None);
-        let objective_value = rate_value(&m, ctx.delta_beta);
-        PolicyDecision {
-            m,
-            objective_value,
-            optimal: true,
-        }
+        set_rate_decision(out, m, ctx.delta_beta);
     }
 
     fn clone_box(&self) -> BoxedPolicy {
@@ -835,13 +788,7 @@ impl AdmissionPolicy for MeasuredRegion {
         )
     }
 
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
-        let mut out = PolicyScratch::default();
-        self.decide_into(ctx, &mut out);
-        out.into_decision()
-    }
-
-    fn decide_into(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
         // η ≤ 1, so every solution also satisfies the unscaled region and
         // the scheduler's admissibility contract holds by construction.
         let eta = self.adapt(ctx);
@@ -943,7 +890,7 @@ impl AdmissionPolicy for GracefulDegradation {
         )
     }
 
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
         let level = self.adapt(ctx);
         let n = ctx.requests.len();
         let m = match level {
@@ -962,12 +909,7 @@ impl AdmissionPolicy for GracefulDegradation {
             }
             _ => vec![0u32; n],
         };
-        let objective_value = rate_value(&m, ctx.delta_beta);
-        PolicyDecision {
-            m,
-            objective_value,
-            optimal: true,
-        }
+        set_rate_decision(out, m, ctx.delta_beta);
     }
 
     fn uses_feedback(&self) -> bool {

@@ -139,18 +139,6 @@ pub struct SchedStats {
     pub bb_nodes: u64,
 }
 
-/// Whether the scheduler reuses its per-direction workspaces across rounds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SolveMode {
-    /// Reuse the per-direction workspace buffers (the default).
-    #[default]
-    Warm,
-    /// Reset the workspace before every round — the pre-warm-start
-    /// behaviour (fresh allocations, every round solved from scratch).
-    /// The reference mode for bit-identity and speedup comparisons.
-    Cold,
-}
-
 /// Per-direction persistent scheduling state: the outcome buffer (whose
 /// region and δβ̄ column are built in place and lent to the policy), the
 /// region's row pool, the bounds column, and the policy scratch.
@@ -205,19 +193,16 @@ fn grant_bounds_for(cfg: &SchedulerConfig, size_bits: f64, delta_beta: f64) -> (
 /// inputs (region, δβ̄, bounds) and delegates the grant decision to its
 /// [`AdmissionPolicy`](crate::policy::AdmissionPolicy) object.
 ///
-/// The scheduler owns one persistent workspace per link direction. In the
-/// default [`SolveMode::Warm`] a steady-state round allocates nothing: the
-/// region is rebuilt into pooled rows, δβ̄/bounds fill reusable columns, and
-/// the policy writes into a persistent [`PolicyScratch`]. Every round runs
-/// the policy. [`SolveMode::Cold`] resets the workspace every round, giving
-/// the pre-warm-start reference behaviour; both modes produce bit-identical
-/// outcomes because every code path runs the same arithmetic on the same
-/// values — reuse only changes where the buffers come from.
+/// The scheduler owns one persistent workspace per link direction, so a
+/// steady-state round allocates nothing: the region is rebuilt into pooled
+/// rows, δβ̄/bounds fill reusable columns, and the policy writes into a
+/// persistent [`PolicyScratch`]. Every round runs the policy, and reuse
+/// only changes where the buffers come from: a round's outcome is the one
+/// a freshly created scheduler would produce.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     cfg: SchedulerConfig,
     policy: BoxedPolicy,
-    mode: SolveMode,
     fwd_ws: SchedWorkspace,
     rev_ws: SchedWorkspace,
     stats: SchedStats,
@@ -233,7 +218,6 @@ impl Scheduler {
         Self {
             cfg,
             policy,
-            mode: SolveMode::Warm,
             fwd_ws: SchedWorkspace::default(),
             rev_ws: SchedWorkspace::default(),
             stats: SchedStats::default(),
@@ -249,16 +233,6 @@ impl Scheduler {
     /// The policy object.
     pub fn policy(&self) -> &dyn crate::policy::AdmissionPolicy {
         self.policy.as_ref()
-    }
-
-    /// The workspace reuse mode.
-    pub fn mode(&self) -> SolveMode {
-        self.mode
-    }
-
-    /// Sets the workspace reuse mode (takes effect from the next round).
-    pub fn set_mode(&mut self, mode: SolveMode) {
-        self.mode = mode;
     }
 
     /// Cumulative scheduling statistics since creation (or the last
@@ -314,7 +288,6 @@ impl Scheduler {
         let Scheduler {
             cfg,
             policy,
-            mode,
             fwd_ws,
             rev_ws,
             stats,
@@ -324,10 +297,6 @@ impl Scheduler {
             LinkDir::Forward => fwd_ws,
             LinkDir::Reverse => rev_ws,
         };
-        if *mode == SolveMode::Cold {
-            // Reference behaviour: every round starts from fresh buffers.
-            *ws = SchedWorkspace::default();
-        }
         stats.rounds += 1;
         ws.rounds += 1;
         let n = requests.len();
@@ -372,7 +341,7 @@ impl Scheduler {
         ws.cap_rows = ws.cap_rows.max(out.region.b.len());
 
         let nodes_before = ws.scratch.bb_total_nodes();
-        policy.decide_into(
+        policy.decide(
             &PolicyContext {
                 dir,
                 region: &out.region,
@@ -727,15 +696,9 @@ mod tests {
             fn name(&self) -> &'static str {
                 "broken"
             }
-            fn decide(
-                &mut self,
-                _ctx: &crate::policy::PolicyContext<'_>,
-            ) -> crate::policy::PolicyDecision {
-                crate::policy::PolicyDecision {
-                    m: vec![1; 99],
-                    objective_value: 0.0,
-                    optimal: true,
-                }
+            fn decide(&mut self, _ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
+                out.m.clear();
+                out.m.resize(99, 1);
             }
             fn clone_box(&self) -> BoxedPolicy {
                 Box::new(self.clone())
@@ -755,8 +718,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_and_cold_modes_are_bit_identical() {
+    fn warm_rounds_match_a_fresh_scheduler() {
         let (fwd, rev) = loads(2, 12.0);
+        // Shrinking then growing rounds, so the warm workspaces are both
+        // re-entered under capacity and grown.
         let rounds: Vec<Vec<ReqSpec>> = vec![
             vec![
                 req(0, 0, 0.2, 10.0, 1e6, 0.1),
@@ -775,34 +740,21 @@ mod tests {
             ],
         ];
         let mut warm = sched(JabaSd::default_j2());
-        let mut cold = sched(JabaSd::default_j2());
-        cold.set_mode(SolveMode::Cold);
-        assert_eq!(cold.mode(), SolveMode::Cold);
         for specs in &rounds {
             let requests = reqs(specs);
-            let w = warm
-                .schedule(LinkDir::Forward, &fwd, &rev, &requests)
-                .clone();
-            let c = cold
-                .schedule(LinkDir::Forward, &fwd, &rev, &requests)
-                .clone();
-            assert_eq!(w, c, "warm and cold rounds must be bit-identical");
-            let wr = warm
-                .schedule(LinkDir::Reverse, &fwd, &rev, &requests)
-                .clone();
-            let cr = cold
-                .schedule(LinkDir::Reverse, &fwd, &rev, &requests)
-                .clone();
-            assert_eq!(wr, cr);
+            for dir in [LinkDir::Forward, LinkDir::Reverse] {
+                let w = warm.schedule(dir, &fwd, &rev, &requests).clone();
+                let mut fresh = Scheduler::new(warm.config().clone(), warm.policy().clone_box());
+                let f = fresh.schedule(dir, &fwd, &rev, &requests);
+                assert_eq!(&w, f, "a warm {dir:?} round must equal a fresh scheduler's");
+            }
         }
         let ws = warm.stats();
-        let cs = cold.stats();
-        assert_eq!(ws.rounds, cs.rounds);
+        assert_eq!(ws.rounds, 2 * rounds.len() as u64);
         assert!(
             ws.warm_hits > 0,
             "shrinking rounds must re-enter a warm workspace: {ws:?}"
         );
-        assert_eq!(cs.warm_hits, 0, "cold mode never reports warm hits");
         warm.reset_stats();
         assert_eq!(warm.stats(), SchedStats::default());
     }

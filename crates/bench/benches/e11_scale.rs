@@ -14,10 +14,12 @@
 //! populations, with and without candidate-cell culling
 //! (`SimConfig::candidate_k`). In quick mode the sweep shrinks to 5k
 //! mobiles × {1, 4} threads, and on a machine with at least two cores the
-//! bench asserts a wide, median-of-k bound like the guards below: over 5
-//! interleaved 1-thread/4-thread pairs at 5k mobiles the median 4T/1T
-//! frames/s ratio is at least 0.8 — the CI guard that the parallel path
-//! never falls clearly below inline execution at scale.
+//! bench asserts a wide, median-of-k bound like the feedback guard below:
+//! over 5 interleaved pairs at 5k mobiles, the median frames/s ratio of
+//! `min(4, cores)` threads over 1 thread is at least 0.8 — the CI guard
+//! that the parallel path never falls clearly below inline execution at
+//! scale. Capping at the core count keeps the guard measuring the
+//! pipeline rather than oversubscription and co-tenant load.
 //!
 //! The **large-population rows** (full mode only) are the million-mobile
 //! acceptance path: 100k mobiles exact vs culled on one thread, plus a
@@ -27,23 +29,12 @@
 //! machine's core count so thread-sweep rows measured on a single-core
 //! container (pure overhead floor) can be discarded downstream.
 //!
-//! The **scheduling sweep** prices the warm-started scheduling phase
-//! (persistent per-direction scheduler workspaces: region rows, δβ̄/bounds
-//! columns, the ILP problem shell and branch-and-bound buffers) against a
-//! per-round cold reset (`SimConfig::cold_sched`) on a scheduling-heavy
-//! traffic profile. Warm and cold are bit-identical by construction — the
-//! rows measure the pure optimisation: frames/s in both modes and the
-//! warm-start hit rate. The only win is allocation elimination, so in
-//! quick mode the bench asserts a wide, median-of-k bound: over 5
-//! interleaved cold/warm pairs the median warm/cold ratio is at least 0.8
-//! (and the hit rate clears the 50 % bar the tests pin).
-//!
 //! The **measurement-feedback smoke** prices the in-loop QoS machinery
 //! behind the `measured-region` policy (per-frame violation accounting +
 //! the windowed monitor): with every mismatch knob disabled its decisions
 //! are bit-identical to `jaba-sd-j2`, so the frames/s gap is pure
-//! feedback overhead. Like the scheduling guard, quick mode asserts a
-//! wide, median-of-k bound — over 5 interleaved jaba/measured pairs the
+//! feedback overhead. Like the thread guard, quick mode asserts a wide,
+//! median-of-k bound — over 5 interleaved jaba/measured pairs the
 //! median measured/jaba ratio is at least 0.8 — and the snapshot's
 //! `feedback` object records the medians.
 //!
@@ -53,7 +44,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
-use wcdma_admission::{PolicyRegistry, SchedStats};
+use wcdma_admission::PolicyRegistry;
 use wcdma_bench::banner;
 use wcdma_sim::{SimConfig, Simulation, Table};
 
@@ -169,7 +160,8 @@ fn thread_cell(n_mobiles: usize, threads: usize, candidate_k: usize, frames: usi
 /// Frames per thread-sweep cell in quick (CI smoke) mode.
 const QUICK_SWEEP_FRAMES: usize = 60;
 
-/// Interleaved 1-thread/4-thread pairs behind the quick-mode thread guard.
+/// Interleaved 1-thread/many-thread pairs behind the quick-mode thread
+/// guard.
 const THREAD_GUARD_PAIRS: usize = 5;
 
 /// The intra-frame parallelism sweep: `(mobiles, threads, candidate_k,
@@ -200,97 +192,15 @@ fn thread_sweep(quick: bool) -> Vec<(usize, usize, usize, f64)> {
     rows
 }
 
-/// A scheduling-heavy variant of `scale_cfg`: half the population is data
-/// users with short bursts and short reading times, so the request queue
-/// almost always has work and the per-frame cost is dominated by
-/// scheduling rounds rather than bit delivery.
-fn sched_cfg(n_mobiles: usize, cold: bool) -> SimConfig {
-    let mut c = scale_cfg(n_mobiles);
-    c.n_data = (n_mobiles / 2).max(1);
-    c.n_voice = n_mobiles - c.n_data;
-    c.traffic.mean_burst_bits = 20_000.0;
-    c.traffic.max_burst_bits = 60_000.0;
-    c.traffic.mean_reading_s = 0.3;
-    c.cold_sched = cold;
-    c
-}
-
-/// One row of the warm-vs-cold scheduling sweep.
-struct SchedRow {
-    mobiles: usize,
-    cold_fps: f64,
-    warm_fps: f64,
-    /// The warm run's cumulative scheduler counters (warm-up included).
-    stats: SchedStats,
-}
-
-impl SchedRow {
-    /// Warm-start hit rate over the solves.
-    fn hit_rate(&self) -> f64 {
-        if self.stats.solves == 0 {
-            0.0
-        } else {
-            self.stats.warm_hits as f64 / self.stats.solves as f64
-        }
-    }
-}
-
-/// Measures one (mobiles, mode) cell of the scheduling sweep: frames/s
-/// plus the scheduler's cumulative counters.
-fn sched_cell(n_mobiles: usize, cold: bool, frames: usize) -> (f64, SchedStats) {
-    let mut sim = Simulation::new(sched_cfg(n_mobiles, cold));
-    for _ in 0..20 {
-        sim.step_frame(); // warm up active sets, workspaces, capacities
-    }
-    let t0 = Instant::now();
-    for _ in 0..frames {
-        sim.step_frame();
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    black_box(sim.time());
-    (frames as f64 / dt, sim.sched_stats())
-}
-
-/// Frames per scheduling-sweep cell in quick (CI smoke) mode.
-const QUICK_SCHED_FRAMES: usize = 150;
-
-/// Interleaved cold/warm pairs behind the quick-mode scheduling guard.
-const SCHED_GUARD_PAIRS: usize = 5;
-
-/// The warm-vs-cold scheduling sweep. Cold and warm cells are measured
-/// interleaved per population so machine noise hits both modes alike.
-fn sched_sweep(quick: bool) -> Vec<SchedRow> {
-    let (sizes, frames): (&[usize], usize) = if quick {
-        (&[200], QUICK_SCHED_FRAMES)
-    } else {
-        (&[200, 1000], 300)
-    };
-    sizes
-        .iter()
-        .map(|&n| {
-            let (cold_fps, _) = sched_cell(n, true, frames);
-            let (warm_fps, stats) = sched_cell(n, false, frames);
-            SchedRow {
-                mobiles: n,
-                cold_fps,
-                warm_fps,
-                stats,
-            }
-        })
-        .collect()
-}
-
 /// Writes the sweeps plus the feedback smoke as a machine-readable snapshot
 /// (CI uploads it as `BENCH_e11_scale.json` so the perf trajectory
 /// accumulates over PRs).
-#[allow(clippy::too_many_arguments)]
 fn write_json_snapshot(
     path: &str,
     quick: bool,
     rows: &[(usize, f64)],
     scale: &[(usize, usize, f64)],
     sweep: &[(usize, usize, usize, f64)],
-    sched: &[SchedRow],
     feedback: (f64, f64, f64),
 ) {
     let entries: Vec<String> = rows
@@ -322,20 +232,6 @@ fn write_json_snapshot(
             )
         })
         .collect();
-    let sched_entries: Vec<String> = sched
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"mobiles\": {}, \"cold_fps\": {:.1}, \"warm_fps\": {:.1}, \
-                 \"warm_over_cold\": {:.3}, \"warm_hit_rate\": {:.3}}}",
-                r.mobiles,
-                r.cold_fps,
-                r.warm_fps,
-                r.warm_fps / r.cold_fps,
-                r.hit_rate(),
-            )
-        })
-        .collect();
     // `cores` lets downstream trend tooling discard thread-sweep rows
     // measured on a single-core container, where every threads > 1 cell is
     // an overhead floor rather than a scaling measurement; the explicit
@@ -349,12 +245,11 @@ fn write_json_snapshot(
     };
     let (jaba_fps, measured_fps, ratio) = feedback;
     let json = format!(
-        "{{\n  \"bench\": \"e11_scale\",\n  \"quick\": {quick},\n  \"cores\": {cores},{note}\n  \"canonical_order_version\": {},\n  \"rows\": [\n{}\n  ],\n  \"scale_rows\": [\n{}\n  ],\n  \"thread_sweep\": [\n{}\n  ],\n  \"sched_sweep\": [\n{}\n  ],\n  \"feedback\": {{\"jaba_sd_fps\": {jaba_fps:.1}, \"measured_region_fps\": {measured_fps:.1}, \"ratio\": {ratio:.4}}}\n}}\n",
+        "{{\n  \"bench\": \"e11_scale\",\n  \"quick\": {quick},\n  \"cores\": {cores},{note}\n  \"canonical_order_version\": {},\n  \"rows\": [\n{}\n  ],\n  \"scale_rows\": [\n{}\n  ],\n  \"thread_sweep\": [\n{}\n  ],\n  \"feedback\": {{\"jaba_sd_fps\": {jaba_fps:.1}, \"measured_region_fps\": {measured_fps:.1}, \"ratio\": {ratio:.4}}}\n}}\n",
         wcdma_math::CANONICAL_ORDER_VERSION,
         entries.join(",\n"),
         scale_entries.join(",\n"),
         sweep_entries.join(",\n"),
-        sched_entries.join(",\n"),
     );
     match std::fs::write(path, json) {
         Ok(()) => println!("wrote {path}"),
@@ -427,83 +322,35 @@ fn print_experiment() {
     println!("{}", ts.render());
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if quick && cores >= 2 {
-        // CI guard: at 5k mobiles the 4-thread frame pipeline must not be
-        // clearly slower than the 1-thread one. Single whole-frame timings
-        // spread 10–30 % on shared machines, so the bound is wide and taken
-        // over a median: THREAD_GUARD_PAIRS interleaved 1T/4T pairs, median
-        // 4T/1T ratio ≥ 0.8. On a single-core machine the guard is vacuous
-        // (threads cannot run concurrently), so it is skipped rather than
-        // asserted against pure scheduling overhead.
+        // CI guard: at 5k mobiles the frame pipeline on `min(4, cores)`
+        // threads must not be clearly slower than on one. More threads
+        // than cores would measure oversubscription and co-tenant load,
+        // not the pipeline. Single whole-frame timings spread 10–30 % on
+        // shared machines, so the bound is wide and taken over a median:
+        // THREAD_GUARD_PAIRS interleaved pairs, median ratio ≥ 0.8. On a
+        // single-core machine the guard is vacuous (threads cannot run
+        // concurrently), so it is skipped rather than asserted against
+        // pure scheduling overhead.
+        let threads = cores.min(4);
         let ratios: Vec<f64> = (0..THREAD_GUARD_PAIRS)
             .map(|_| {
                 let one = thread_cell(5000, 1, 0, QUICK_SWEEP_FRAMES);
-                let four = thread_cell(5000, 4, 0, QUICK_SWEEP_FRAMES);
-                four / one
+                let many = thread_cell(5000, threads, 0, QUICK_SWEEP_FRAMES);
+                many / one
             })
             .collect();
         let median = median_of(ratios.clone());
         println!(
-            "thread guard: 4T/1T median {median:.3} over {THREAD_GUARD_PAIRS} pairs {ratios:.3?}"
+            "thread guard: {threads}T/1T median {median:.3} over {THREAD_GUARD_PAIRS} pairs \
+             {ratios:.3?}"
         );
         assert!(
             median >= 0.8,
-            "4-thread frame pipeline clearly slower than 1-thread at 5k mobiles: median \
-             4T/1T {median:.3}"
+            "{threads}-thread frame pipeline clearly slower than 1-thread at 5k mobiles: \
+             median {threads}T/1T {median:.3}"
         );
     } else if quick {
-        println!("single-core machine: skipping the 4-thread-vs-1-thread guard");
-    }
-
-    // Scheduling sweep: warm-started scheduling phase vs per-round cold
-    // reset on a scheduling-heavy profile. Bit-identical either way; the
-    // rows price the optimisation and record the warm-start hit rate.
-    let sched = sched_sweep(quick);
-    let mut ss = Table::new(&[
-        "mobiles",
-        "cold fps",
-        "warm fps",
-        "speedup",
-        "warm-hit rate",
-    ]);
-    for r in &sched {
-        ss.row(&[
-            r.mobiles.to_string(),
-            format!("{:.1}", r.cold_fps),
-            format!("{:.1}", r.warm_fps),
-            format!("{:.2}x", r.warm_fps / r.cold_fps),
-            format!("{:.0}%", 100.0 * r.hit_rate()),
-        ]);
-    }
-    println!("{}", ss.render());
-    if quick {
-        // CI guard: warm scheduling must not be clearly slower than cold.
-        // Single whole-frame timings spread 10–30 % on shared machines, so
-        // the bound is wide and taken over a median: SCHED_GUARD_PAIRS
-        // interleaved cold/warm pairs, median warm/cold ratio ≥ 0.8.
-        let row = &sched[0];
-        let ratios: Vec<f64> = (0..SCHED_GUARD_PAIRS)
-            .map(|_| {
-                let (cold_fps, _) = sched_cell(row.mobiles, true, QUICK_SCHED_FRAMES);
-                let (warm_fps, _) = sched_cell(row.mobiles, false, QUICK_SCHED_FRAMES);
-                warm_fps / cold_fps
-            })
-            .collect();
-        let median = median_of(ratios.clone());
-        println!(
-            "sched guard: warm/cold median {median:.3} over {SCHED_GUARD_PAIRS} pairs {ratios:.3?}"
-        );
-        assert!(
-            median >= 0.8,
-            "warm-started scheduling slower than cold at {} mobiles: median warm/cold {median:.3}",
-            row.mobiles
-        );
-        // Deterministic (fixed seed), so no noise floor: the optimisation
-        // must actually engage on this profile, mirroring the test bar.
-        assert!(
-            row.stats.warm_hits * 2 >= row.stats.solves,
-            "warm-start hit rate below 50%: {:?}",
-            row.stats
-        );
+        println!("single-core machine: skipping the many-thread-vs-1-thread guard");
     }
 
     // Measurement-feedback overhead smoke: with every mismatch knob at
@@ -511,7 +358,7 @@ fn print_experiment() {
     // `jaba-sd-j2` (η holds at 1) and the only added work is the QoS
     // window accounting and monitor handoff. Whole-frame timings spread
     // 10–30 % on shared machines, so the quick-mode guard is the same
-    // wide median-of-k bound as the scheduling guard.
+    // wide median-of-k bound as the thread guard.
     let frames = if quick { 250 } else { 300 };
     let (jaba_fps, measured_fps, ratio) = feedback_overhead(200, frames, FEEDBACK_GUARD_PAIRS);
     println!(
@@ -536,7 +383,6 @@ fn print_experiment() {
                 &rows,
                 &scale,
                 &sweep,
-                &sched,
                 (jaba_fps, measured_fps, ratio),
             );
         }

@@ -61,7 +61,7 @@
 //! (the default) the candidate list is the identity and the physics is
 //! exact; with K < `n_cells` distant-cell terms are culled, which changes
 //! results like any physical approximation would, but stays bit-identical
-//! across thread counts, backends, and refresh-aligned runs. Links of
+//! across thread counts, ISAs, and refresh-aligned runs. Links of
 //! non-candidate cells do not advance their shadowing RNG — every link
 //! owns an independent substream, so frozen streams never shift anyone
 //! else's draws.

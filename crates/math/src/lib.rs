@@ -15,9 +15,8 @@
 //!   [`FramePool`] chunk-worker pool and the disjoint-chunk slice windows
 //!   behind the bit-identical chunk-order fold.
 //! * [`simd`] — deterministic 4-lane hot-path kernels (dot / scale /
-//!   ratio / exp) with lane-order-fixed folds; SSE2 backend on x86_64,
-//!   portable backend elsewhere or under the `scalar-kernels` feature,
-//!   bit-identical either way.
+//!   ratio / exp) over plain `[f64; 4]` lanes with lane-order-fixed
+//!   folds, bit-identical on every ISA.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -10,36 +10,29 @@
 //! the pilot Ec/Io ratio pass, and the interference / total-received-power
 //! accumulations. This module provides explicit 4-lane `f64x4`-style
 //! kernels for those passes with a **lane-order-fixed** reduction so the
-//! result is a pure function of the inputs — the same bits on every ISA,
-//! thread count, and backend.
+//! result is a pure function of the inputs — the same bits on every ISA
+//! and thread count.
 //!
-//! # Backends
+//! # Any ISA, same bits
 //!
-//! Two implementations sit behind the same API, selected at compile time:
-//!
-//! * **sse2** — explicit `core::arch::x86_64` packed intrinsics (two
-//!   `__m128d` halves per [`F64x4`]). Compiled on `x86_64` targets, where
-//!   SSE2 is part of the baseline ABI, unless the `scalar-kernels`
-//!   feature is enabled.
-//! * **portable** — plain `[f64; 4]` arithmetic. Compiled everywhere
-//!   else, and on any target when the crate feature `scalar-kernels` is
-//!   on.
-//!
-//! Both backends execute the *same sequence of IEEE-754 operations* per
-//! lane: adds, multiplies, and divides are exactly rounded, no
-//! fused-multiply-add or approximate reciprocal instructions are used,
-//! and every horizontal fold runs in the fixed order
-//! `(lane0 + lane1) + (lane2 + lane3)`. The backends are therefore
-//! bit-identical by construction; the always-compiled [`scalar`]
-//! reference module lets a single binary verify that claim:
+//! [`F64x4`] is a plain `[f64; 4]`; LLVM packs its lane loops into the
+//! target's vector instructions. Every lane runs the *same sequence of
+//! IEEE-754 operations*: adds, multiplies, and divides are exactly
+//! rounded, Rust never contracts them into fused multiply-adds, no
+//! approximate reciprocal is used, and every horizontal fold runs in the
+//! fixed order `(lane0 + lane1) + (lane2 + lane3)`. The results are
+//! therefore the same bits whatever instructions the compiler picks (CI
+//! reruns the golden tests under `-C target-cpu=x86-64-v3`). The
+//! always-compiled [`scalar`] reference module writes the lanes out one
+//! by one, so a single binary can check the claim:
 //!
 //! ```
 //! use wcdma_math::simd;
 //!
 //! let a: Vec<f64> = (0..13).map(|i| 0.1 * i as f64 - 0.4).collect();
 //! let b: Vec<f64> = (0..13).map(|i| 1.0 / (1.0 + i as f64)).collect();
-//! // Active backend (SSE2 on x86_64) vs portable scalar reference:
-//! // identical down to the last bit, including the non-multiple-of-4 tail.
+//! // Lane kernels vs the one-lane-at-a-time reference: identical down to
+//! // the last bit, including the non-multiple-of-4 tail.
 //! assert_eq!(
 //!     simd::dot(&a, &b).to_bits(),
 //!     simd::scalar::dot(&a, &b).to_bits(),
@@ -69,134 +62,25 @@
 ///   across chunks unchanged).
 pub const CANONICAL_ORDER_VERSION: u32 = 2;
 
-/// Name of the backend compiled into this binary (`"sse2"` or
-/// `"portable"`).
-pub const BACKEND: &str = backend::NAME;
+/// Name of the kernel implementation, stamped into benchmark reports.
+pub const BACKEND: &str = "portable";
 
-#[cfg(all(target_arch = "x86_64", not(feature = "scalar-kernels")))]
-mod backend {
-    //! Packed SSE2 backend: an [`F64x4`](super::F64x4) is two `__m128d`
-    //! halves. SSE2 is part of the `x86_64` baseline ABI, so no runtime
-    //! feature detection is needed and the intrinsics are always safe to
-    //! issue on this target.
-    use core::arch::x86_64::*;
-
-    pub const NAME: &str = "sse2";
-
-    #[derive(Clone, Copy, Debug)]
-    pub struct Repr(__m128d, __m128d);
-
-    impl Repr {
-        #[inline]
-        pub fn splat(v: f64) -> Self {
-            // SAFETY: SSE2 is unconditionally available on x86_64.
-            unsafe { Self(_mm_set1_pd(v), _mm_set1_pd(v)) }
-        }
-        #[inline]
-        pub fn from_array(a: [f64; 4]) -> Self {
-            // SAFETY: reads 4 f64 from a 4-element array.
-            unsafe { Self(_mm_loadu_pd(a.as_ptr()), _mm_loadu_pd(a.as_ptr().add(2))) }
-        }
-        #[inline]
-        pub fn to_array(self) -> [f64; 4] {
-            let mut out = [0.0; 4];
-            // SAFETY: writes 4 f64 into a 4-element array.
-            unsafe {
-                _mm_storeu_pd(out.as_mut_ptr(), self.0);
-                _mm_storeu_pd(out.as_mut_ptr().add(2), self.1);
-            }
-            out
-        }
-        #[inline]
-        pub fn add(self, o: Self) -> Self {
-            // SAFETY: SSE2 baseline.
-            unsafe { Self(_mm_add_pd(self.0, o.0), _mm_add_pd(self.1, o.1)) }
-        }
-        #[inline]
-        pub fn sub(self, o: Self) -> Self {
-            // SAFETY: SSE2 baseline.
-            unsafe { Self(_mm_sub_pd(self.0, o.0), _mm_sub_pd(self.1, o.1)) }
-        }
-        #[inline]
-        pub fn mul(self, o: Self) -> Self {
-            // SAFETY: SSE2 baseline.
-            unsafe { Self(_mm_mul_pd(self.0, o.0), _mm_mul_pd(self.1, o.1)) }
-        }
-        #[inline]
-        pub fn div(self, o: Self) -> Self {
-            // SAFETY: SSE2 baseline. `divpd` is exactly rounded (not an
-            // approximate-reciprocal sequence), so lanes match scalar `/`.
-            unsafe { Self(_mm_div_pd(self.0, o.0), _mm_div_pd(self.1, o.1)) }
-        }
-    }
-}
-
-#[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-kernels"))))]
-mod backend {
-    //! Portable backend: plain `[f64; 4]` lane arithmetic. Selected off
-    //! x86_64 or when the `scalar-kernels` feature disables intrinsics.
-
-    pub const NAME: &str = "portable";
-
-    #[derive(Clone, Copy, Debug)]
-    pub struct Repr([f64; 4]);
-
-    impl Repr {
-        #[inline]
-        pub fn splat(v: f64) -> Self {
-            Self([v; 4])
-        }
-        #[inline]
-        pub fn from_array(a: [f64; 4]) -> Self {
-            Self(a)
-        }
-        #[inline]
-        pub fn to_array(self) -> [f64; 4] {
-            self.0
-        }
-        #[inline]
-        pub fn add(self, o: Self) -> Self {
-            let (a, b) = (self.0, o.0);
-            Self([a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]])
-        }
-        #[inline]
-        pub fn sub(self, o: Self) -> Self {
-            let (a, b) = (self.0, o.0);
-            Self([a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]])
-        }
-        #[inline]
-        pub fn mul(self, o: Self) -> Self {
-            let (a, b) = (self.0, o.0);
-            Self([a[0] * b[0], a[1] * b[1], a[2] * b[2], a[3] * b[3]])
-        }
-        #[inline]
-        pub fn div(self, o: Self) -> Self {
-            let (a, b) = (self.0, o.0);
-            Self([a[0] / b[0], a[1] / b[1], a[2] / b[2], a[3] / b[3]])
-        }
-    }
-}
-
-/// Four `f64` lanes with exactly-rounded elementwise arithmetic.
-///
-/// The in-memory representation is backend-specific; the observable
-/// behaviour is not: every operation is an IEEE-754 exactly-rounded
-/// per-lane add/sub/mul/div, so two backends running the same expression
-/// produce the same bits.
+/// Four `f64` lanes with exactly-rounded elementwise arithmetic: every
+/// operation is an IEEE-754 per-lane add/sub/mul/div.
 #[derive(Clone, Copy, Debug)]
-pub struct F64x4(backend::Repr);
+pub struct F64x4([f64; 4]);
 
 impl F64x4 {
     /// All four lanes set to `v`.
     #[inline]
     pub fn splat(v: f64) -> Self {
-        Self(backend::Repr::splat(v))
+        Self([v; 4])
     }
 
     /// Lanes from an array, lane `j` = `a[j]`.
     #[inline]
     pub fn from_array(a: [f64; 4]) -> Self {
-        Self(backend::Repr::from_array(a))
+        Self(a)
     }
 
     /// Lanes from the first four elements of a slice.
@@ -205,13 +89,13 @@ impl F64x4 {
     /// If `s.len() < 4`.
     #[inline]
     pub fn from_slice(s: &[f64]) -> Self {
-        Self::from_array([s[0], s[1], s[2], s[3]])
+        Self([s[0], s[1], s[2], s[3]])
     }
 
     /// The lanes as an array.
     #[inline]
     pub fn to_array(self) -> [f64; 4] {
-        self.0.to_array()
+        self.0
     }
 
     /// Writes the lanes to the first four elements of `out`.
@@ -220,7 +104,7 @@ impl F64x4 {
     /// If `out.len() < 4`.
     #[inline]
     pub fn write_to(self, out: &mut [f64]) {
-        out[..4].copy_from_slice(&self.to_array());
+        out[..4].copy_from_slice(&self.0);
     }
 
     /// Horizontal sum in the canonical fixed order
@@ -231,7 +115,7 @@ impl F64x4 {
     /// independent of how the lanes were computed.
     #[inline]
     pub fn hsum_ordered(self) -> f64 {
-        let a = self.to_array();
+        let a = self.0;
         (a[0] + a[1]) + (a[2] + a[3])
     }
 }
@@ -240,28 +124,32 @@ impl core::ops::Add for F64x4 {
     type Output = Self;
     #[inline]
     fn add(self, o: Self) -> Self {
-        Self(self.0.add(o.0))
+        let (a, b) = (self.0, o.0);
+        Self([a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]])
     }
 }
 impl core::ops::Sub for F64x4 {
     type Output = Self;
     #[inline]
     fn sub(self, o: Self) -> Self {
-        Self(self.0.sub(o.0))
+        let (a, b) = (self.0, o.0);
+        Self([a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]])
     }
 }
 impl core::ops::Mul for F64x4 {
     type Output = Self;
     #[inline]
     fn mul(self, o: Self) -> Self {
-        Self(self.0.mul(o.0))
+        let (a, b) = (self.0, o.0);
+        Self([a[0] * b[0], a[1] * b[1], a[2] * b[2], a[3] * b[3]])
     }
 }
 impl core::ops::Div for F64x4 {
     type Output = Self;
     #[inline]
     fn div(self, o: Self) -> Self {
-        Self(self.0.div(o.0))
+        let (a, b) = (self.0, o.0);
+        Self([a[0] / b[0], a[1] / b[1], a[2] / b[2], a[3] / b[3]])
     }
 }
 
@@ -271,7 +159,7 @@ impl core::ops::Div for F64x4 {
 /// four (lane `j` sums `a[4i+j]·b[4i+j]` in index order), the lanes fold
 /// as `(l0 + l1) + (l2 + l3)`, and the remaining tail elements are added
 /// one by one in index order. The result depends only on the inputs —
-/// not on the backend, ISA, or thread count.
+/// not on the ISA or thread count.
 ///
 /// This is the kernel behind the total-received-power and interference
 /// accumulations in `Network::step`.
@@ -345,8 +233,7 @@ pub fn ratio_into(src: &[f64], denom: f64, out: &mut [f64]) {
 // Deterministic exp: Cephes-style rational approximation. |relative
 // error| ≲ 2 ulp on the reduced interval, and — unlike libm `exp`, whose
 // bit patterns vary across platforms and libm versions — a fixed DAG of
-// exactly-rounded IEEE operations, so every backend and platform agrees
-// bit for bit.
+// exactly-rounded IEEE operations, so every platform agrees bit for bit.
 const EXP_HI: f64 = 708.0;
 const EXP_LO: f64 = -708.0;
 const LOG2E: f64 = core::f64::consts::LOG2_E;
@@ -434,14 +321,11 @@ pub fn exp_into(x: &[f64], out: &mut [f64]) {
 }
 
 pub mod scalar {
-    //! Always-compiled portable reference implementations.
+    //! Always-compiled one-lane-at-a-time reference implementations.
     //!
-    //! These mirror the active backend's per-lane operation DAG in plain
-    //! scalar Rust, so `simd::f(x) == simd::scalar::f(x)` bit for bit on
-    //! every target — the property the kernel tests and the
-    //! `scalar-kernels` CI leg pin. They are *reference*, not fallback:
-    //! the compile-time fallback path is the portable backend behind
-    //! [`F64x4`](super::F64x4) itself.
+    //! These write the kernels' per-lane operation DAG out in plain scalar
+    //! Rust, so `simd::f(x) == simd::scalar::f(x)` bit for bit on every
+    //! target — the property the kernel tests pin.
 
     use super::{EXP_HI, EXP_LO, LN2_HI, LN2_LO, LOG2E, P0, P1, P2, Q0, Q1, Q2, Q3};
 
@@ -634,8 +518,6 @@ mod tests {
 
     #[test]
     fn backend_is_reported() {
-        assert!(BACKEND == "sse2" || BACKEND == "portable");
-        #[cfg(feature = "scalar-kernels")]
         assert_eq!(BACKEND, "portable");
     }
 }

@@ -198,12 +198,6 @@ pub struct SimConfig {
     /// fixed-size blocks and folds all `f64` reductions in chunk order,
     /// so every thread count produces bit-identical output.
     pub frame_threads: usize,
-    /// Force the scheduler into [`wcdma_admission::SolveMode::Cold`]:
-    /// every round rebuilds its workspace from scratch (the pre-warm-start
-    /// reference behaviour). **Never changes results** — warm reuse is
-    /// bit-identical by construction; this knob exists so tests and the
-    /// bench suite can prove it and measure the speedup.
-    pub cold_sched: bool,
     /// Candidate cells per mobile: each mobile only evaluates its
     /// `candidate_k` nearest cells (wrap-around distance) in the frame
     /// pipeline. `0` (the default) keeps every cell — bit-identical to the
@@ -249,7 +243,6 @@ impl SimConfig {
             csi_error_sigma_db: 0.0,
             csi_delay_frames: 0,
             frame_threads: 1,
-            cold_sched: false,
             candidate_k: 0,
             candidate_refresh: 8,
             mismatch: MismatchConfig::disabled(),
@@ -373,15 +366,6 @@ impl SimConfig {
     pub fn with_frame_threads(&self, frame_threads: usize) -> Self {
         let mut c = self.clone();
         c.frame_threads = frame_threads;
-        c
-    }
-
-    /// Returns a copy with cold (per-round-reset) scheduling. Results are
-    /// bit-identical to the warm default — this is a verification and
-    /// benchmarking knob, not a behaviour switch.
-    pub fn with_cold_sched(&self, cold_sched: bool) -> Self {
-        let mut c = self.clone();
-        c.cold_sched = cold_sched;
         c
     }
 

@@ -38,9 +38,7 @@
 //! of a metro-scale frame (`docs/PERF_LEDGER.md`); scheduling is one
 //! policy decision per direction.
 
-use wcdma_admission::{
-    QosMonitor, RequestState, SchedStats, Scheduler, SolveMode, DEFAULT_QOS_WINDOW_FRAMES,
-};
+use wcdma_admission::{QosMonitor, RequestState, SchedStats, Scheduler, DEFAULT_QOS_WINDOW_FRAMES};
 use wcdma_cdma::{
     hotspot_weights, populate_round_robin, populate_weighted, Network, SchGrant, UserKind,
 };
@@ -131,10 +129,7 @@ impl Simulation {
             let true_sigma = net.shadow_sigma_db() + cfg.mismatch.shadow_sigma_delta_db;
             net.set_channel_model(true_pl, true_sigma);
         }
-        let mut scheduler = Scheduler::new(cfg.scheduler_config(), cfg.policy.clone());
-        if cfg.cold_sched {
-            scheduler.set_mode(SolveMode::Cold);
-        }
+        let scheduler = Scheduler::new(cfg.scheduler_config(), cfg.policy.clone());
         // Candidate cell lists: 0 = every cell (exact, the default). Set
         // before placement so the per-mobile tables below are sized once,
         // at their final stride.
@@ -621,21 +616,6 @@ mod tests {
         assert!(report.mean_delay_s > 0.0);
         assert!(report.throughput_kbps > 0.0);
         assert!(report.mean_grant_m >= 1.0);
-    }
-
-    #[test]
-    fn cold_sched_is_bit_identical_and_reports_no_warm_hits() {
-        let (rw, sw) = Simulation::new(quick_cfg()).run_with_sched_stats();
-        let (rc, sc) = Simulation::new(quick_cfg().with_cold_sched(true)).run_with_sched_stats();
-        assert_eq!(rw, rc, "cold scheduling must not change the report");
-        assert_eq!(sw.rounds, sc.rounds);
-        assert_eq!(sw.bb_nodes + sc.bb_nodes > 0, sw.rounds > 0);
-        assert!(
-            sw.warm_hits > 0,
-            "steady web traffic must warm-start: {sw:?}"
-        );
-        assert_eq!(sc.warm_hits, 0, "cold mode never reports warm hits");
-        assert_eq!(sc.solves, sc.rounds, "cold mode solves every round: {sc:?}");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub struct DecisionRecord {
     /// Objective value the policy reported (weight units).
     pub objective_value: f64,
     /// Whether the decision is provably optimal for the policy's own
-    /// objective (see [`wcdma_admission::PolicyDecision::optimal`]).
+    /// objective (see [`wcdma_admission::PolicyScratch::optimal`]).
     pub optimal: bool,
     /// Remaining admissible-region headroom per constraint row *after*
     /// the grants.

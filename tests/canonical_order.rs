@@ -7,9 +7,9 @@
 //!
 //! The hash must hold
 //!
-//! - on the SIMD backend **and** the portable scalar backend (CI runs this
-//!   test with `--features scalar-kernels`), pinning the backends'
-//!   bit-identity at the network level rather than just per kernel, and
+//! - on every ISA (CI also runs this test under
+//!   `-C target-cpu=x86-64-v3`), pinning the kernels' ISA independence at
+//!   the network level rather than just per kernel, and
 //! - for every `frame_threads` value, pinning the chunk-order load fold.
 //!
 //! When a PR deliberately changes the canonical summation order, bump
@@ -73,8 +73,8 @@ fn golden_hash_targets_the_current_canonical_order_version() {
     assert_eq!(CANONICAL_ORDER_VERSION, 2, "regenerate GOLDEN_LOAD_HASH");
 }
 
-/// The committed fixture itself, on whichever kernel backend this binary
-/// was compiled with.
+/// The committed fixture itself, on whichever ISA this binary was
+/// compiled for.
 #[test]
 fn load_stream_reproduces_committed_golden_hash() {
     let hash = load_hash(1);

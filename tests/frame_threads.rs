@@ -195,7 +195,7 @@ fn delivery_cfg() -> SimConfig {
 }
 
 /// The delivered-bits summation association, pinned by value at every
-/// frame-thread count (CI also runs it on the scalar kernel backend).
+/// frame-thread count (CI also runs it under `-C target-cpu=x86-64-v3`).
 #[test]
 fn delivery_sum_reproduces_committed_golden_hash() {
     let cfg = delivery_cfg();

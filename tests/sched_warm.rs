@@ -1,10 +1,11 @@
 //! Warm-started scheduling is a pure optimisation: the scheduler's
 //! persistent per-direction workspaces must never change a single bit of
-//! any run. These tests pin that invariant on the 12-cell paper-eval matrix —
-//! full `SimReport` plus full per-frame `DecisionRecord` stream equality
-//! between warm (default) and cold (per-round reset) scheduling, and
-//! across `frame_threads` in both modes — and check the optimisation is
-//! actually engaged (warm-hit rate).
+//! any run. `GOLDEN_POLICY_HASH` (`tests/policy_api.rs`) pins the warm
+//! runs of the 12-cell paper-eval matrix; these tests check that warm
+//! scheduling composes with intra-frame parallelism on that matrix (full
+//! `SimReport` plus per-frame `DecisionRecord` stream equality across
+//! `frame_threads`) and that the optimisation is actually engaged
+//! (warm-hit rate).
 
 use wcdma::sim::campaign::{builtin, Scenario};
 use wcdma::sim::{run_with_trace, DecisionLog, SimConfig, Simulation};
@@ -23,43 +24,22 @@ fn paper_eval_matrix() -> Vec<Scenario> {
     scenarios
 }
 
-/// Warm vs cold scheduling: full report and full decision stream must be
-/// bit-identical on every cell of the paper-eval matrix.
+/// Warm scheduling composes with intra-frame parallelism: with multiple
+/// frame threads, every cell matches the single-threaded run bit for bit.
 #[test]
-fn paper_eval_matrix_is_bit_identical_warm_vs_cold() {
+fn warm_parallel_matches_warm_serial_on_the_matrix() {
     for scenario in paper_eval_matrix() {
-        let (report_warm, trace_warm) = run_with_trace(scenario.cfg.clone());
-        let (report_cold, trace_cold) = run_with_trace(scenario.cfg.with_cold_sched(true));
+        let reference = run_with_trace(scenario.cfg.with_frame_threads(1));
         assert!(
-            !trace_warm.is_empty(),
+            !reference.1.is_empty(),
             "{}: matrix cell must make decisions",
             scenario.label
         );
-        assert_eq!(
-            report_warm, report_cold,
-            "{}: warm-started scheduling changed the report",
-            scenario.label
-        );
-        assert_eq!(
-            trace_warm, trace_cold,
-            "{}: warm-started scheduling changed the decision stream",
-            scenario.label
-        );
-    }
-}
-
-/// Warm scheduling composes with intra-frame parallelism: with both knobs
-/// on (warm workspaces + multiple frame threads), every cell still matches
-/// the cold single-threaded reference bit for bit.
-#[test]
-fn warm_parallel_matches_cold_serial_on_the_matrix() {
-    for scenario in paper_eval_matrix() {
-        let reference = run_with_trace(scenario.cfg.with_cold_sched(true).with_frame_threads(1));
         for threads in [2, 4] {
             let combined = run_with_trace(scenario.cfg.with_frame_threads(threads));
             assert_eq!(
                 reference, combined,
-                "{}: warm + {threads} frame threads drifted from the cold serial run",
+                "{}: {threads} frame threads drifted from the serial run",
                 scenario.label
             );
         }
@@ -82,26 +62,25 @@ fn busy_cfg() -> SimConfig {
 }
 
 /// The optimisation is actually engaged: on a scheduling-heavy run the
-/// warm workspaces absorb at least half the solves and the cold run none —
-/// while both solve every round and produce the same simulation output.
+/// warm workspaces absorb at least half the solves, and every round runs
+/// the policy.
 #[test]
 fn warm_start_hit_rate_meets_the_bar() {
-    let (report_warm, warm) = Simulation::new(busy_cfg()).run_with_sched_stats();
-    let (report_cold, cold) =
-        Simulation::new(busy_cfg().with_cold_sched(true)).run_with_sched_stats();
-    assert_eq!(report_warm, report_cold, "stats must not perturb the run");
-    assert_eq!(warm.rounds, cold.rounds, "same rounds either way");
+    let (report, warm) = Simulation::new(busy_cfg()).run_with_sched_stats();
+    assert_eq!(
+        report,
+        Simulation::new(busy_cfg()).run(),
+        "stats must not perturb the run"
+    );
     assert!(
         warm.rounds > 100,
         "busy scenario must schedule a lot: {warm:?}"
     );
-    assert_eq!(cold.solves, cold.rounds, "cold mode solves every round");
-    assert_eq!(cold.warm_hits, 0, "cold mode cannot warm-start");
     assert!(
         warm.warm_hits * 2 >= warm.solves,
         "warm-start hit rate must reach 50%: {warm:?}"
     );
-    assert_eq!(warm.solves, warm.rounds, "warm mode solves every round");
+    assert_eq!(warm.solves, warm.rounds, "every round runs the policy");
     assert!(warm.bb_nodes > 0, "JABA-SD runs branch and bound: {warm:?}");
 }
 
