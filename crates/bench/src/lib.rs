@@ -8,6 +8,8 @@
 //! 2. registers Criterion timings on the computational kernel behind the
 //!    experiment, so `cargo bench` also tracks the cost of the machinery.
 
+#![forbid(unsafe_code)]
+
 use wcdma_sim::SimConfig;
 
 /// Quick experiment base profile: 7-cell system, 20 s runs, tuned into the

@@ -20,6 +20,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod network;

@@ -38,15 +38,17 @@
 //!
 //! The per-mobile phase of [`Network::step`] runs over **fixed-size mobile
 //! chunks** ([`wcdma_math::par::DEFAULT_CHUNK`]) on a persistent
-//! [`FramePool`] ([`Network::set_frame_threads`]). Each chunk owns its own
-//! scratch buffers and **partial per-cell load accumulators**; after the
-//! parallel phase the partials are folded **in chunk order** on the calling
-//! thread, so every `f64` sum reduces in one fixed association and the
-//! results are bit-identical for *any* thread count (chunk boundaries
-//! depend only on the mobile count, never on the thread count). Per-link,
-//! per-voice-source RNG substreams are already independent per mobile, so
-//! no RNG coordination is needed. The chunked fold is used even at one
-//! thread — it *is* the canonical summation order.
+//! [`FramePool`] ([`Network::set_frame_threads`]). Each chunk is one
+//! [`FramePool::for_each`] item: its `split_at_mut` rows of every
+//! per-mobile table, its own scratch buffers and its **partial per-cell
+//! load accumulators**. After the parallel phase the partials are folded
+//! **in chunk order** on the calling thread, so every `f64` sum reduces in
+//! one fixed association and the results are bit-identical for *any*
+//! thread count (chunk boundaries depend only on the mobile count, never
+//! on the thread count). Per-link, per-voice-source RNG substreams are
+//! already independent per mobile, so no RNG coordination is needed. The
+//! chunked fold is used even at one thread — it *is* the canonical
+//! summation order.
 //!
 //! # SIMD kernels and candidate cell lists (canonical order v2)
 //!
@@ -70,7 +72,7 @@ use wcdma_channel::{PathLoss, ShadowState, Shadowing};
 use wcdma_geo::{CellId, HexLayout, Point};
 use wcdma_math::db::thermal_noise_watt;
 use wcdma_math::dist::DB_TO_NAT;
-use wcdma_math::par::{chunk_count, FramePool, Partition, DEFAULT_CHUNK};
+use wcdma_math::par::{chunk_count, FramePool, DEFAULT_CHUNK};
 use wcdma_math::simd;
 
 use crate::config::CdmaConfig;
@@ -864,30 +866,28 @@ impl Network {
                 // refresh frames align across runs of the same scenario.
                 refresh_all: self.frame_idx % self.cand_refresh == 0,
             };
-            let parts = StepParts {
-                motion: Partition::new(&mut self.motion, MOBILE_CHUNK),
-                voice: Partition::new(&mut self.voice, MOBILE_CHUNK),
-                active_set: Partition::new(&mut self.active_set, MOBILE_CHUNK),
-                rev_fch_w: Partition::new(&mut self.rev_fch_w, MOBILE_CHUNK),
-                ebi0_fwd: Partition::new(&mut self.ebi0_fwd, MOBILE_CHUNK),
-                ebi0_rev: Partition::new(&mut self.ebi0_rev, MOBILE_CHUNK),
-                fch_on: Partition::new(&mut self.fch_on, MOBILE_CHUNK),
-                shadow: Partition::new(&mut self.shadow, MOBILE_CHUNK * k),
-                gains: Partition::new(&mut self.gains, MOBILE_CHUNK * k),
-                pilots: Partition::new(&mut self.pilots, MOBILE_CHUNK * k),
-                fch_legs: Partition::new(&mut self.fch_legs, MOBILE_CHUNK * leg_stride),
-                fch_leg_count: Partition::new(&mut self.fch_leg_count, MOBILE_CHUNK),
-                reduced: Partition::new(&mut self.reduced, MOBILE_CHUNK * red_stride),
-                reduced_count: Partition::new(&mut self.reduced_count, MOBILE_CHUNK),
-                cand: Partition::new(&mut self.cand, MOBILE_CHUNK * self.cand_k),
-                scratch: Partition::new(&mut self.chunk_scratch, 1),
+            let mut rest = StepRows {
+                motion: &mut self.motion,
+                voice: &mut self.voice,
+                active_set: &mut self.active_set,
+                rev_fch_w: &mut self.rev_fch_w,
+                ebi0_fwd: &mut self.ebi0_fwd,
+                ebi0_rev: &mut self.ebi0_rev,
+                fch_on: &mut self.fch_on,
+                shadow: &mut self.shadow,
+                gains: &mut self.gains,
+                pilots: &mut self.pilots,
+                fch_legs: &mut self.fch_legs,
+                fch_leg_count: &mut self.fch_leg_count,
+                reduced: &mut self.reduced,
+                reduced_count: &mut self.reduced_count,
+                cand: &mut self.cand,
             };
-            self.pool.run(n_chunks, |ci| {
-                // SAFETY: `FramePool::run` hands out each chunk index
-                // exactly once, so all `Partition::chunk(ci)` views inside
-                // are exclusive.
-                unsafe { step_chunk(&shared, &parts, ci) }
-            });
+            let chunks = self.chunk_scratch[..n_chunks]
+                .iter_mut()
+                .map(move |s| (rest.split_off(k, leg_stride, red_stride, shared.cand_k), s));
+            self.pool
+                .for_each(chunks, |ci, (r, s)| step_chunk(&shared, r, s, ci));
         }
 
         // Phase 2b — the deterministic fold: per-cell load partials are
@@ -1024,26 +1024,56 @@ struct StepShared<'a> {
     refresh_all: bool,
 }
 
-/// The mutable per-mobile state, partitioned into `MOBILE_CHUNK`-mobile
-/// chunks (per-cell and leg tables are partitioned at `MOBILE_CHUNK ×
-/// stride` elements so chunk `ci` of every field covers the same mobiles).
-struct StepParts<'a> {
-    motion: Partition<'a, Motion>,
-    voice: Partition<'a, Option<VoiceActivity>>,
-    active_set: Partition<'a, ActiveSet>,
-    rev_fch_w: Partition<'a, f64>,
-    ebi0_fwd: Partition<'a, f64>,
-    ebi0_rev: Partition<'a, f64>,
-    fch_on: Partition<'a, bool>,
-    shadow: Partition<'a, ShadowState>,
-    gains: Partition<'a, f64>,
-    pilots: Partition<'a, PilotStrength>,
-    fch_legs: Partition<'a, (CellId, f64)>,
-    fch_leg_count: Partition<'a, usize>,
-    reduced: Partition<'a, CellId>,
-    reduced_count: Partition<'a, usize>,
-    cand: Partition<'a, u32>,
-    scratch: Partition<'a, ChunkScratch>,
+/// The mutable per-mobile tables, or one chunk of their rows. Per-cell
+/// and leg tables hold `stride` elements per mobile, so the rows of one
+/// chunk cover the same mobiles in every table.
+struct StepRows<'a> {
+    motion: &'a mut [Motion],
+    voice: &'a mut [Option<VoiceActivity>],
+    active_set: &'a mut [ActiveSet],
+    rev_fch_w: &'a mut [f64],
+    ebi0_fwd: &'a mut [f64],
+    ebi0_rev: &'a mut [f64],
+    fch_on: &'a mut [bool],
+    shadow: &'a mut [ShadowState],
+    gains: &'a mut [f64],
+    pilots: &'a mut [PilotStrength],
+    fch_legs: &'a mut [(CellId, f64)],
+    fch_leg_count: &'a mut [usize],
+    reduced: &'a mut [CellId],
+    reduced_count: &'a mut [usize],
+    cand: &'a mut [u32],
+}
+
+impl<'a> StepRows<'a> {
+    /// Peels the next `MOBILE_CHUNK` mobiles (fewer at the tail) off every
+    /// table, each at its own stride: `k` cells, `leg` FCH legs, `red`
+    /// reduced-set entries and `kc` candidates per mobile.
+    fn split_off(&mut self, k: usize, leg: usize, red: usize, kc: usize) -> StepRows<'a> {
+        fn peel<'a, T>(rows: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+            let (head, tail) = std::mem::take(rows).split_at_mut(len);
+            *rows = tail;
+            head
+        }
+        let n = MOBILE_CHUNK.min(self.motion.len());
+        StepRows {
+            motion: peel(&mut self.motion, n),
+            voice: peel(&mut self.voice, n),
+            active_set: peel(&mut self.active_set, n),
+            rev_fch_w: peel(&mut self.rev_fch_w, n),
+            ebi0_fwd: peel(&mut self.ebi0_fwd, n),
+            ebi0_rev: peel(&mut self.ebi0_rev, n),
+            fch_on: peel(&mut self.fch_on, n),
+            shadow: peel(&mut self.shadow, n * k),
+            gains: peel(&mut self.gains, n * k),
+            pilots: peel(&mut self.pilots, n * k),
+            fch_legs: peel(&mut self.fch_legs, n * leg),
+            fch_leg_count: peel(&mut self.fch_leg_count, n),
+            reduced: peel(&mut self.reduced, n * red),
+            reduced_count: peel(&mut self.reduced_count, n),
+            cand: peel(&mut self.cand, n * kc),
+        }
+    }
 }
 
 /// One chunk of the per-mobile phase: Phase 1 (channel advance, pilots,
@@ -1051,32 +1081,26 @@ struct StepParts<'a> {
 /// partial per-cell load accumulation). Pure per-mobile work — the only
 /// cross-mobile inputs are last frame's loads, which are frozen for the
 /// whole frame.
-///
-/// # Safety
-///
-/// `ci` must be claimed exclusively (each index at most one live caller),
-/// as `FramePool::run` guarantees; all `Partition::chunk(ci)` views below
-/// are then disjoint across concurrent calls.
-unsafe fn step_chunk(sh: &StepShared<'_>, parts: &StepParts<'_>, ci: usize) {
+fn step_chunk(sh: &StepShared<'_>, rows: StepRows<'_>, scratch: &mut ChunkScratch, ci: usize) {
     let base = ci * MOBILE_CHUNK;
     let k = sh.k;
-    // SAFETY: `ci` is exclusive per the function contract.
-    let motion = unsafe { parts.motion.chunk(ci) };
-    let voice = unsafe { parts.voice.chunk(ci) };
-    let active_set = unsafe { parts.active_set.chunk(ci) };
-    let rev_fch_w = unsafe { parts.rev_fch_w.chunk(ci) };
-    let ebi0_fwd = unsafe { parts.ebi0_fwd.chunk(ci) };
-    let ebi0_rev = unsafe { parts.ebi0_rev.chunk(ci) };
-    let fch_on = unsafe { parts.fch_on.chunk(ci) };
-    let shadow = unsafe { parts.shadow.chunk(ci) };
-    let gains = unsafe { parts.gains.chunk(ci) };
-    let pilots = unsafe { parts.pilots.chunk(ci) };
-    let fch_legs = unsafe { parts.fch_legs.chunk(ci) };
-    let fch_leg_count = unsafe { parts.fch_leg_count.chunk(ci) };
-    let reduced = unsafe { parts.reduced.chunk(ci) };
-    let reduced_count = unsafe { parts.reduced_count.chunk(ci) };
-    let cand = unsafe { parts.cand.chunk(ci) };
-    let scratch = &mut unsafe { parts.scratch.chunk(ci) }[0];
+    let StepRows {
+        motion,
+        voice,
+        active_set,
+        rev_fch_w,
+        ebi0_fwd,
+        ebi0_rev,
+        fch_on,
+        shadow,
+        gains,
+        pilots,
+        fch_legs,
+        fch_leg_count,
+        reduced,
+        reduced_count,
+        cand,
+    } = rows;
     let kc = sh.cand_k;
     // Forward interference bookkeeping: total-rx counts every candidate
     // term in full; active-set terms then give back the orthogonal

@@ -14,6 +14,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 
 use std::fmt::Display;
 use std::hint;

@@ -9,6 +9,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 
 pub mod request;
 pub mod states;

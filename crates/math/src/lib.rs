@@ -12,18 +12,20 @@
 //!   replication confidence intervals).
 //! * [`complex`] — minimal complex arithmetic for the Jakes fading model.
 //! * [`par`] — deterministic intra-frame parallelism: the persistent
-//!   [`FramePool`] chunk-worker pool and the disjoint-chunk slice windows
-//!   behind the bit-identical chunk-order fold.
+//!   [`FramePool`] chunk-worker pool that hands disjoint chunk windows to
+//!   the workers for the bit-identical chunk-order fold.
 //! * [`simd`] — deterministic 4-lane hot-path kernels (dot / scale /
 //!   ratio / exp) over plain `[f64; 4]` lanes with lane-order-fixed
 //!   folds, bit-identical on every ISA.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![deny(unsafe_code)]
 
 pub mod complex;
 pub mod db;
 pub mod dist;
+#[allow(unsafe_code)] // the `FramePool` job hand-off
 pub mod par;
 pub mod rng;
 pub mod simd;
@@ -32,7 +34,7 @@ pub mod stats;
 
 pub use complex::C64;
 pub use db::{db_to_lin, lin_to_db};
-pub use par::{FramePool, Partition};
+pub use par::FramePool;
 pub use rng::{mix_seed, SplitMix64, Xoshiro256pp};
 pub use simd::{F64x4, CANONICAL_ORDER_VERSION};
 pub use stats::Welford;

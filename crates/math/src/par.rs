@@ -18,12 +18,13 @@
 //!
 //! [`FramePool`] is the persistent worker pool (no per-frame thread
 //! spawns, no allocations in [`FramePool::run`]).
-//! [`FramePool::for_each_chunk_mut`] is the safe way to mutate the chunks
-//! of one slice concurrently; [`Partition`] is the unsafe-but-narrow
-//! window underneath it, for loops that must walk several buffers chunk
-//! by chunk in lock-step (the network step).
+//! [`FramePool::for_each`] hands each item of an iterator to exactly one
+//! call, tagged with its position, so disjoint `&mut` windows built with
+//! `chunks_mut` / `split_at_mut` reach the workers through safe code.
+//! Loops that walk several buffers chunk by chunk in lock-step (the
+//! network step) zip or map their windows into one item per chunk;
+//! [`FramePool::for_each_chunk_mut`] is the one-slice case.
 
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -223,6 +224,26 @@ impl FramePool {
         assert!(!worker_panicked, "a FramePool worker panicked in run()");
     }
 
+    /// Runs `f(index, item)` for every item of `items`, spread over the
+    /// pool as in [`run`](Self::run); `index` is the item's position in
+    /// the iterator, whichever thread claims it. Each item is handed to
+    /// exactly one call, so `&mut` windows stay exclusive.
+    ///
+    /// Items are drawn under a lock that is never held while `f` runs.
+    pub fn for_each<I, F>(&self, items: I, f: F)
+    where
+        I: ExactSizeIterator + Send,
+        F: Fn(usize, I::Item) + Sync,
+    {
+        let n = items.len();
+        let items = Mutex::new(items.enumerate());
+        self.run(n, |_| {
+            let next = items.lock().expect("item lock").next();
+            let (i, item) = next.expect("one item per claimed index");
+            f(i, item);
+        });
+    }
+
     /// Runs `f(chunk_index, chunk)` for every `chunk`-element chunk of
     /// `data` (the last chunk may be shorter), spread over the pool as in
     /// [`run`](Self::run). Each chunk is handed to exactly one call, so `f`
@@ -232,12 +253,7 @@ impl FramePool {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        let parts = Partition::new(data, chunk);
-        self.run(parts.n_chunks(), |ci| {
-            // SAFETY: `run` claims each chunk index exactly once, so no two
-            // live calls use the same index.
-            f(ci, unsafe { parts.chunk(ci) });
-        });
+        self.for_each(data.chunks_mut(chunk), f);
     }
 }
 
@@ -291,63 +307,6 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// A partition of a mutable slice into fixed-size chunks that can be
-/// claimed from different threads.
-///
-/// The partition erases the borrow into a raw pointer so a `Fn` closure
-/// can hand out `&mut` sub-slices; soundness rests on the caller
-/// discipline documented on [`Partition::chunk`]. The lifetime parameter
-/// keeps the original `&mut` borrow alive for as long as the partition
-/// exists, so the underlying buffer cannot be touched elsewhere.
-pub struct Partition<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    chunk: usize,
-    _marker: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: handing chunks to other threads moves `&mut [T]` windows across
-// threads, which requires `T: Send`; the struct itself holds no shared
-// state beyond the raw pointer.
-unsafe impl<T: Send> Send for Partition<'_, T> {}
-unsafe impl<T: Send> Sync for Partition<'_, T> {}
-
-impl<'a, T> Partition<'a, T> {
-    /// Partitions `data` into chunks of `chunk_elems` elements (the last
-    /// chunk may be shorter).
-    pub fn new(data: &'a mut [T], chunk_elems: usize) -> Self {
-        assert!(chunk_elems > 0, "chunk size must be positive");
-        Self {
-            ptr: data.as_mut_ptr(),
-            len: data.len(),
-            chunk: chunk_elems,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Number of chunks in the partition.
-    pub fn n_chunks(&self) -> usize {
-        chunk_count(self.len, self.chunk)
-    }
-
-    /// The `idx`-th chunk as a mutable slice.
-    ///
-    /// # Safety
-    ///
-    /// No two live calls may use the same `idx` — distinct indices yield
-    /// disjoint slices, equal indices alias. [`FramePool::run`] claims
-    /// each index exactly once, which satisfies this by construction.
-    #[allow(clippy::mut_from_ref)] // the exclusivity contract is the `unsafe`
-    pub unsafe fn chunk(&self, idx: usize) -> &'a mut [T] {
-        let start = idx * self.chunk;
-        assert!(start < self.len, "chunk index out of range");
-        let len = self.chunk.min(self.len - start);
-        // SAFETY: in-bounds by the assert; exclusive by the caller
-        // contract above; lifetime bounded by the borrow in `_marker`.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,6 +344,28 @@ mod tests {
                     });
                     let want: Vec<u32> = (0..len).map(|i| 1 + (i / chunk) as u32).collect();
                     assert_eq!(hits, want, "threads {threads}, len {len}, chunk {chunk}");
+
+                    // Lock-step windows over two tables at different row
+                    // strides (1 and 3), as the network step walks its
+                    // per-mobile tables: item `ci` of both covers the same
+                    // rows and arrives tagged with its position.
+                    let mut a: Vec<usize> = (0..len).collect();
+                    let mut b: Vec<usize> = (0..3 * len).map(|i| i / 3).collect();
+                    let calls = AtomicU64::new(0);
+                    pool.for_each(
+                        a.chunks_mut(chunk).zip(b.chunks_mut(3 * chunk)),
+                        |ci, (ra, rb)| {
+                            calls.fetch_add(1, Ordering::Relaxed);
+                            assert_eq!(ra[0], ci * chunk, "index is the position");
+                            assert_eq!(rb.len(), 3 * ra.len());
+                            for (r, rows) in ra.iter_mut().zip(rb.chunks_mut(3)) {
+                                assert!(rows.iter().all(|&x| x == *r), "same rows");
+                                *r = usize::MAX;
+                            }
+                        },
+                    );
+                    assert_eq!(calls.into_inner() as usize, chunk_count(len, chunk));
+                    assert!(a.iter().all(|&r| r == usize::MAX));
                 }
             }
         }
@@ -433,10 +414,9 @@ mod tests {
     }
 
     #[test]
-    fn partition_splits_strided_rows() {
+    fn chunks_split_strided_rows() {
         let mut m: Vec<u32> = (0..60).collect(); // 10 rows of stride 6
-        assert_eq!(Partition::new(&mut m, 4 * 6).n_chunks(), 3);
-        // 4 rows per chunk; each chunk stamps its length into its first cell.
+                                                 // 4 rows per chunk; each chunk stamps its length into its first cell.
         FramePool::new(2).for_each_chunk_mut(&mut m, 4 * 6, |_, rows| {
             rows[0] = rows.len() as u32;
         });
@@ -488,6 +468,19 @@ mod tests {
             total.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 8);
+
+        // The same through `for_each`, which then runs again on the pool.
+        let mut data = vec![0u32; 64];
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.for_each(data.iter_mut(), |i, _| {
+                if i == 33 {
+                    panic!("boom");
+                }
+            });
+        }));
+        assert!(result.is_err(), "panic in a for_each item must propagate");
+        pool.for_each(data.iter_mut(), |i, x| *x = i as u32);
+        assert_eq!(data, (0..64).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -20,6 +20,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 
 pub mod campaign;
 pub mod config;

@@ -10,6 +10,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use wcdma_admission as admission;
 pub use wcdma_cdma as cdma;

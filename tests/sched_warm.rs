@@ -1,50 +1,13 @@
 //! Warm-started scheduling is a pure optimisation: the scheduler's
 //! persistent per-direction workspaces must never change a single bit of
 //! any run. `GOLDEN_POLICY_HASH` (`tests/policy_api.rs`) pins the warm
-//! runs of the 12-cell paper-eval matrix; these tests check that warm
-//! scheduling composes with intra-frame parallelism on that matrix (full
-//! `SimReport` plus per-frame `DecisionRecord` stream equality across
-//! `frame_threads`) and that the optimisation is actually engaged
-//! (warm-hit rate).
+//! runs of the 12-cell paper-eval matrix, and
+//! `tests/frame_threads.rs` checks that matrix for full `SimReport` plus
+//! per-frame `DecisionRecord` stream equality across `frame_threads`.
+//! These tests check that the optimisation is actually engaged (warm-hit
+//! rate) and that the trace sink reports the scheduler's counters.
 
-use wcdma::sim::campaign::{builtin, Scenario};
-use wcdma::sim::{run_with_trace, DecisionLog, SimConfig, Simulation};
-
-/// The paper evaluation matrix (3 mixes × 2 speeds × 2 policies = 12
-/// cells), quickened and shortened — bit-identity needs scheduling rounds
-/// in flight, not statistical power.
-fn paper_eval_matrix() -> Vec<Scenario> {
-    let mut spec = builtin("paper-eval")
-        .expect("builtin paper-eval")
-        .quickened();
-    spec.duration_s = 4.0;
-    spec.warmup_s = 1.0;
-    let scenarios = spec.expand().expect("paper-eval expands");
-    assert_eq!(scenarios.len(), 12, "the paper matrix is 12 cells");
-    scenarios
-}
-
-/// Warm scheduling composes with intra-frame parallelism: with multiple
-/// frame threads, every cell matches the single-threaded run bit for bit.
-#[test]
-fn warm_parallel_matches_warm_serial_on_the_matrix() {
-    for scenario in paper_eval_matrix() {
-        let reference = run_with_trace(scenario.cfg.with_frame_threads(1));
-        assert!(
-            !reference.1.is_empty(),
-            "{}: matrix cell must make decisions",
-            scenario.label
-        );
-        for threads in [2, 4] {
-            let combined = run_with_trace(scenario.cfg.with_frame_threads(threads));
-            assert_eq!(
-                reference, combined,
-                "{}: {threads} frame threads drifted from the serial run",
-                scenario.label
-            );
-        }
-    }
-}
+use wcdma::sim::{DecisionLog, SimConfig, Simulation};
 
 /// A scheduling-heavy scenario: many data users with short bursts and
 /// short reading times, so the request queue almost always has work.
