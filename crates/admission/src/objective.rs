@@ -18,7 +18,7 @@
 //! property holds, and the per-user grant weight becomes
 //! `c_j = δβ̄_j · (1 + Δ_j + λ·(1 − e^{−w_j/μ}))`: waiting users get
 //! progressively heavier weights, so J2 trades raw throughput for delay
-//! fairness. (See DESIGN.md §2 for the substitution note.)
+//! fairness.
 
 use wcdma_mac::MacTimers;
 
@@ -37,7 +37,7 @@ pub enum Objective {
 }
 
 impl Objective {
-    /// Default J2 parameters (DESIGN.md §5).
+    /// Default J2 parameters: λ = 1, μ = 1 s.
     pub fn j2_default() -> Self {
         Objective::J2 {
             lambda: 1.0,

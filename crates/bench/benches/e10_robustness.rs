@@ -34,8 +34,8 @@ fn print_experiments() {
         t.row(&[
             format!("{:.0}", r.sigma_db),
             r.delay_frames.to_string(),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
         ]);
     }
     println!("{}", t.render());
@@ -46,8 +46,8 @@ fn print_experiments() {
     for r in &rows {
         t.row(&[
             format!("{:.0}", r.speed_kmh),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
         ]);
     }
     println!("{}", t.render());
@@ -58,9 +58,9 @@ fn print_experiments() {
     for r in &rows {
         t.row(&[
             r.n_voice.to_string(),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
-            ci(&r.agg.mean_grant_m),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
+            ci(&r.stats.mean_grant_m),
         ]);
     }
     println!("{}", t.render());
@@ -71,9 +71,9 @@ fn print_experiments() {
     for r in &rows {
         t.row(&[
             format!("{:.0}", r.kappa_db),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
-            ci(&r.agg.denial_rate),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
+            ci(&r.stats.denial_rate),
         ]);
     }
     println!("{}", t.render());

@@ -30,8 +30,8 @@ fn print_experiment() {
             },
             r.policy.clone(),
             r.n_data.to_string(),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
         ]);
     }
     println!("{}", t.render());

@@ -25,9 +25,9 @@ fn print_experiment() {
     for r in &rows {
         t.row(&[
             format!("{:.1}", r.lambda),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.p95_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.p95_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
         ]);
     }
     println!("{}", t.render());

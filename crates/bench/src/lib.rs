@@ -4,7 +4,7 @@
 //!
 //! 1. **regenerates its experiment's table/series** (the rows the paper's
 //!    figure or table would contain) and prints it — this is the
-//!    reproduction artefact recorded in EXPERIMENTS.md;
+//!    reproduction artefact;
 //! 2. registers Criterion timings on the computational kernel behind the
 //!    experiment, so `cargo bench` also tracks the cost of the machinery.
 

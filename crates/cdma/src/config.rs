@@ -1,8 +1,8 @@
 //! System-level CDMA network configuration.
 //!
 //! Collects the cdma2000-flavoured link-budget and hand-off parameters used
-//! across the reproduction. Defaults follow DESIGN.md §5; experiments that
-//! deviate do so explicitly through the builder methods.
+//! across the reproduction. Experiments that deviate from the defaults do
+//! so explicitly through the builder methods.
 
 use wcdma_math::db::{db_to_lin, thermal_noise_watt};
 
@@ -50,7 +50,7 @@ pub struct CdmaConfig {
 }
 
 impl CdmaConfig {
-    /// cdma2000-flavoured defaults (DESIGN.md §5).
+    /// cdma2000-flavoured defaults.
     pub fn default_system() -> Self {
         Self {
             chip_rate: 3.686_4e6,

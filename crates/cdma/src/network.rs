@@ -256,8 +256,8 @@ pub struct Network {
     /// Per-link shadowing hot state. The path-loss model and the shadowing
     /// parameters are the same for every link, so they are factored out
     /// into [`Network::pathloss`] / [`Network::shadow_tpl`] — this keeps
-    /// the per-frame advance walking 48-byte rows instead of full
-    /// `ChannelLink`s (whose fast-fading state the hot path never reads).
+    /// the per-frame advance walking 48-byte rows (fast fading has no
+    /// per-link state: the burst layer averages it analytically).
     shadow: Vec<ShadowState>,
     /// Long-term (local-mean) gain to each cell.
     gains: Vec<f64>,
@@ -663,10 +663,8 @@ impl Network {
         for cell in 0..k {
             let stream = self.next_stream;
             self.next_stream += 1;
-            // Exactly the substream `ChannelLink::with_defaults` would hand
-            // its shadowing process — and `ShadowState::stationary` makes
-            // the same initial draw — so the refactor from full links to
-            // hot-state rows is bit-identical (pinned by the golden
+            // Each link's shadowing substream is `stream·1021 + cell`,
+            // XOR `SHADOW_STREAM_XOR` (pinned by the golden
             // canonical-order hash).
             let s = stream.wrapping_mul(1021).wrapping_add(cell as u64);
             self.shadow.push(ShadowState::stationary(

@@ -15,10 +15,11 @@
 use wcdma_math::dist::DB_TO_NAT;
 use wcdma_math::rng::Xoshiro256pp;
 
-/// Substream tweak a per-link shadowing process applies to its stream id
-/// (see `ChannelLink::with_defaults`) — exported so alternate storage
-/// (e.g. [`ShadowState`] rows in the network) derives the identical RNG
-/// substream and stays bit-compatible with the full link.
+/// Substream tweak applied to a link's shadowing stream id. The network
+/// seeds the [`ShadowState`] row of mobile-stream `stream` to cell `cell`
+/// from `Xoshiro256pp::substream(seed, (stream·1021 + cell) ^
+/// SHADOW_STREAM_XOR)` (wrapping arithmetic), so every link owns an
+/// independent substream.
 pub const SHADOW_STREAM_XOR: u64 = 0x5A5A;
 
 /// Correlated log-normal shadowing process (dB-domain state).

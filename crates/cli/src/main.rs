@@ -41,7 +41,6 @@ use wcdma_sim::campaign::{
     trace_campaign, write_artefacts, write_atomic, CampaignResult, PolicyRegistry, RunOptions,
     ScenarioSpec, ServiceConfig,
 };
-use wcdma_sim::stats::ReplicationStats;
 use wcdma_sim::table::ci;
 use wcdma_sim::Table;
 
@@ -520,11 +519,11 @@ fn summary_table(result: &CampaignResult) -> Table {
         let s = &sr.stats;
         t.row(&[
             sr.scenario.label.clone(),
-            ci(&ReplicationStats::ci(&s.mean_delay_s)),
-            ci(&ReplicationStats::ci(&s.p95_delay_s)),
-            ci(&ReplicationStats::ci(&s.per_cell_throughput_kbps)),
-            ci(&ReplicationStats::ci(&s.mean_grant_m)),
-            ci(&ReplicationStats::ci(&s.denial_rate)),
+            ci(&s.mean_delay_s),
+            ci(&s.p95_delay_s),
+            ci(&s.per_cell_throughput_kbps),
+            ci(&s.mean_grant_m),
+            ci(&s.denial_rate),
         ]);
     }
     t

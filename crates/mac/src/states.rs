@@ -49,7 +49,7 @@ pub struct MacTimers {
 }
 
 impl MacTimers {
-    /// DESIGN.md §5 defaults: T2 = 0.5 s, T3 = 2 s, D1 = 0.1 s, D2 = 0.5 s.
+    /// Default timers: T2 = 0.5 s, T3 = 2 s, D1 = 0.1 s, D2 = 0.5 s.
     pub fn default_timers() -> Self {
         Self {
             t_active_s: 0.06,

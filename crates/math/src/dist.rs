@@ -9,7 +9,6 @@
 //!   Poisson inter-arrivals.
 //! * [`Pareto`] — heavy-tailed web burst (file) sizes.
 //! * [`Normal`] / [`LogNormal`] — shadowing in dB / linear domain.
-//! * [`Rayleigh`] — fast-fading envelope.
 
 use crate::rng::Xoshiro256pp;
 
@@ -221,43 +220,6 @@ impl Distribution for LogNormal {
     }
 }
 
-/// Rayleigh distribution with scale `sigma` (mode).
-///
-/// If `X, Y ~ N(0, sigma^2)` then `sqrt(X^2+Y^2)` is Rayleigh(σ). The fast
-/// fading *power* `X_s = envelope^2 / E[envelope^2]` is then unit-mean
-/// exponential, which is what the VTAOC CSI model consumes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Rayleigh {
-    sigma: f64,
-}
-
-impl Rayleigh {
-    /// Creates a Rayleigh distribution with scale `sigma > 0`.
-    pub fn new(sigma: f64) -> Self {
-        assert!(
-            sigma.is_finite() && sigma > 0.0,
-            "Rayleigh sigma must be positive, got {sigma}"
-        );
-        Self { sigma }
-    }
-
-    /// Rayleigh with unit *mean-square* (so envelope² has mean 1).
-    pub fn unit_power() -> Self {
-        Self::new(core::f64::consts::FRAC_1_SQRT_2)
-    }
-}
-
-impl Distribution for Rayleigh {
-    #[inline]
-    fn sample(&self, rng: &mut Xoshiro256pp) -> f64 {
-        self.sigma * (-2.0 * rng.next_f64_open().ln()).sqrt()
-    }
-
-    fn mean(&self) -> f64 {
-        self.sigma * (core::f64::consts::PI / 2.0).sqrt()
-    }
-}
-
 /// Samples a Poisson-distributed count with mean `lambda` (Knuth's method;
 /// fine for the small per-frame arrival rates used here).
 pub fn poisson(rng: &mut Xoshiro256pp, lambda: f64) -> u64 {
@@ -377,37 +339,6 @@ mod tests {
             (m - expect).abs() / expect < 0.1,
             "sample mean {m} vs {expect}"
         );
-    }
-
-    #[test]
-    fn rayleigh_unit_power_gives_unit_mean_square() {
-        let d = Rayleigh::unit_power();
-        let mut r = rng();
-        let n = 200_000;
-        let ms = (0..n)
-            .map(|_| {
-                let x = d.sample(&mut r);
-                x * x
-            })
-            .sum::<f64>()
-            / n as f64;
-        assert!((ms - 1.0).abs() < 0.02, "mean square {ms}");
-    }
-
-    #[test]
-    fn rayleigh_envelope_squared_is_exponential() {
-        // envelope^2 of unit-power Rayleigh should be Exp(1): P(X > 1) = e^-1.
-        let d = Rayleigh::unit_power();
-        let mut r = rng();
-        let n = 200_000;
-        let tail = (0..n)
-            .filter(|_| {
-                let x = d.sample(&mut r);
-                x * x > 1.0
-            })
-            .count() as f64
-            / n as f64;
-        assert!((tail - (-1.0f64).exp()).abs() < 0.01, "tail {tail}");
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! * [`special`] — erf / Q-function / inverse-Q for BER threshold design.
 //! * [`stats`] — streaming statistics (Welford, P² quantiles, histograms,
 //!   replication confidence intervals).
-//! * [`complex`] — minimal complex arithmetic for the Jakes fading model.
 //! * [`par`] — deterministic intra-frame parallelism: the persistent
 //!   [`FramePool`] chunk-worker pool that hands disjoint chunk windows to
 //!   the workers for the bit-identical chunk-order fold.
@@ -22,7 +21,6 @@
 #![warn(clippy::all)]
 #![deny(unsafe_code)]
 
-pub mod complex;
 pub mod db;
 pub mod dist;
 #[allow(unsafe_code)] // the `FramePool` job hand-off
@@ -32,7 +30,6 @@ pub mod simd;
 pub mod special;
 pub mod stats;
 
-pub use complex::C64;
 pub use db::{db_to_lin, lin_to_db};
 pub use par::FramePool;
 pub use rng::{mix_seed, SplitMix64, Xoshiro256pp};

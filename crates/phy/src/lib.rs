@@ -2,8 +2,8 @@
 //!
 //! * [`modes`] — the six VTAOC transmission modes (β = 1/32 … 1 bits/symbol).
 //! * [`ber`] — parametric BER model with closed-form constant-BER threshold
-//!   inversion (substitution for the coded-modulation curves of refs \[3\],\[7\];
-//!   see DESIGN.md §2).
+//!   inversion (substitution for the coded-modulation curves of refs
+//!   \[3\],\[7\]).
 //! * [`vtaoc`] — the adaptive coder: mode selection from fed-back CSI,
 //!   mode-occupancy and average-throughput closed forms over Rayleigh fading.
 //! * [`spreading`] — eq. (2)/(4)/(5): processing gain, SCH rate `m·δβ̄·R_f`,

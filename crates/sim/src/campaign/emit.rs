@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use wcdma_mac::LinkDir;
-use wcdma_math::stats::Welford;
+use wcdma_math::stats::{MeanCi, Welford};
 
 use crate::stats::ReplicationStats;
 use crate::table::Table;
@@ -73,7 +73,7 @@ pub fn campaign_csv_row(sr: &ScenarioResult, axis_keys: &[String]) -> String {
     }
     row.push(sr.stats.n().to_string());
     for (_, get) in metric_columns() {
-        let ci = ReplicationStats::ci(get(&sr.stats));
+        let ci = MeanCi::from_welford(get(&sr.stats));
         row.push(format!("{}", ci.mean));
         row.push(if ci.half_width.is_finite() {
             format!("{}", ci.half_width)
@@ -158,7 +158,7 @@ pub fn campaign_json_scenario(sr: &ScenarioResult) -> String {
     let metrics: Vec<String> = metric_columns()
         .iter()
         .map(|(name, get)| {
-            let ci = ReplicationStats::ci(get(&sr.stats));
+            let ci = MeanCi::from_welford(get(&sr.stats));
             format!(
                 "{}: {{\"mean\": {}, \"ci95\": {}, \"n\": {}}}",
                 jstr(name),

@@ -65,6 +65,16 @@ impl TrafficConfig {
     }
 }
 
+/// Path-loss exponent of the assumed (urban default) channel model.
+const ASSUMED_PATHLOSS_EXPONENT: f64 = 4.0;
+
+/// Largest true path-loss exponent a mismatch may set. Measured exponents
+/// stay well below it (free space 2, dense urban about 5); far above it
+/// `PathLoss::gain`'s `(d0/d)^n` overflows for mobiles near a base station
+/// and the pilot Ec/Io turns into inf/inf. It is also the top of the
+/// integer exponents `PathLoss::gain` evaluates with `powi`.
+const MAX_TRUE_PATHLOSS_EXPONENT: f64 = 8.0;
+
 /// Model-mismatch fault injection: the gap between the channel model the
 /// scheduler *assumes* (the calibration behind the eq.-24 region and the
 /// κ shadowing margin) and the physics the network actually evolves under.
@@ -118,10 +128,12 @@ impl MismatchConfig {
     // which the un-negated forms would silently accept.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn validate(&self) -> Result<(), String> {
-        if !self.pathloss_exponent_delta.is_finite() || !(self.pathloss_exponent_delta > -4.0) {
-            return Err("path-loss exponent delta must be finite and > -4 \
-                 (true exponent must stay positive)"
-                .into());
+        let true_exponent = ASSUMED_PATHLOSS_EXPONENT + self.pathloss_exponent_delta;
+        if !(true_exponent > 0.0 && true_exponent <= MAX_TRUE_PATHLOSS_EXPONENT) {
+            return Err(format!(
+                "path-loss exponent delta must be in (-4, 4]: the true exponent \
+                 4 + delta must stay in (0, {MAX_TRUE_PATHLOSS_EXPONENT}]"
+            ));
         }
         if !self.shadow_sigma_delta_db.is_finite() || !(self.shadow_sigma_delta_db >= -8.0) {
             return Err("shadowing sigma delta must be finite and >= -8 dB \
@@ -481,6 +493,10 @@ mod tests {
             },
             MismatchConfig {
                 pathloss_exponent_delta: f64::NAN,
+                ..MismatchConfig::disabled()
+            },
+            MismatchConfig {
+                pathloss_exponent_delta: 4.0 + 1e-9,
                 ..MismatchConfig::disabled()
             },
         ] {

@@ -1,16 +1,36 @@
-//! Experiment drivers — one function per experiment in DESIGN.md §4.
+//! Experiment drivers — one function per sweep experiment of the
+//! evaluation suite (E1–E6, E10–E13).
 //!
-//! Each driver sweeps a parameter, runs replications, and returns rows that
-//! the benches and examples render (and EXPERIMENTS.md records). They are
-//! deliberately configuration-driven so the quick bench profiles and the
-//! full paper-scale profiles share code.
+//! Each driver builds its sweep points, runs them as one campaign grid of
+//! replications, and returns rows that the benches and examples render.
+//! They are deliberately configuration-driven so the quick bench profiles
+//! and the full paper-scale profiles share code.
 
 use wcdma_admission::{AdmissionPolicy, BoxedPolicy, JabaSd};
 use wcdma_mac::LinkDir;
 
 use crate::campaign::{run_campaign, RunOptions, Scenario};
 use crate::config::{PhyKind, SimConfig};
-use crate::runner::{run_replications, Aggregate};
+use crate::stats::ReplicationStats;
+
+/// Runs every `(key, cfg)` point as one campaign grid of `n_reps`
+/// replications each, and returns each key with its cross-replication
+/// statistics, in point order. An empty sweep yields no rows.
+fn sweep<K>(name: &str, points: Vec<(K, SimConfig)>, n_reps: usize) -> Vec<(K, ReplicationStats)> {
+    if points.is_empty() {
+        return Vec::new();
+    }
+    let (keys, scenarios): (Vec<K>, Vec<Scenario>) = points
+        .into_iter()
+        .map(|(key, cfg)| (key, Scenario::single(name, cfg)))
+        .unzip();
+    let result = run_campaign(name, scenarios, n_reps, &RunOptions::default())
+        .expect("non-empty grid, no candidate override");
+    keys.into_iter()
+        .zip(result.scenarios)
+        .map(|(key, sr)| (key, sr.stats))
+        .collect()
+}
 
 /// One row of a load sweep (E1/E2).
 #[derive(Debug, Clone)]
@@ -19,15 +39,11 @@ pub struct LoadRow {
     pub policy: String,
     /// Number of data users.
     pub n_data: usize,
-    /// Aggregated metrics.
-    pub agg: Aggregate,
+    /// Cross-replication statistics.
+    pub stats: ReplicationStats,
 }
 
 /// E1/E2: average burst delay vs offered load for each policy.
-///
-/// Ported onto the campaign layer: the whole (policy × load) grid runs as
-/// one sharded campaign, so replications of *different* grid cells fill the
-/// worker threads together instead of one cell at a time.
 pub fn delay_vs_load(
     base: &SimConfig,
     dir: LinkDir,
@@ -35,39 +51,22 @@ pub fn delay_vs_load(
     policies: &[(&str, BoxedPolicy)],
     n_reps: usize,
 ) -> Vec<LoadRow> {
-    let mut scenarios = Vec::new();
-    let mut keys = Vec::new();
+    let mut points = Vec::new();
     for &(name, ref policy) in policies {
         for &n in loads {
             let cfg = base
                 .with_direction(dir)
                 .with_n_data(n)
                 .with_policy(policy.clone());
-            scenarios.push(Scenario {
-                label: format!("policy={name}/load={n}"),
-                axes: vec![
-                    ("policy".to_string(), name.to_string()),
-                    ("load".to_string(), n.to_string()),
-                ],
-                cfg,
-            });
-            keys.push((name.to_string(), n));
+            points.push(((name, n), cfg));
         }
     }
-    if scenarios.is_empty() {
-        // Empty sweep axes produced an empty grid before the campaign
-        // port; keep that contract rather than tripping the runner's
-        // non-empty assertion.
-        return Vec::new();
-    }
-    let result = run_campaign("delay_vs_load", scenarios, n_reps, &RunOptions::default())
-        .expect("non-empty grid, no candidate override");
-    keys.into_iter()
-        .zip(result.scenarios)
-        .map(|((policy, n_data), sr)| LoadRow {
-            policy,
+    sweep("delay_vs_load", points, n_reps)
+        .into_iter()
+        .map(|((policy, n_data), stats)| LoadRow {
+            policy: policy.to_string(),
             n_data,
-            agg: Aggregate::from(sr),
+            stats,
         })
         .collect()
 }
@@ -94,7 +93,8 @@ pub enum CapacityMetric {
 }
 
 /// E3: data-user capacity at a delay target, per policy (linear scan over
-/// `loads`, which must be increasing).
+/// `loads`, which must be increasing). Each load step is its own sweep, so
+/// the scan stops running loads at the first missed target.
 pub fn capacity_at_delay_target(
     base: &SimConfig,
     dir: LinkDir,
@@ -114,10 +114,12 @@ pub fn capacity_at_delay_target(
                 .with_direction(dir)
                 .with_n_data(n)
                 .with_policy(policy.clone());
-            let agg = run_replications(&cfg, n_reps);
+            let (_, stats) = sweep("capacity_at_delay_target", vec![((), cfg)], n_reps)
+                .pop()
+                .expect("one point in, one row out");
             let measured = match metric {
-                CapacityMetric::TotalDelay => agg.mean_delay_s.mean,
-                CapacityMetric::QueueDelay => agg.stats.mean_queue_delay_s.mean(),
+                CapacityMetric::TotalDelay => stats.mean_delay_s.mean(),
+                CapacityMetric::QueueDelay => stats.mean_queue_delay_s.mean(),
             };
             if measured <= target_delay_s {
                 capacity = n;
@@ -140,8 +142,8 @@ pub fn capacity_at_delay_target(
 pub struct CoverageRow {
     /// Cell radius (m).
     pub radius_m: f64,
-    /// Aggregated metrics at this radius.
-    pub agg: Aggregate,
+    /// Cross-replication statistics at this radius.
+    pub stats: ReplicationStats,
 }
 
 /// E4: coverage — delay/throughput as the cell radius grows (users spread
@@ -152,14 +154,18 @@ pub fn coverage_vs_radius(
     radii_m: &[f64],
     n_reps: usize,
 ) -> Vec<CoverageRow> {
-    let mut rows = Vec::new();
-    for &r in radii_m {
-        let mut cfg = base.with_direction(dir);
-        cfg.cell_radius_m = r;
-        let agg = run_replications(&cfg, n_reps);
-        rows.push(CoverageRow { radius_m: r, agg });
-    }
-    rows
+    let points = radii_m
+        .iter()
+        .map(|&r| {
+            let mut cfg = base.with_direction(dir);
+            cfg.cell_radius_m = r;
+            (r, cfg)
+        })
+        .collect();
+    sweep("coverage_vs_radius", points, n_reps)
+        .into_iter()
+        .map(|(radius_m, stats)| CoverageRow { radius_m, stats })
+        .collect()
 }
 
 /// One row of the PHY ablation (E5).
@@ -171,8 +177,8 @@ pub struct AblationRow {
     pub phy: PhyKind,
     /// Number of data users.
     pub n_data: usize,
-    /// Aggregated metrics.
-    pub agg: Aggregate,
+    /// Cross-replication statistics.
+    pub stats: ReplicationStats,
 }
 
 /// E5: adaptive vs fixed PHY under each admission policy — the joint-design
@@ -184,7 +190,7 @@ pub fn phy_ablation(
     policies: &[(&str, BoxedPolicy)],
     n_reps: usize,
 ) -> Vec<AblationRow> {
-    let mut rows = Vec::new();
+    let mut points = Vec::new();
     for &phy in &[PhyKind::Adaptive, PhyKind::Fixed] {
         for &(name, ref policy) in policies {
             for &n in loads {
@@ -193,17 +199,19 @@ pub fn phy_ablation(
                     .with_n_data(n)
                     .with_policy(policy.clone());
                 cfg.phy = phy;
-                let agg = run_replications(&cfg, n_reps);
-                rows.push(AblationRow {
-                    policy: name.to_string(),
-                    phy,
-                    n_data: n,
-                    agg,
-                });
+                points.push(((name, phy, n), cfg));
             }
         }
     }
-    rows
+    sweep("phy_ablation", points, n_reps)
+        .into_iter()
+        .map(|((policy, phy, n_data), stats)| AblationRow {
+            policy: policy.to_string(),
+            phy,
+            n_data,
+            stats,
+        })
+        .collect()
 }
 
 /// One row of the objective study (E6).
@@ -211,8 +219,8 @@ pub fn phy_ablation(
 pub struct ObjectiveRow {
     /// λ of the J2 penalty (0 ⇒ J1).
     pub lambda: f64,
-    /// Aggregated metrics.
-    pub agg: Aggregate,
+    /// Cross-replication statistics.
+    pub stats: ReplicationStats,
 }
 
 /// E6: the J1↔J2 tradeoff — sweep the delay-penalty weight λ and watch mean
@@ -224,25 +232,29 @@ pub fn objective_tradeoff(
     n_reps: usize,
 ) -> Vec<ObjectiveRow> {
     use wcdma_admission::Objective;
-    let mut rows = Vec::new();
-    for &lambda in lambdas {
-        let objective = if lambda == 0.0 {
-            Objective::J1
-        } else {
-            Objective::J2 { lambda, mu: 1.0 }
-        };
-        let cfg = base.with_direction(dir).with_policy(
-            JabaSd {
-                objective,
-                exact: true,
-                node_limit: 200_000,
-            }
-            .into_boxed(),
-        );
-        let agg = run_replications(&cfg, n_reps);
-        rows.push(ObjectiveRow { lambda, agg });
-    }
-    rows
+    let points = lambdas
+        .iter()
+        .map(|&lambda| {
+            let objective = if lambda == 0.0 {
+                Objective::J1
+            } else {
+                Objective::J2 { lambda, mu: 1.0 }
+            };
+            let cfg = base.with_direction(dir).with_policy(
+                JabaSd {
+                    objective,
+                    exact: true,
+                    node_limit: 200_000,
+                }
+                .into_boxed(),
+            );
+            (lambda, cfg)
+        })
+        .collect();
+    sweep("objective_tradeoff", points, n_reps)
+        .into_iter()
+        .map(|(lambda, stats)| ObjectiveRow { lambda, stats })
+        .collect()
 }
 
 /// One row of the CSI-robustness study (E10).
@@ -252,8 +264,8 @@ pub struct RobustnessRow {
     pub sigma_db: f64,
     /// CSI feedback delay (frames).
     pub delay_frames: usize,
-    /// Aggregated metrics.
-    pub agg: Aggregate,
+    /// Cross-replication statistics.
+    pub stats: ReplicationStats,
 }
 
 /// E10: failure injection — degrade the CSI feedback the scheduler sees
@@ -265,21 +277,23 @@ pub fn csi_robustness(
     delays: &[usize],
     n_reps: usize,
 ) -> Vec<RobustnessRow> {
-    let mut rows = Vec::new();
+    let mut points = Vec::new();
     for &sigma in sigmas_db {
         for &delay in delays {
             let mut cfg = base.with_direction(dir);
             cfg.csi_error_sigma_db = sigma;
             cfg.csi_delay_frames = delay;
-            let agg = run_replications(&cfg, n_reps);
-            rows.push(RobustnessRow {
-                sigma_db: sigma,
-                delay_frames: delay,
-                agg,
-            });
+            points.push(((sigma, delay), cfg));
         }
     }
-    rows
+    sweep("csi_robustness", points, n_reps)
+        .into_iter()
+        .map(|((sigma_db, delay_frames), stats)| RobustnessRow {
+            sigma_db,
+            delay_frames,
+            stats,
+        })
+        .collect()
 }
 
 /// One row of the mobility-speed study (E11).
@@ -287,40 +301,25 @@ pub fn csi_robustness(
 pub struct SpeedRow {
     /// User speed (km/h).
     pub speed_kmh: f64,
-    /// Aggregated metrics.
-    pub agg: Aggregate,
+    /// Cross-replication statistics.
+    pub stats: ReplicationStats,
 }
 
 /// E11: mobility impact — pedestrian to vehicular speeds. Faster users
 /// decorrelate shadowing quicker and stress hand-off and power control.
-///
-/// Ported onto the campaign layer: all speeds run as one sharded campaign.
 pub fn speed_sweep(
     base: &SimConfig,
     dir: LinkDir,
     speeds_kmh: &[f64],
     n_reps: usize,
 ) -> Vec<SpeedRow> {
-    let scenarios: Vec<Scenario> = speeds_kmh
+    let points = speeds_kmh
         .iter()
-        .map(|&v| Scenario {
-            label: format!("speed={v}kmh"),
-            axes: vec![("speed_kmh".to_string(), v.to_string())],
-            cfg: base.with_direction(dir).with_speed_kmh(v),
-        })
+        .map(|&v| (v, base.with_direction(dir).with_speed_kmh(v)))
         .collect();
-    if scenarios.is_empty() {
-        return Vec::new();
-    }
-    let result = run_campaign("speed_sweep", scenarios, n_reps, &RunOptions::default())
-        .expect("non-empty grid, no candidate override");
-    speeds_kmh
-        .iter()
-        .zip(result.scenarios)
-        .map(|(&v, sr)| SpeedRow {
-            speed_kmh: v,
-            agg: Aggregate::from(sr),
-        })
+    sweep("speed_sweep", points, n_reps)
+        .into_iter()
+        .map(|(speed_kmh, stats)| SpeedRow { speed_kmh, stats })
         .collect()
 }
 
@@ -329,8 +328,8 @@ pub fn speed_sweep(
 pub struct VoiceLoadRow {
     /// Number of background voice users.
     pub n_voice: usize,
-    /// Aggregated metrics.
-    pub agg: Aggregate,
+    /// Cross-replication statistics.
+    pub stats: ReplicationStats,
 }
 
 /// E12: data performance vs voice background load — voice erodes both the
@@ -341,14 +340,18 @@ pub fn voice_load_sweep(
     n_voice: &[usize],
     n_reps: usize,
 ) -> Vec<VoiceLoadRow> {
-    let mut rows = Vec::new();
-    for &v in n_voice {
-        let mut cfg = base.with_direction(dir);
-        cfg.n_voice = v;
-        let agg = run_replications(&cfg, n_reps);
-        rows.push(VoiceLoadRow { n_voice: v, agg });
-    }
-    rows
+    let points = n_voice
+        .iter()
+        .map(|&v| {
+            let mut cfg = base.with_direction(dir);
+            cfg.n_voice = v;
+            (v, cfg)
+        })
+        .collect();
+    sweep("voice_load_sweep", points, n_reps)
+        .into_iter()
+        .map(|(n_voice, stats)| VoiceLoadRow { n_voice, stats })
+        .collect()
 }
 
 /// One row of the κ-margin ablation (E13, reverse link).
@@ -356,22 +359,26 @@ pub fn voice_load_sweep(
 pub struct KappaRow {
     /// Shadowing margin κ (dB) applied to projected neighbour interference.
     pub kappa_db: f64,
-    /// Aggregated metrics.
-    pub agg: Aggregate,
+    /// Cross-replication statistics.
+    pub stats: ReplicationStats,
 }
 
 /// E13: ablation of the eq.-15 neighbour-projection margin κ — small κ
 /// admits aggressively (risking reverse overload), large κ is conservative
 /// (wasting capacity).
 pub fn kappa_ablation(base: &SimConfig, kappas_db: &[f64], n_reps: usize) -> Vec<KappaRow> {
-    let mut rows = Vec::new();
-    for &k in kappas_db {
-        let mut cfg = base.with_direction(LinkDir::Reverse);
-        cfg.cdma.kappa_margin = wcdma_math::db_to_lin(k);
-        let agg = run_replications(&cfg, n_reps);
-        rows.push(KappaRow { kappa_db: k, agg });
-    }
-    rows
+    let points = kappas_db
+        .iter()
+        .map(|&k| {
+            let mut cfg = base.with_direction(LinkDir::Reverse);
+            cfg.cdma.kappa_margin = wcdma_math::db_to_lin(k);
+            (k, cfg)
+        })
+        .collect();
+    sweep("kappa_ablation", points, n_reps)
+        .into_iter()
+        .map(|(kappa_db, stats)| KappaRow { kappa_db, stats })
+        .collect()
 }
 
 #[cfg(test)]
@@ -393,7 +400,7 @@ mod tests {
         let rows = delay_vs_load(&tiny(), LinkDir::Forward, &[2, 4], &policies, 1);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].n_data, 2);
-        assert!(rows[0].agg.mean_delay_s.mean >= 0.0);
+        assert!(rows[0].stats.mean_delay_s.mean() >= 0.0);
     }
 
     #[test]
@@ -469,24 +476,6 @@ mod tests {
         assert!(delay_vs_load(&tiny(), LinkDir::Forward, &[], &policies, 1).is_empty());
         assert!(delay_vs_load(&tiny(), LinkDir::Forward, &[2], &[], 1).is_empty());
         assert!(speed_sweep(&tiny(), LinkDir::Forward, &[], 1).is_empty());
-    }
-
-    #[test]
-    fn campaign_port_matches_run_replications() {
-        // The campaign-backed sweep must reproduce exactly what a
-        // per-cell run_replications loop produced before the port.
-        let base = tiny();
-        let policies = vec![("jaba", JabaSd::default_j2().into_boxed())];
-        let rows = delay_vs_load(&base, LinkDir::Forward, &[2], &policies, 2);
-        let direct = run_replications(
-            &base
-                .with_direction(LinkDir::Forward)
-                .with_n_data(2)
-                .with_policy(JabaSd::default_j2().into_boxed()),
-            2,
-        );
-        assert_eq!(rows[0].agg.reports, direct.reports);
-        assert_eq!(rows[0].agg.mean_delay_s, direct.mean_delay_s);
     }
 
     #[test]

@@ -9,13 +9,12 @@
 //!   and the burst scheduler together ([`Simulation`]).
 //! * [`stats`] — streaming metric accumulators, the [`SimReport`], and the
 //!   cross-replication [`ReplicationStats`].
-//! * [`runner`] — parallel replication running with confidence intervals.
 //! * [`campaign`] — declarative scenario matrices ([`campaign::ScenarioSpec`]),
 //!   the sharded work-stealing campaign runner, and CSV/JSON emitters.
 //! * [`trace`] — decision-trace hooks: capture every per-frame policy
 //!   decision ([`trace::DecisionRecord`]) for tests and the campaign CSV
 //!   layer.
-//! * [`experiments`] — drivers for the E1–E8 experiment suite.
+//! * [`experiments`] — drivers for the E1–E13 experiment suite.
 //! * [`table`] — text/CSV rendering of result rows.
 
 #![warn(missing_docs)]
@@ -26,7 +25,6 @@ pub mod campaign;
 pub mod config;
 pub mod engine;
 pub mod experiments;
-pub mod runner;
 pub mod stats;
 pub mod table;
 pub mod trace;
@@ -38,7 +36,6 @@ pub use campaign::{
 };
 pub use config::{MismatchConfig, PhyKind, SimConfig, TrafficConfig};
 pub use engine::Simulation;
-pub use runner::{run_replications, Aggregate};
 pub use stats::{ReplicationStats, SimReport, SimStats};
 pub use table::Table;
 pub use trace::{run_with_trace, DecisionLog, DecisionRecord, DecisionTrace};

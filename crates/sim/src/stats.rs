@@ -1,7 +1,7 @@
 //! Simulation statistics: streaming accumulators, the end-of-run report,
 //! and the streaming cross-replication summary.
 
-use wcdma_math::stats::{Histogram, MeanCi, P2Quantile, Welford};
+use wcdma_math::stats::{Histogram, P2Quantile, Welford};
 
 /// Streaming metric accumulators filled during a run.
 #[derive(Debug)]
@@ -249,8 +249,7 @@ impl SimReport {
 /// Streaming per-metric statistics over independent replications.
 ///
 /// This is the single home of the cross-replication mean/CI math: the
-/// campaign runner, [`crate::runner::Aggregate`], and the experiment rows
-/// all fold their [`SimReport`]s through it, one Welford accumulator per
+/// campaign runner and the experiment rows all fold their [`SimReport`]s through it, one Welford accumulator per
 /// metric, so adding a metric or changing the CI method happens in exactly
 /// one place. Pushing reports in replication order makes the result
 /// bit-identical regardless of how the replications were scheduled.
@@ -308,11 +307,6 @@ impl ReplicationStats {
         self.mean_delay_s.count()
     }
 
-    /// 95% t-based confidence interval of one metric accumulator.
-    pub fn ci(w: &Welford) -> MeanCi {
-        MeanCi::from_welford(w)
-    }
-
     /// Every metric accumulator, in declaration order. The campaign
     /// checkpoint journal snapshots the full fold state through this (via
     /// [`Welford::to_raw_parts`]) so a resumed or merged fold can be
@@ -337,6 +331,7 @@ impl ReplicationStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wcdma_math::stats::MeanCi;
 
     #[test]
     fn report_normalises_by_window() {
@@ -378,12 +373,12 @@ mod tests {
         assert_eq!(rs.n(), 2);
         let xs: Vec<f64> = reports.iter().map(|r| r.mean_delay_s).collect();
         assert_eq!(
-            ReplicationStats::ci(&rs.mean_delay_s),
+            MeanCi::from_welford(&rs.mean_delay_s),
             MeanCi::from_samples(&xs)
         );
         let ts: Vec<f64> = reports.iter().map(|r| r.per_cell_throughput_kbps).collect();
         assert_eq!(
-            ReplicationStats::ci(&rs.per_cell_throughput_kbps),
+            MeanCi::from_welford(&rs.per_cell_throughput_kbps),
             MeanCi::from_samples(&ts)
         );
     }

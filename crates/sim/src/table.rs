@@ -6,6 +6,8 @@
 
 use std::fmt::Write as _;
 
+use wcdma_math::stats::{MeanCi, Welford};
+
 /// A simple column-aligned table builder.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
@@ -101,8 +103,10 @@ pub fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Formats a `MeanCi` as `mean ± hw`.
-pub fn ci(ci: &wcdma_math::stats::MeanCi) -> String {
+/// Formats a metric accumulator's 95% confidence interval as `mean ± hw`
+/// (just `mean` below two replications).
+pub fn ci(w: &Welford) -> String {
+    let ci = MeanCi::from_welford(w);
     if ci.half_width.is_finite() {
         format!("{:.3} ± {:.3}", ci.mean, ci.half_width)
     } else {
@@ -153,18 +157,12 @@ mod tests {
 
     #[test]
     fn ci_formatting() {
-        let m = wcdma_math::stats::MeanCi {
-            mean: 1.0,
-            half_width: 0.25,
-            n: 5,
-        };
-        assert_eq!(ci(&m), "1.000 ± 0.250");
-        let inf = wcdma_math::stats::MeanCi {
-            mean: 2.0,
-            half_width: f64::INFINITY,
-            n: 1,
-        };
-        assert_eq!(ci(&inf), "2.000");
+        let mut w = Welford::new();
+        w.push(2.0);
+        assert_eq!(ci(&w), "2.000");
+        w.push(4.0);
+        // mean 3, s = √2, t(1) = 12.706: hw = 12.706 · √2 / √2.
+        assert_eq!(ci(&w), "3.000 ± 12.706");
         assert_eq!(f3(1.23456), "1.235");
     }
 }

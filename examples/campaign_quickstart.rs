@@ -6,7 +6,6 @@
 //! ```
 
 use wcdma::sim::campaign::{builtin, campaign_csv, campaign_summary_json, run_spec, RunOptions};
-use wcdma::sim::stats::ReplicationStats;
 use wcdma::sim::table::ci;
 use wcdma::sim::Table;
 
@@ -31,9 +30,9 @@ fn main() {
     for sr in &result.scenarios {
         t.row(&[
             sr.scenario.label.clone(),
-            ci(&ReplicationStats::ci(&sr.stats.mean_delay_s)),
-            ci(&ReplicationStats::ci(&sr.stats.per_cell_throughput_kbps)),
-            ci(&ReplicationStats::ci(&sr.stats.denial_rate)),
+            ci(&sr.stats.mean_delay_s),
+            ci(&sr.stats.per_cell_throughput_kbps),
+            ci(&sr.stats.denial_rate),
         ]);
     }
     println!("{}", t.render());

@@ -31,10 +31,10 @@ fn main() {
     for r in &rows {
         table.row(&[
             format!("{:.0}", r.radius_m),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.p95_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
-            ci(&r.agg.mean_grant_m),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.p95_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
+            ci(&r.stats.mean_grant_m),
         ]);
     }
     println!("{}", table.render());

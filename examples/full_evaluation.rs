@@ -7,7 +7,7 @@
 //!
 //! The same tables (plus Criterion timings) are produced per-experiment by
 //! `cargo bench`; this binary exists so the whole evaluation can be
-//! regenerated in one run and diffed against EXPERIMENTS.md.
+//! regenerated in one run.
 
 use wcdma::admission::{AdmissionPolicy, Fcfs, JabaSd};
 use wcdma::mac::LinkDir;
@@ -99,10 +99,10 @@ fn main() {
             t.row(&[
                 r.policy.clone(),
                 r.n_data.to_string(),
-                ci(&r.agg.mean_delay_s),
-                ci(&r.agg.p95_delay_s),
-                ci(&r.agg.per_cell_throughput_kbps),
-                ci(&r.agg.denial_rate),
+                ci(&r.stats.mean_delay_s),
+                ci(&r.stats.p95_delay_s),
+                ci(&r.stats.per_cell_throughput_kbps),
+                ci(&r.stats.denial_rate),
             ]);
         }
         println!("{}", t.render());
@@ -155,9 +155,9 @@ fn main() {
     for r in &rows {
         t.row(&[
             format!("{:.0}", r.radius_m),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
-            ci(&r.agg.mean_grant_m),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
+            ci(&r.stats.mean_grant_m),
         ]);
     }
     println!("{}", t.render());
@@ -177,8 +177,8 @@ fn main() {
                 PhyKind::Fixed => "fixed".into(),
             },
             r.policy.clone(),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
         ]);
     }
     println!("{}", t.render());
@@ -192,9 +192,9 @@ fn main() {
     for r in &rows {
         t.row(&[
             format!("{:.1}", r.lambda),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.p95_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.p95_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
         ]);
     }
     println!("{}", t.render());
@@ -233,8 +233,8 @@ fn main() {
         t.row(&[
             format!("{:.0}", r.sigma_db),
             r.delay_frames.to_string(),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
         ]);
     }
     println!("{}", t.render());
@@ -246,8 +246,8 @@ fn main() {
     for r in &rows {
         t.row(&[
             format!("{:.0}", r.speed_kmh),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
         ]);
     }
     println!("{}", t.render());
@@ -259,9 +259,9 @@ fn main() {
     for r in &rows {
         t.row(&[
             r.n_voice.to_string(),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
-            ci(&r.agg.mean_grant_m),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
+            ci(&r.stats.mean_grant_m),
         ]);
     }
     println!("{}", t.render());
@@ -273,9 +273,9 @@ fn main() {
     for r in &rows {
         t.row(&[
             format!("{:.0}", r.kappa_db),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
-            ci(&r.agg.denial_rate),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
+            ci(&r.stats.denial_rate),
         ]);
     }
     println!("{}", t.render());

@@ -41,8 +41,8 @@ fn main() {
             },
             r.policy.clone(),
             r.n_data.to_string(),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
         ]);
     }
     println!("{}", table.render());

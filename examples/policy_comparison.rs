@@ -49,10 +49,10 @@ fn main() {
         table.row(&[
             r.policy.clone(),
             r.n_data.to_string(),
-            ci(&r.agg.mean_delay_s),
-            ci(&r.agg.p95_delay_s),
-            ci(&r.agg.per_cell_throughput_kbps),
-            ci(&r.agg.denial_rate),
+            ci(&r.stats.mean_delay_s),
+            ci(&r.stats.p95_delay_s),
+            ci(&r.stats.per_cell_throughput_kbps),
+            ci(&r.stats.denial_rate),
         ]);
     }
     println!("{}", table.render());

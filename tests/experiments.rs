@@ -80,7 +80,7 @@ fn experiments_hash() -> u64 {
     for r in &rows {
         h.str(&r.policy);
         h.word(r.n_data as u64);
-        h.stats(&r.agg.stats);
+        h.stats(&r.stats);
     }
 
     for metric in [CapacityMetric::TotalDelay, CapacityMetric::QueueDelay] {
@@ -105,7 +105,7 @@ fn experiments_hash() -> u64 {
     assert_eq!(rows.len(), 2);
     for r in &rows {
         h.f64(r.radius_m);
-        h.stats(&r.agg.stats);
+        h.stats(&r.stats);
     }
 
     let rows = phy_ablation(&base, LinkDir::Reverse, &[2], &pols, REPS);
@@ -114,14 +114,14 @@ fn experiments_hash() -> u64 {
         h.str(&r.policy);
         h.str(&format!("{:?}", r.phy));
         h.word(r.n_data as u64);
-        h.stats(&r.agg.stats);
+        h.stats(&r.stats);
     }
 
     let rows = objective_tradeoff(&base, LinkDir::Forward, &[0.0, 1.0], REPS);
     assert_eq!(rows.len(), 2);
     for r in &rows {
         h.f64(r.lambda);
-        h.stats(&r.agg.stats);
+        h.stats(&r.stats);
     }
 
     let rows = csi_robustness(&base, LinkDir::Forward, &[0.0, 3.0], &[0, 5], REPS);
@@ -129,28 +129,28 @@ fn experiments_hash() -> u64 {
     for r in &rows {
         h.f64(r.sigma_db);
         h.word(r.delay_frames as u64);
-        h.stats(&r.agg.stats);
+        h.stats(&r.stats);
     }
 
     let rows = speed_sweep(&base, LinkDir::Forward, &[3.0, 120.0], REPS);
     assert_eq!(rows.len(), 2);
     for r in &rows {
         h.f64(r.speed_kmh);
-        h.stats(&r.agg.stats);
+        h.stats(&r.stats);
     }
 
     let rows = voice_load_sweep(&base, LinkDir::Forward, &[4, 12], REPS);
     assert_eq!(rows.len(), 2);
     for r in &rows {
         h.word(r.n_voice as u64);
-        h.stats(&r.agg.stats);
+        h.stats(&r.stats);
     }
 
     let rows = kappa_ablation(&base, &[0.0, 4.0], REPS);
     assert_eq!(rows.len(), 2);
     for r in &rows {
         h.f64(r.kappa_db);
-        h.stats(&r.agg.stats);
+        h.stats(&r.stats);
     }
 
     h.0

@@ -282,7 +282,7 @@ fn edge_configs_run_with_finite_reports() {
         c.warmup_s = 0.0;
         c
     };
-    let accepted: [ConfigEdge; 4] = [
+    let accepted: [ConfigEdge; 7] = [
         ("n_data = 0", |c| c.n_data = 0),
         ("n_voice = 0", |c| c.n_voice = 0),
         // The largest f64 below 1.
@@ -291,6 +291,17 @@ fn edge_configs_run_with_finite_reports() {
         }),
         ("candidate_k = n_cells", |c| {
             c.candidate_k = HexLayout::new(c.rings, c.cell_radius_m).num_cells();
+        }),
+        // Extreme mismatch deltas: the true path-loss exponent at its
+        // ceiling of 8 and just above 0, and a shadowing σ far past physics.
+        ("pathloss_exponent_delta = 4", |c| {
+            c.mismatch.pathloss_exponent_delta = 4.0;
+        }),
+        ("pathloss_exponent_delta = -4 + 1e-9", |c| {
+            c.mismatch.pathloss_exponent_delta = -4.0 + 1e-9;
+        }),
+        ("shadow_sigma_delta_db = 1e300", |c| {
+            c.mismatch.shadow_sigma_delta_db = 1e300;
         }),
     ];
     for (what, edit) in accepted {
@@ -302,9 +313,13 @@ fn edge_configs_run_with_finite_reports() {
             assert_report_finite(&report, &format!("{what} at {threads} frame threads"));
         }
     }
-    let rejected: [ConfigEdge; 2] = [
+    let rejected: [ConfigEdge; 3] = [
         ("rings = 0", |c| c.rings = 0),
         ("csi_dropout_p = 1", |c| c.mismatch.csi_dropout_p = 1.0),
+        // Would overflow `PathLoss::gain` near a base station.
+        ("pathloss_exponent_delta = 1e3", |c| {
+            c.mismatch.pathloss_exponent_delta = 1e3;
+        }),
     ];
     for (what, edit) in rejected {
         let mut cfg = base();

@@ -15,7 +15,7 @@ use wcdma::admission::{
     forward_region, AdmissionPolicy, JabaSd, Region, Scheduler, SchedulerConfig,
 };
 use wcdma::cdma::Network;
-use wcdma::channel::ChannelLink;
+use wcdma::channel::{PathLoss, Shadowing};
 use wcdma::geo::{CellId, HexLayout};
 use wcdma::ilp::{branch_and_bound, Problem};
 use wcdma::mac::{BurstRequest, LinkDir, RequestQueue};
@@ -42,9 +42,11 @@ fn math_feeds_phy_channel_geo() {
     let vtaoc = Vtaoc::constant_ber(BerModel::coded(), target);
     assert!(vtaoc.avg_throughput(10.0) > 0.0);
 
-    // math → channel: a full link evolves from a seeded RNG stream.
-    let mut link = ChannelLink::with_defaults(7, 1, 20.0, 0.01);
-    let g = link.step(500.0, 0.5, 0.01);
+    // math → channel: a long-term link gain (path loss × shadowing)
+    // evolves from a seeded RNG stream.
+    let mut shadowing = Shadowing::urban_default(7, 1);
+    shadowing.step(0.5, 0.01);
+    let g = PathLoss::urban_default().gain(500.0) * shadowing.gain();
     assert!(g > 0.0 && g < 1.0, "link gain {g} outside (0,1)");
 
     // math → geo: layouts hand positions out of the same RNG family.
