@@ -65,9 +65,6 @@ impl TrafficConfig {
     }
 }
 
-/// Path-loss exponent of the assumed (urban default) channel model.
-const ASSUMED_PATHLOSS_EXPONENT: f64 = 4.0;
-
 /// Largest true path-loss exponent a mismatch may set. Measured exponents
 /// stay well below it (free space 2, dense urban about 5); far above it
 /// `PathLoss::gain`'s `(d0/d)^n` overflows for mobiles near a base station
@@ -128,7 +125,7 @@ impl MismatchConfig {
     // which the un-negated forms would silently accept.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn validate(&self) -> Result<(), String> {
-        let true_exponent = ASSUMED_PATHLOSS_EXPONENT + self.pathloss_exponent_delta;
+        let true_exponent = 4.0 + self.pathloss_exponent_delta;
         if !(true_exponent > 0.0 && true_exponent <= MAX_TRUE_PATHLOSS_EXPONENT) {
             return Err(format!(
                 "path-loss exponent delta must be in (-4, 4]: the true exponent \

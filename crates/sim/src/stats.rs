@@ -249,9 +249,9 @@ impl SimReport {
 /// Streaming per-metric statistics over independent replications.
 ///
 /// This is the single home of the cross-replication mean/CI math: the
-/// campaign runner and the experiment rows all fold their [`SimReport`]s through it, one Welford accumulator per
-/// metric, so adding a metric or changing the CI method happens in exactly
-/// one place. Pushing reports in replication order makes the result
+/// campaign runner and the experiment rows all fold their [`SimReport`]s
+/// through it, one Welford accumulator per metric, so adding a metric or
+/// changing the CI method happens in exactly one place. Pushing reports in replication order makes the result
 /// bit-identical regardless of how the replications were scheduled.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplicationStats {
