@@ -6,10 +6,11 @@
 
 use std::path::{Path, PathBuf};
 
-use wcdma_sim::campaign::journal::{JOURNAL_FILE, MANIFEST_FILE};
+use wcdma_sim::campaign::journal::{JournalWriter, FOLD_STATE_WORDS, JOURNAL_FILE, MANIFEST_FILE};
 use wcdma_sim::campaign::spec::{MismatchLevel, TrafficMix};
 use wcdma_sim::{
     campaign_status, merge_dirs, run_spec_service, RunOptions, ScenarioSpec, ServiceConfig,
+    SimStats,
 };
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -323,4 +324,102 @@ fn corruption_and_mismatch_errors_name_files_and_fingerprints() {
     );
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Copies every file of checkpoint `src` into a fresh directory `tag`.
+fn copy_checkpoint(src: &Path, tag: &str) -> PathBuf {
+    let dst = tmpdir(tag);
+    std::fs::create_dir_all(&dst).unwrap();
+    for entry in std::fs::read_dir(src).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, dst.join(path.file_name().unwrap())).unwrap();
+    }
+    dst
+}
+
+/// Asserts `result` is an error naming the manifest or the journal.
+fn rejects<T: std::fmt::Debug>(result: Result<T, String>, what: &str) {
+    let err = result.expect_err(what);
+    assert!(
+        err.contains(MANIFEST_FILE) || err.contains(JOURNAL_FILE),
+        "{what}: the error must name the damaged file: {err}"
+    );
+}
+
+/// Values no writer produces, in the fields that size or index the grid:
+/// resume, `status` and `merge` each reject them as an error naming the
+/// file — no panic, and nothing allocated or indexed by the bad value.
+#[test]
+fn hostile_checkpoints_are_errors_naming_the_file() {
+    let spec = small_spec();
+    let sliced = |i| {
+        svc(move |c| {
+            c.slice_index = i;
+            c.slice_count = 2;
+        })
+    };
+    // A finished two-slice set: slice 1 is damaged, slice 2 stays intact
+    // so merge sees a complete, otherwise valid slice set.
+    let slices: Vec<PathBuf> = (1..=2).map(|i| tmpdir(&format!("h-s{i}"))).collect();
+    for (i, dir) in slices.iter().enumerate() {
+        assert!(
+            run_spec_service(&spec, dir, &sliced(i + 1))
+                .unwrap()
+                .finished
+        );
+    }
+    let out = tmpdir("h-out");
+    merge_dirs(&slices, &out).expect("the intact slice set merges");
+
+    let check = |dir: &Path, case: &str| {
+        rejects(run_spec_service(&spec, dir, &sliced(1)), case);
+        rejects(campaign_status(dir), case);
+        rejects(
+            merge_dirs(&[dir.to_path_buf(), slices[1].clone()], &out),
+            case,
+        );
+    };
+    let manifest = std::fs::read_to_string(slices[0].join(MANIFEST_FILE)).unwrap();
+    for (from, to) in [
+        ("n_scenarios = 2", "n_scenarios = 18446744073709551615"),
+        ("replications = 3", "replications = 1099511627776"),
+        ("slice_count = 2", "slice_count = 18446744073709551615"),
+    ] {
+        assert!(manifest.contains(from), "{manifest}");
+        let dir = copy_checkpoint(&slices[0], "h-manifest");
+        std::fs::write(dir.join(MANIFEST_FILE), manifest.replace(from, to)).unwrap();
+        check(&dir, to);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    let report = SimStats::new().report(3, 7);
+    let dir = copy_checkpoint(&slices[0], "h-cell");
+    JournalWriter::open(&dir)
+        .unwrap()
+        .append_cell(usize::MAX, &report)
+        .unwrap();
+    check(&dir, "cell usize::MAX");
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // A fold snapshot past the grid: resume must reject it, unsliced (where
+    // folds are legitimate) as well as sliced.
+    let whole = tmpdir("h-whole");
+    assert!(
+        run_spec_service(&spec, &whole, &svc(|_| {}))
+            .unwrap()
+            .finished
+    );
+    for (src, cfg) in [(&whole, svc(|_| {})), (&slices[0], sliced(1))] {
+        let dir = copy_checkpoint(src, "h-fold");
+        JournalWriter::open(&dir)
+            .unwrap()
+            .append_fold(usize::MAX, &[0; FOLD_STATE_WORDS])
+            .unwrap();
+        rejects(run_spec_service(&spec, &dir, &cfg), "fold usize::MAX");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    for d in slices.into_iter().chain([out, whole]) {
+        std::fs::remove_dir_all(&d).unwrap();
+    }
 }
