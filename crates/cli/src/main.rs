@@ -37,9 +37,8 @@ use std::process::ExitCode;
 
 use wcdma_sim::campaign::{
     builtin, builtin_names, campaign_csv, campaign_json, campaign_status, campaign_summary_json,
-    campaign_trace_csv, merge_dirs, run_spec, run_spec_service, sched_stats_campaign,
-    trace_campaign, write_artefacts, write_atomic, CampaignResult, PolicyRegistry, RunOptions,
-    ScenarioSpec, ServiceConfig,
+    campaign_trace_csv, merge_dirs, run_spec, run_spec_service, trace_campaign, write_artefacts,
+    write_atomic, CampaignResult, PolicyRegistry, RunOptions, ScenarioSpec, ServiceConfig,
 };
 use wcdma_sim::table::ci;
 use wcdma_sim::Table;
@@ -610,20 +609,28 @@ fn print_written(paths: &[PathBuf]) {
     println!("wrote {}", paths.join(", "));
 }
 
-/// The `--trace` and `--sched-stats` passes: re-run the first replication
-/// of every scenario under the run's own options, writing the trace into
-/// `dir` atomically (it may share a checkpoint directory with a journal).
+/// The `--trace` and `--sched-stats` output: one pass re-runs the first
+/// replication of every scenario under the run's own options and feeds
+/// both, writing the trace into `dir` atomically (it may share a checkpoint
+/// directory with a journal).
 fn instrument(args: &RunArgs, spec: &ScenarioSpec, dir: &Path) -> Result<(), String> {
+    if !args.trace && !args.sched_stats {
+        return Ok(());
+    }
     if args.trace {
         println!("tracing policy decisions (first replication of every scenario)…");
-        let traces = trace_campaign(spec, &args.opts)?;
+    }
+    let (traces, stats): (Vec<_>, Vec<_>) = trace_campaign(spec, &args.opts)?
+        .into_iter()
+        .map(|(label, decisions, sched)| ((label.clone(), decisions), (label, sched)))
+        .unzip();
+    if args.trace {
         let path = dir.join(format!("{}-trace.csv", spec.name));
         write_atomic(&path, &campaign_trace_csv(&traces))?;
         println!("wrote {}", path.display());
     }
     if args.sched_stats {
         println!("collecting scheduling statistics (first replication of every scenario)…");
-        let stats = sched_stats_campaign(spec, &args.opts)?;
         println!("{}", sched_stats_table(&stats).render());
     }
     Ok(())

@@ -16,6 +16,7 @@ use crate::trace::DecisionRecord;
 
 use super::journal::write_atomic;
 use super::runner::{CampaignResult, ScenarioResult};
+use super::spec::Scenario;
 
 /// Accessor into one metric accumulator of the streaming stats.
 type MetricAccessor = fn(&ReplicationStats) -> &Welford;
@@ -37,10 +38,9 @@ fn metric_columns() -> [(&'static str, MetricAccessor); 8] {
 
 /// Axis key order for a campaign's CSV columns, taken from its first
 /// scenario (every scenario in an expanded grid shares the axis set).
-pub fn axis_keys(scenarios: &[ScenarioResult]) -> Vec<String> {
-    scenarios
-        .first()
-        .map(|s| s.scenario.axes.iter().map(|(k, _)| k.clone()).collect())
+pub fn axis_keys(first: Option<&Scenario>) -> Vec<String> {
+    first
+        .map(|s| s.axes.iter().map(|(k, _)| k.clone()).collect())
         .unwrap_or_default()
 }
 
@@ -87,7 +87,7 @@ pub fn campaign_csv_row(sr: &ScenarioResult, axis_keys: &[String]) -> String {
 /// Renders one row per scenario as CSV: axis columns, then
 /// `mean`/`ci95` pairs for every metric.
 pub fn campaign_csv(result: &CampaignResult) -> String {
-    let keys = axis_keys(&result.scenarios);
+    let keys = axis_keys(result.scenarios.first().map(|sr| &sr.scenario));
     let mut out = campaign_csv_header(&keys);
     for sr in &result.scenarios {
         out.push_str(&campaign_csv_row(sr, &keys));
@@ -397,7 +397,7 @@ mod tests {
         // scenario at a time; they must reproduce the batch emitters
         // exactly or resume could never be byte-identical.
         let result = tiny_result();
-        let keys = axis_keys(&result.scenarios);
+        let keys = axis_keys(result.scenarios.first().map(|sr| &sr.scenario));
         let mut csv = campaign_csv_header(&keys);
         let mut json =
             campaign_json_open(&result.name, result.replications, result.scenarios.len());

@@ -32,12 +32,15 @@
 //! produce it, so something else damaged the checkpoint and silently
 //! dropping cells would be worse.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
 use crate::stats::SimReport;
+
+use super::spec::{Scenario, ScenarioSpec};
 
 /// Version of the checkpoint directory layout and line formats. Bump on
 /// any incompatible change; readers refuse newer (and older) versions with
@@ -248,6 +251,13 @@ impl Manifest {
         if m.n_scenarios == 0 || m.replications == 0 {
             return Err(at("grid shape must be non-empty".into()));
         }
+        // `n_jobs` multiplies the two; no real grid comes near the limit.
+        if m.n_scenarios.checked_mul(m.replications).is_none() {
+            return Err(at(format!(
+                "grid shape {}×{} overflows the job index",
+                m.n_scenarios, m.replications
+            )));
+        }
         if m.slice_count == 0 || m.slice_index == 0 || m.slice_index > m.slice_count {
             return Err(at(format!(
                 "bad grid slice {}/{} (need 1 ≤ index ≤ count)",
@@ -269,6 +279,57 @@ impl Manifest {
             )
         })?;
         Self::parse(&text, &path)
+    }
+
+    /// Checks this manifest, read from `dir`, against `want`, the manifest
+    /// it must match — the one a resume would create, or the first slice
+    /// of a merge set with this slice's index — with one specific error per
+    /// way they can disagree. `want_from` names the source of `want`.
+    pub fn check_compat(&self, want: &Manifest, dir: &Path, want_from: &str) -> Result<(), String> {
+        let path = dir.join(MANIFEST_FILE);
+        let path = path.display();
+        if self.fingerprint != want.fingerprint {
+            return Err(format!(
+                "spec fingerprint mismatch in {path}: the checkpoint was created from spec {:016x} \
+                 but {want_from} expects spec {:016x}; a checkpoint resumes and merges only under \
+                 the exact spec (including --quick) that created it",
+                self.fingerprint, want.fingerprint
+            ));
+        }
+        if self.canonical_order_version != want.canonical_order_version {
+            return Err(format!(
+                "canonical-order version mismatch in {path}: the checkpoint was written by a v{} \
+                 build but {want_from} expects v{}; finish the run with the build that created it \
+                 (see docs/CHECKPOINT_FORMAT.md)",
+                self.canonical_order_version, want.canonical_order_version
+            ));
+        }
+        if self.name != want.name {
+            return Err(format!(
+                "campaign name mismatch in {path}: checkpoint is {:?}, {want_from} expects {:?}",
+                self.name, want.name
+            ));
+        }
+        if (self.n_scenarios, self.replications) != (want.n_scenarios, want.replications) {
+            return Err(format!(
+                "grid shape mismatch in {path}: checkpoint is {}×{}, {want_from} expects {}×{}",
+                self.n_scenarios, self.replications, want.n_scenarios, want.replications
+            ));
+        }
+        if (self.slice_index, self.slice_count) != (want.slice_index, want.slice_count) {
+            return Err(format!(
+                "grid slice mismatch in {path}: checkpoint is slice {}/{}, {want_from} expects {}/{}",
+                self.slice_index, self.slice_count, want.slice_index, want.slice_count
+            ));
+        }
+        if self.candidates != want.candidates {
+            return Err(format!(
+                "candidate-list mismatch in {path}: checkpoint has {:?}, {want_from} expects {:?} — \
+                 the override changes results, so it is part of the checkpoint identity",
+                self.candidates, want.candidates
+            ));
+        }
+        Ok(())
     }
 
     /// Writes the manifest atomically (tmp + rename): a kill between the
@@ -318,6 +379,101 @@ pub struct JournalContents {
     /// Set when the final line was torn (undecodable) and dropped — the
     /// expected aftermath of a SIGKILL mid-append.
     pub torn_tail: bool,
+}
+
+/// A checkpoint directory read back through the one loader that resume,
+/// `status` and `merge` share. [`open`](Self::open) checks the journal
+/// against the manifest; [`expand_spec`](Self::expand_spec) checks the
+/// stored spec against the manifest.
+#[derive(Debug)]
+pub struct Checkpoint {
+    /// The directory read.
+    pub dir: PathBuf,
+    /// Its manifest.
+    pub manifest: Manifest,
+    /// Every journaled cell, keyed by global job index.
+    pub cells: HashMap<usize, SimReport>,
+    /// The journaled fold snapshots `(scenario, state)`, in file order.
+    pub folds: Vec<(usize, Vec<u64>)>,
+    /// Whether [`read_journal`] dropped a torn final line.
+    pub torn_tail: bool,
+}
+
+impl Checkpoint {
+    /// Loads `<dir>/manifest.toml` and `<dir>/journal.log`, and checks that
+    /// every journaled cell lies in the grid and belongs to the manifest's
+    /// slice. Safe on any manifest that parses: [`Manifest::parse`] rejects
+    /// a grid whose job count overflows, and nothing here is sized by a
+    /// manifest value.
+    pub fn open(dir: &Path) -> Result<Self, String> {
+        let manifest = Manifest::load(dir)?;
+        let journal = read_journal(dir)?;
+        let mut cells = HashMap::new();
+        let mut folds = Vec::new();
+        for entry in journal.entries {
+            match entry {
+                JournalEntry::Cell { job, report } => {
+                    if job >= manifest.n_jobs() || !manifest.owns_job(job) {
+                        return Err(format!(
+                            "{}: cell with job index {job} does not belong to slice {}/{} of a \
+                             {}×{} grid — journal and manifest disagree",
+                            dir.join(JOURNAL_FILE).display(),
+                            manifest.slice_index,
+                            manifest.slice_count,
+                            manifest.n_scenarios,
+                            manifest.replications
+                        ));
+                    }
+                    cells.insert(job, report);
+                }
+                JournalEntry::Fold { scenario, state } => folds.push((scenario, state)),
+            }
+        }
+        Ok(Self {
+            dir: dir.to_path_buf(),
+            manifest,
+            cells,
+            folds,
+            torn_tail: journal.torn_tail,
+        })
+    }
+
+    /// Reads back `<dir>/spec.toml`, checks its fingerprint and expanded
+    /// grid shape against the manifest, and returns the expanded
+    /// scenarios. Once this succeeds, the manifest's shape is the spec's
+    /// and may size vectors.
+    pub fn expand_spec(&self) -> Result<Vec<Scenario>, String> {
+        let m = &self.manifest;
+        let manifest_path = self.dir.join(MANIFEST_FILE);
+        let spec_path = self.dir.join(SPEC_FILE);
+        let text = std::fs::read_to_string(&spec_path)
+            .map_err(|e| format!("cannot read {}: {e}", spec_path.display()))?;
+        let spec =
+            ScenarioSpec::parse(&text).map_err(|e| format!("{}: {e}", spec_path.display()))?;
+        if spec.fingerprint() != m.fingerprint {
+            return Err(format!(
+                "spec fingerprint mismatch in {}: the manifest expects {:016x} but {} hashes to \
+                 {:016x} — the checkpoint directory has been tampered with",
+                manifest_path.display(),
+                m.fingerprint,
+                spec_path.display(),
+                spec.fingerprint()
+            ));
+        }
+        let scenarios = spec.expand()?;
+        if scenarios.len() != m.n_scenarios || spec.replications != m.replications {
+            return Err(format!(
+                "grid shape mismatch in {}: manifest says {}×{} but {} expands to {}×{}",
+                manifest_path.display(),
+                m.n_scenarios,
+                m.replications,
+                spec_path.display(),
+                scenarios.len(),
+                spec.replications
+            ));
+        }
+        Ok(scenarios)
+    }
 }
 
 /// Appends one body line plus its checksum suffix. The body must not

@@ -15,11 +15,8 @@ use std::path::{Path, PathBuf};
 use crate::stats::SimReport;
 
 use super::emit;
-use super::journal::{
-    read_journal, JournalEntry, Manifest, JOURNAL_FILE, MANIFEST_FILE, SPEC_FILE,
-};
+use super::journal::{Checkpoint, Manifest, JOURNAL_FILE, MANIFEST_FILE};
 use super::runner::CampaignResult;
-use super::spec::ScenarioSpec;
 
 /// Validates `dirs` as the complete slice set of one campaign, folds
 /// their journals canonically, and writes the final artefacts into
@@ -28,46 +25,22 @@ pub fn merge_dirs(dirs: &[PathBuf], out_dir: &Path) -> Result<Vec<PathBuf>, Stri
     if dirs.is_empty() {
         return Err("merge needs at least one checkpoint directory".to_string());
     }
-    let manifests: Vec<Manifest> = dirs
+    let ckpts: Vec<Checkpoint> = dirs
         .iter()
-        .map(|d| Manifest::load(d))
+        .map(|d| Checkpoint::open(d))
         .collect::<Result<_, _>>()?;
-    let first = &manifests[0];
-    for (m, d) in manifests.iter().zip(dirs).skip(1) {
-        if m.fingerprint != first.fingerprint {
-            return Err(format!(
-                "spec fingerprint mismatch: {} expects {:016x} but {} has {:016x} — slices \
-                 must come from the same campaign",
-                dirs[0].join(MANIFEST_FILE).display(),
-                first.fingerprint,
-                d.join(MANIFEST_FILE).display(),
-                m.fingerprint
-            ));
-        }
-        // Same campaign ⇒ same fold semantics: the slices must agree on
-        // the canonical-order version even if this binary has moved on —
-        // their journaled cells were all produced under that version.
-        if m.canonical_order_version != first.canonical_order_version {
-            return Err(format!(
-                "canonical-order version mismatch: {} is v{} but {} is v{}",
-                dirs[0].join(MANIFEST_FILE).display(),
-                first.canonical_order_version,
-                d.join(MANIFEST_FILE).display(),
-                m.canonical_order_version
-            ));
-        }
-        if m.name != first.name
-            || (m.n_scenarios, m.replications) != (first.n_scenarios, first.replications)
-            || m.candidates != first.candidates
-            || m.slice_count != first.slice_count
-        {
-            return Err(format!(
-                "checkpoint mismatch: {} and {} describe different campaigns (name, grid \
-                 shape, slice count, and candidate override must all agree)",
-                dirs[0].join(MANIFEST_FILE).display(),
-                d.join(MANIFEST_FILE).display()
-            ));
-        }
+    let first = ckpts[0].manifest.clone();
+    // Same campaign ⇒ same fold semantics: every slice must match the
+    // first one but for its index — including the canonical-order version,
+    // even if this binary has moved on, since their journaled cells were
+    // all produced under that version.
+    let first_path = dirs[0].join(MANIFEST_FILE).display().to_string();
+    for c in &ckpts[1..] {
+        let want = Manifest {
+            slice_index: c.manifest.slice_index,
+            ..first.clone()
+        };
+        c.manifest.check_compat(&want, &c.dir, &first_path)?;
     }
     // The directories must be exactly the slice set {1..count}, no
     // duplicates, nothing missing.
@@ -81,7 +54,8 @@ pub fn merge_dirs(dirs: &[PathBuf], out_dir: &Path) -> Result<Vec<PathBuf>, Stri
         ));
     }
     let mut owner: Vec<Option<&PathBuf>> = vec![None; first.slice_count];
-    for (m, d) in manifests.iter().zip(dirs) {
+    for (c, d) in ckpts.iter().zip(dirs) {
+        let m = &c.manifest;
         if let Some(prev) = owner[m.slice_index - 1] {
             return Err(format!(
                 "duplicate slice {}/{}: both {} and {} claim it",
@@ -94,55 +68,15 @@ pub fn merge_dirs(dirs: &[PathBuf], out_dir: &Path) -> Result<Vec<PathBuf>, Stri
         owner[m.slice_index - 1] = Some(d);
     }
 
-    // Re-expand the grid from the stored spec (fingerprint-checked) so
-    // the merge knows every scenario's label, axes, and seed.
-    let spec_path = dirs[0].join(SPEC_FILE);
-    let text = std::fs::read_to_string(&spec_path)
-        .map_err(|e| format!("cannot read {}: {e}", spec_path.display()))?;
-    let spec = ScenarioSpec::parse(&text).map_err(|e| format!("{}: {e}", spec_path.display()))?;
-    if spec.fingerprint() != first.fingerprint {
-        return Err(format!(
-            "spec fingerprint mismatch in {}: the manifest expects {:016x} but {} hashes to \
-             {:016x}",
-            dirs[0].join(MANIFEST_FILE).display(),
-            first.fingerprint,
-            spec_path.display(),
-            spec.fingerprint()
-        ));
-    }
-    let scenarios = spec.expand()?;
-    if scenarios.len() != first.n_scenarios || spec.replications != first.replications {
-        return Err(format!(
-            "grid shape mismatch in {}: manifest says {}×{} but {} expands to {}×{}",
-            dirs[0].join(MANIFEST_FILE).display(),
-            first.n_scenarios,
-            first.replications,
-            spec_path.display(),
-            scenarios.len(),
-            spec.replications
-        ));
-    }
-
-    // Collect every cell; each must come from the slice that owns it.
+    // Re-expand the grid from the stored spec (fingerprint- and
+    // shape-checked) so the merge knows every scenario's label, axes, and
+    // seed, and only then size the grid by the manifest.
+    let scenarios = ckpts[0].expand_spec()?;
     let n_reps = first.replications;
     let mut cells: Vec<Option<SimReport>> = vec![None; first.n_jobs()];
-    for (m, d) in manifests.iter().zip(dirs) {
-        let jpath = d.join(JOURNAL_FILE);
-        for entry in read_journal(d)?.entries {
-            if let JournalEntry::Cell { job, report } = entry {
-                if job >= cells.len() || !m.owns_job(job) {
-                    return Err(format!(
-                        "{}: cell with job index {job} does not belong to slice {}/{} of a \
-                         {}×{} grid — journal and manifest disagree",
-                        jpath.display(),
-                        m.slice_index,
-                        m.slice_count,
-                        m.n_scenarios,
-                        m.replications
-                    ));
-                }
-                cells[job] = Some(report);
-            }
+    for c in ckpts {
+        for (job, report) in c.cells {
+            cells[job] = Some(report);
         }
     }
     for (job, cell) in cells.iter().enumerate() {

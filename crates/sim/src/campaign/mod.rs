@@ -42,17 +42,14 @@ pub use builtin::{builtin, builtin_names};
 pub use emit::{
     campaign_csv, campaign_json, campaign_summary_json, campaign_trace_csv, write_artefacts,
 };
-pub use journal::{write_atomic, Manifest, CHECKPOINT_FORMAT_VERSION};
+pub use journal::{write_atomic, Checkpoint, Manifest, CHECKPOINT_FORMAT_VERSION};
 pub use merge::merge_dirs;
 pub use runner::{
-    arbitrate_frame_threads, run_campaign, run_grid_jobs, run_spec, sched_stats_campaign,
-    trace_campaign, CampaignResult, RunOptions, ScenarioResult,
+    arbitrate_frame_threads, run_campaign, run_grid_jobs, run_spec, trace_campaign, CampaignResult,
+    RunOptions, ScenarioResult,
 };
 pub use service::{run_spec_service, status as campaign_status, ServiceConfig, ServiceOutcome};
-pub use spec::{
-    policy_by_name, policy_names, CsiQuality, MismatchLevel, Scenario, ScenarioSpec, SpeedClass,
-    TrafficMix,
-};
+pub use spec::{CsiQuality, MismatchLevel, Scenario, ScenarioSpec, SpeedClass, TrafficMix};
 // The policy registry is the campaign layer's resolution path for the
 // policy axis; re-exported so registry consumers (the CLI) need not depend
 // on `wcdma-admission` directly.

@@ -18,13 +18,13 @@ use wcdma_admission::SchedStats;
 use crate::config::SimConfig;
 use crate::engine::Simulation;
 use crate::stats::{ReplicationStats, SimReport};
-use crate::trace::{run_with_trace, DecisionRecord};
+use crate::trace::{DecisionLog, DecisionRecord};
 
 use super::spec::{Scenario, ScenarioSpec};
 
 /// How a campaign runs: the knobs shared by [`run_campaign`],
 /// [`run_spec`], the service ([`super::ServiceConfig::run`]), and the
-/// first-replication passes ([`trace_campaign`], [`sched_stats_campaign`]).
+/// first-replication pass [`trace_campaign`].
 /// The thread knobs never change results; `candidates` does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOptions {
@@ -320,49 +320,33 @@ pub fn run_spec(spec: &ScenarioSpec, opts: &RunOptions) -> Result<CampaignResult
     run_campaign(&spec.name, spec.expand()?, spec.replications, opts)
 }
 
-/// Re-runs the *first replication* of every matrix cell through `run` and
-/// returns `(cell label, output)` per cell, in expansion order. The
-/// configuration is exactly what [`run_spec`] gives replication 0 under
-/// the same `opts`, so the re-run is bit-identical to the campaign's own
-/// first replication; cells run on the same worker and frame-thread counts.
-fn rerun_first_replications<T: Send + Sync>(
-    spec: &ScenarioSpec,
-    opts: &RunOptions,
-    run: impl Fn(SimConfig) -> T + Sync,
-) -> Result<Vec<(String, T)>, String> {
-    let scenarios = spec.expand()?;
-    check_candidates(&scenarios, opts.candidates)?;
-    let outputs = run_all(&scenarios, 1, opts, run);
-    Ok(scenarios
-        .into_iter()
-        .map(|sc| sc.label)
-        .zip(outputs)
-        .collect())
-}
-
-/// Re-runs the first replication of every matrix cell with a decision
-/// trace attached and returns `(cell label, decisions)` per cell, in
-/// expansion order — bit-identical to the campaign's own first replication
-/// under the same `opts`. Feed it to [`super::emit::campaign_trace_csv`].
+/// Re-runs the first replication of every matrix cell with a
+/// [`DecisionLog`] attached and returns, per cell in expansion order, its
+/// label, every policy decision, and the scheduler's final counters (the
+/// last [`DecisionTrace::record_sched`](crate::DecisionTrace::record_sched)
+/// value — the counters only move inside a scheduling round). The
+/// configuration is exactly what [`run_spec`] gives replication 0 under the
+/// same `opts`, so the re-run is bit-identical to the campaign's own first
+/// replication; cells run on the same worker and frame-thread counts. Feed
+/// the decisions to [`super::emit::campaign_trace_csv`].
 pub fn trace_campaign(
     spec: &ScenarioSpec,
     opts: &RunOptions,
-) -> Result<Vec<(String, Vec<DecisionRecord>)>, String> {
-    rerun_first_replications(spec, opts, |cfg| run_with_trace(cfg).1)
-}
-
-/// Re-runs the first replication of every matrix cell and returns
-/// `(cell label, final scheduling statistics)` per cell, in expansion
-/// order. Same configuration as [`trace_campaign`], so the instrumented run
-/// is bit-identical to the campaign's own first replication — the stats are
-/// observability only.
-pub fn sched_stats_campaign(
-    spec: &ScenarioSpec,
-    opts: &RunOptions,
-) -> Result<Vec<(String, SchedStats)>, String> {
-    rerun_first_replications(spec, opts, |cfg| {
-        Simulation::new(cfg).run_with_sched_stats().1
-    })
+) -> Result<Vec<(String, Vec<DecisionRecord>, SchedStats)>, String> {
+    let scenarios = spec.expand()?;
+    check_candidates(&scenarios, opts.candidates)?;
+    let observed = run_all(&scenarios, 1, opts, |cfg| {
+        let log = DecisionLog::new();
+        let mut sim = Simulation::new(cfg);
+        sim.attach_trace(Box::new(log.clone()));
+        sim.run();
+        (log.take(), log.sched_stats())
+    });
+    Ok(scenarios
+        .into_iter()
+        .zip(observed)
+        .map(|(sc, (decisions, sched))| (sc.label, decisions, sched))
+        .collect())
 }
 
 #[cfg(test)]

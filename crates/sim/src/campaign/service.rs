@@ -35,7 +35,7 @@ use crate::table::Table;
 
 use super::emit;
 use super::journal::{
-    read_journal, repair_tail, validate_name, write_atomic, JournalEntry, JournalWriter, Manifest,
+    repair_tail, validate_name, write_atomic, Checkpoint, JournalWriter, Manifest,
     CHECKPOINT_FORMAT_VERSION, JOURNAL_FILE, MANIFEST_FILE, SPEC_FILE,
 };
 use super::runner::{check_candidates, run_grid_jobs, RunOptions, ScenarioResult};
@@ -100,70 +100,6 @@ fn fold_raw(stats: &ReplicationStats) -> Vec<u64> {
         .iter()
         .flat_map(|w| w.to_raw_parts())
         .collect()
-}
-
-/// Checks a loaded manifest against the one this invocation would
-/// create, with one specific error per way they can disagree.
-fn check_compat(found: &Manifest, want: &Manifest, dir: &Path) -> Result<(), String> {
-    let path = dir.join(MANIFEST_FILE);
-    if found.fingerprint != want.fingerprint {
-        return Err(format!(
-            "spec fingerprint mismatch in {}: the checkpoint was created from spec {:016x} but \
-             the current spec hashes to {:016x}; resume requires the exact spec (including \
-             --quick) that created the checkpoint",
-            path.display(),
-            found.fingerprint,
-            want.fingerprint
-        ));
-    }
-    if found.canonical_order_version != want.canonical_order_version {
-        return Err(format!(
-            "canonical-order version mismatch in {}: the checkpoint was written by a v{} build \
-             but this binary folds v{}; finish the run with the build that created it (see \
-             docs/CHECKPOINT_FORMAT.md)",
-            path.display(),
-            found.canonical_order_version,
-            want.canonical_order_version
-        ));
-    }
-    if found.name != want.name {
-        return Err(format!(
-            "campaign name mismatch in {}: checkpoint is {:?}, current spec is {:?}",
-            path.display(),
-            found.name,
-            want.name
-        ));
-    }
-    if (found.n_scenarios, found.replications) != (want.n_scenarios, want.replications) {
-        return Err(format!(
-            "grid shape mismatch in {}: checkpoint is {}×{}, current spec expands to {}×{}",
-            path.display(),
-            found.n_scenarios,
-            found.replications,
-            want.n_scenarios,
-            want.replications
-        ));
-    }
-    if (found.slice_index, found.slice_count) != (want.slice_index, want.slice_count) {
-        return Err(format!(
-            "grid slice mismatch in {}: checkpoint is slice {}/{} but this run requested {}/{}",
-            path.display(),
-            found.slice_index,
-            found.slice_count,
-            want.slice_index,
-            want.slice_count
-        ));
-    }
-    if found.candidates != want.candidates {
-        return Err(format!(
-            "candidate-list mismatch in {}: checkpoint has {:?}, this run requested {:?} — the \
-             override changes results, so it is part of the checkpoint identity",
-            path.display(),
-            found.candidates,
-            want.candidates
-        ));
-    }
-    Ok(())
 }
 
 /// In-memory streamed artefact state for an unsliced run: the exact
@@ -241,9 +177,7 @@ pub fn run_spec_service(
         slice_count: cfg.slice_count,
         candidates: cfg.run.candidates,
     };
-    if dir.join(MANIFEST_FILE).exists() {
-        check_compat(&Manifest::load(dir)?, &want, dir)?;
-    } else {
+    if !dir.join(MANIFEST_FILE).exists() {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         // Spec first, manifest last: a manifest's presence implies a
@@ -252,42 +186,20 @@ pub fn run_spec_service(
         want.store(dir)?;
     }
 
-    // Replay the journal: every already-finished cell, plus the fold
-    // tripwires to verify below.
-    let journal = read_journal(dir)?;
+    // Replay the checkpoint: every already-finished cell, plus the fold
+    // tripwires to verify below. The manifest must be the one this run
+    // would create, so the spec itself is not re-read.
+    let ckpt = Checkpoint::open(dir)?;
+    ckpt.manifest.check_compat(&want, dir, "this run")?;
     // A kill can leave the journal tail unterminated (a torn fragment, or
     // a complete record missing its '\n'); repair it before the
     // append-mode reopen below so the first resumed line is not glued
     // onto the old tail — a glued line fails its checksum on every later
     // read, bricking status/merge/second resumes.
-    repair_tail(dir, journal.torn_tail)?;
+    repair_tail(dir, ckpt.torn_tail)?;
     let jpath = dir.join(JOURNAL_FILE);
-    let mut completed: HashMap<usize, SimReport> = HashMap::new();
-    let mut folds: Vec<(usize, Vec<u64>)> = Vec::new();
-    for entry in journal.entries {
-        match entry {
-            JournalEntry::Cell { job, report } => {
-                if job >= want.n_jobs() || !want.owns_job(job) {
-                    return Err(format!(
-                        "{}: cell with job index {job} does not belong to slice {}/{} of a \
-                         {}×{} grid — journal and manifest disagree",
-                        jpath.display(),
-                        want.slice_index,
-                        want.slice_count,
-                        want.n_scenarios,
-                        want.replications
-                    ));
-                }
-                completed.insert(job, report);
-            }
-            JournalEntry::Fold { scenario, state } => folds.push((scenario, state)),
-        }
-    }
 
-    let axis_keys: Vec<String> = scenarios
-        .first()
-        .map(|s| s.axes.iter().map(|(k, _)| k.clone()).collect())
-        .unwrap_or_default();
+    let axis_keys = emit::axis_keys(scenarios.first());
     let files = emit::artefact_files(&want.name);
     let write_partials = |a: &Artefacts| -> Result<(), String> {
         for (file, doc) in files.iter().zip([&a.csv, &a.json, &a.summary]) {
@@ -309,10 +221,10 @@ pub fn run_spec_service(
         frontier: 0,
     });
     if let Some(a) = &mut art {
-        let replayed = a.advance(&scenarios, n_reps, &axis_keys, &completed);
+        let replayed = a.advance(&scenarios, n_reps, &axis_keys, &ckpt.cells);
         // Fold tripwires: the journaled cross-replication fold must match
         // this binary's refold of the same cells bit-for-bit.
-        for (si, state) in &folds {
+        for (si, state) in &ckpt.folds {
             let Some(sr) = replayed.get(*si) else {
                 return Err(format!(
                     "{}: fold snapshot for scenario {si} but that scenario's cells are \
@@ -330,7 +242,7 @@ pub fn run_spec_service(
             }
         }
         write_partials(a)?;
-    } else if !folds.is_empty() {
+    } else if !ckpt.folds.is_empty() {
         return Err(format!(
             "{}: fold snapshot in a sliced journal (slice {}/{}) — slices never write folds, \
              so the journal is corrupt",
@@ -344,7 +256,7 @@ pub fn run_spec_service(
     let todo: Vec<usize> = slice_jobs
         .iter()
         .copied()
-        .filter(|j| !completed.contains_key(j))
+        .filter(|j| !ckpt.cells.contains_key(j))
         .collect();
     let skipped = slice_jobs.len() - todo.len();
     let pace_ms: u64 = std::env::var(PACE_ENV)
@@ -361,7 +273,7 @@ pub fn run_spec_service(
     }
     let stop = AtomicBool::new(cfg.max_cells == Some(0));
     let shared = Mutex::new(Shared {
-        completed,
+        completed: ckpt.cells,
         writer: JournalWriter::open(dir)?,
         art,
         newly: 0,
@@ -450,52 +362,12 @@ pub fn run_spec_service(
 /// Renders a progress report for the checkpoint at `dir`: one row per
 /// scenario plus a headline, without running anything.
 pub fn status(dir: &Path) -> Result<String, String> {
-    let manifest = Manifest::load(dir)?;
-    let spec_path = dir.join(SPEC_FILE);
-    let text = std::fs::read_to_string(&spec_path)
-        .map_err(|e| format!("cannot read {}: {e}", spec_path.display()))?;
-    let spec = ScenarioSpec::parse(&text).map_err(|e| format!("{}: {e}", spec_path.display()))?;
-    if spec.fingerprint() != manifest.fingerprint {
-        return Err(format!(
-            "spec fingerprint mismatch in {}: the manifest expects {:016x} but {} hashes to \
-             {:016x} — the checkpoint directory has been tampered with",
-            dir.join(MANIFEST_FILE).display(),
-            manifest.fingerprint,
-            spec_path.display(),
-            spec.fingerprint()
-        ));
-    }
-    let scenarios = spec.expand()?;
-    if scenarios.len() != manifest.n_scenarios || spec.replications != manifest.replications {
-        return Err(format!(
-            "grid shape mismatch in {}: manifest says {}×{} but {} expands to {}×{}",
-            dir.join(MANIFEST_FILE).display(),
-            manifest.n_scenarios,
-            manifest.replications,
-            spec_path.display(),
-            scenarios.len(),
-            spec.replications
-        ));
-    }
-    let journal = read_journal(dir)?;
-    let jpath = dir.join(JOURNAL_FILE);
-    let mut done: Vec<std::collections::HashSet<usize>> =
-        vec![std::collections::HashSet::new(); scenarios.len()];
-    for entry in &journal.entries {
-        if let JournalEntry::Cell { job, .. } = entry {
-            if *job >= manifest.n_jobs() || !manifest.owns_job(*job) {
-                return Err(format!(
-                    "{}: cell with job index {job} does not belong to slice {}/{} of a {}×{} \
-                     grid — journal and manifest disagree",
-                    jpath.display(),
-                    manifest.slice_index,
-                    manifest.slice_count,
-                    manifest.n_scenarios,
-                    manifest.replications
-                ));
-            }
-            done[job / manifest.replications].insert(job % manifest.replications);
-        }
+    let ckpt = Checkpoint::open(dir)?;
+    let scenarios = ckpt.expand_spec()?;
+    let manifest = &ckpt.manifest;
+    let mut done = vec![0; scenarios.len()];
+    for job in ckpt.cells.keys() {
+        done[job / manifest.replications] += 1;
     }
     let mut t = Table::new(&["scenario", "done", "of", "state"]);
     let mut total_done = 0;
@@ -503,7 +375,7 @@ pub fn status(dir: &Path) -> Result<String, String> {
         let owned = (0..manifest.replications)
             .filter(|rep| manifest.owns_job(si * manifest.replications + rep))
             .count();
-        let d = done[si].len();
+        let d = done[si];
         total_done += d;
         let state = if owned == 0 {
             "not in slice"
@@ -527,7 +399,7 @@ pub fn status(dir: &Path) -> Result<String, String> {
         manifest.name,
         manifest.slice_index,
         manifest.slice_count,
-        if journal.torn_tail {
+        if ckpt.torn_tail {
             " · torn tail dropped (killed mid-append)"
         } else {
             ""

@@ -246,11 +246,6 @@ impl Simulation {
         self.trace = Some(trace);
     }
 
-    /// Detaches and returns the current trace sink, if any.
-    pub fn take_trace(&mut self) -> Option<Box<dyn DecisionTrace>> {
-        self.trace.take()
-    }
-
     /// Current simulation time (s).
     pub fn time(&self) -> f64 {
         self.t
@@ -283,24 +278,12 @@ impl Simulation {
     }
 
     /// Runs the whole configured duration and reports.
-    pub fn run(self) -> SimReport {
-        self.run_with_sched_stats().0
-    }
-
-    /// Runs the whole configured duration and reports, also returning the
-    /// final scheduling statistics (which are observability only — the
-    /// report itself is byte-for-byte the same as [`run`](Self::run)).
-    pub fn run_with_sched_stats(mut self) -> (SimReport, SchedStats) {
-        let frames = self.cfg.n_frames();
-        for _ in 0..frames {
+    pub fn run(mut self) -> SimReport {
+        for _ in 0..self.cfg.n_frames() {
             self.step_frame();
         }
         self.stats.window_s = self.cfg.duration_s - self.cfg.warmup_s;
-        let sched = self.scheduler.stats();
-        (
-            self.stats.report(self.cfg.n_data, self.net.num_cells()),
-            sched,
-        )
+        self.stats.report(self.cfg.n_data, self.net.num_cells())
     }
 
     /// Whether statistics are being recorded at the current time.

@@ -15,7 +15,7 @@
 use wcdma::math::mix_seed;
 use wcdma::sim::campaign::journal::fnv1a64;
 use wcdma::sim::campaign::{
-    campaign_trace_csv, run_spec, sched_stats_campaign, trace_campaign, RunOptions, ScenarioSpec,
+    campaign_trace_csv, run_spec, trace_campaign, RunOptions, ScenarioSpec,
 };
 use wcdma::sim::{run_with_trace, SimConfig, Simulation};
 
@@ -82,9 +82,9 @@ fn culling_is_frame_thread_invariant() {
     }
 }
 
-/// `campaign run --trace` and `--sched-stats` re-run replication 0 of every
-/// cell: under a candidate override they must re-run the *culled*
-/// configuration the campaign itself ran, not the exact one.
+/// `campaign run --trace` and `--sched-stats` share one re-run of
+/// replication 0 of every cell: under a candidate override it must re-run
+/// the *culled* configuration the campaign itself ran, not the exact one.
 #[test]
 fn campaign_trace_and_sched_stats_rerun_the_culled_replication() {
     let spec = ScenarioSpec {
@@ -101,15 +101,10 @@ fn campaign_trace_and_sched_stats_rerun_the_culled_replication() {
         candidates: Some((4, 8)),
     };
     let campaign = run_spec(&spec, &over).expect("valid override");
-    let traces = trace_campaign(&spec, &over).expect("valid override");
-    let stats = sched_stats_campaign(&spec, &over).expect("valid override");
-    assert_eq!(traces.len(), campaign.scenarios.len());
-    assert_eq!(stats.len(), campaign.scenarios.len());
-    for ((sr, (label, records)), (stats_label, sched)) in
-        campaign.scenarios.iter().zip(&traces).zip(&stats)
-    {
+    let observed = trace_campaign(&spec, &over).expect("valid override");
+    assert_eq!(observed.len(), campaign.scenarios.len());
+    for (sr, (label, records, sched)) in campaign.scenarios.iter().zip(&observed) {
         assert_eq!(label, &sr.scenario.label);
-        assert_eq!(stats_label, &sr.scenario.label);
         let rep0 = sr.scenario.cfg.with_seed(mix_seed(sr.scenario.cfg.seed, 1));
         let (report, expected) = run_with_trace(rep0.clone().with_candidates(4, 8));
         assert_eq!(
@@ -123,9 +118,16 @@ fn campaign_trace_and_sched_stats_rerun_the_culled_replication() {
             records, &exact,
             "{label}: the override must reach the trace"
         );
-        let (_, expected_stats) =
-            Simulation::new(rep0.with_candidates(4, 8)).run_with_sched_stats();
-        assert_eq!(sched, &expected_stats, "{label}: stats of the culled run");
+        let culled = rep0.with_candidates(4, 8);
+        let mut fresh = Simulation::new(culled.clone());
+        for _ in 0..culled.n_frames() {
+            fresh.step_frame();
+        }
+        assert_eq!(
+            sched,
+            &fresh.sched_stats(),
+            "{label}: stats of the culled run"
+        );
     }
     // A bad override is an error, exactly as for the campaign run itself.
     let bad = RunOptions {
@@ -134,7 +136,6 @@ fn campaign_trace_and_sched_stats_rerun_the_culled_replication() {
     };
     assert!(run_spec(&spec, &bad).is_err());
     assert!(trace_campaign(&spec, &bad).is_err());
-    assert!(sched_stats_campaign(&spec, &bad).is_err());
 }
 
 /// FNV-1a over [`moving_culled_cfg`]'s `SimReport::encode_record` followed

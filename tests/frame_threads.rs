@@ -104,7 +104,7 @@ fn campaign_trace_is_identical_across_frame_threads() {
     };
     let one = trace(1);
     assert!(
-        one.iter().all(|(_, records)| !records.is_empty()),
+        one.iter().all(|(_, records, _)| !records.is_empty()),
         "every burst-stress cell must make decisions"
     );
     assert_eq!(one, trace(2), "trace must not move with frame threads");

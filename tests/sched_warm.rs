@@ -29,7 +29,11 @@ fn busy_cfg() -> SimConfig {
 /// the policy.
 #[test]
 fn warm_start_hit_rate_meets_the_bar() {
-    let (report, warm) = Simulation::new(busy_cfg()).run_with_sched_stats();
+    let log = DecisionLog::new();
+    let mut sim = Simulation::new(busy_cfg());
+    sim.attach_trace(Box::new(log.clone()));
+    let report = sim.run();
+    let warm = log.sched_stats();
     assert_eq!(
         report,
         Simulation::new(busy_cfg()).run(),
