@@ -5,6 +5,7 @@
 //! reproduces them without a spec file.
 
 use super::spec::{CsiQuality, MismatchLevel, ScenarioSpec, SpeedClass, TrafficMix};
+use wcdma_admission::PolicyRegistry;
 use wcdma_mac::LinkDir;
 
 /// The built-in campaign names, in presentation order.
@@ -66,7 +67,8 @@ pub fn builtin(name: &str) -> Option<ScenarioSpec> {
                     .into();
             spec.seed = 0x90_11C7;
             spec.replications = 3;
-            spec.policies = super::spec::policy_names()
+            spec.policies = PolicyRegistry::standard()
+                .names()
                 .into_iter()
                 .map(|n| n.to_string())
                 .collect();

@@ -12,10 +12,10 @@
 //! plain text files with no external dependencies. [`ScenarioSpec::to_toml`]
 //! round-trips.
 
-use wcdma_admission::{BoxedPolicy, PolicyRegistry};
+use wcdma_admission::PolicyRegistry;
 use wcdma_mac::LinkDir;
 
-use crate::config::{MismatchConfig, SimConfig};
+use crate::config::{check_cell_radius, MismatchConfig, SimConfig};
 
 /// Named traffic mixes — the per-class voice/web composition axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,17 +243,6 @@ impl MismatchLevel {
     }
 }
 
-/// Resolves a policy axis value — a [`PolicyRegistry`] name, optionally
-/// with `name:key=value` parameters — into a policy object.
-pub fn policy_by_name(name: &str) -> Option<BoxedPolicy> {
-    PolicyRegistry::standard().resolve(name).ok()
-}
-
-/// Every standard policy registry name, in canonical order.
-pub fn policy_names() -> Vec<&'static str> {
-    PolicyRegistry::standard().names()
-}
-
 /// One concrete cell of an expanded campaign matrix.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -363,9 +352,7 @@ impl ScenarioSpec {
         if self.rings == 0 {
             return Err("need at least one ring".into());
         }
-        if !(self.cell_radius_m > 0.0) {
-            return Err("cell radius must be positive".into());
-        }
+        check_cell_radius(self.cell_radius_m)?;
         if self.mixes.is_empty() || self.speeds.is_empty() || self.csi.is_empty() {
             return Err("mix, speed and csi axes must be non-empty".into());
         }
@@ -1035,6 +1022,8 @@ policy = [\"fcfs\"]
         reject("[matrix]\nmismatch = \"chaos\"\n", "unknown mismatch");
         reject("[matrix]\nhotspot = -2.0\n", "positive");
         reject("[matrix]\nload = 0\n", "load axis");
+        reject("cell_radius_m = 1e150\n", "(0, 100000] m");
+        reject("cell_radius_m = 0.0\n", "(0, 100000] m");
         reject("link = \"sideways\"\n", "unknown link");
         reject("duration_s\n", "key = value");
         reject("[matrix]\nmix = [\n", "unterminated array");
@@ -1125,7 +1114,7 @@ policy = [\"fcfs\"]
         // policies the old enum could not express.
         let err = ScenarioSpec::parse("[matrix]\npolicy = \"bogus\"\n").expect_err("unknown");
         assert!(err.contains("unknown policy"), "{err}");
-        for name in policy_names() {
+        for name in PolicyRegistry::standard().names() {
             assert!(err.contains(name), "error must list {name:?}: {err}");
         }
         assert!(err.contains("weighted-fair-share") && err.contains("threshold-reservation"));
@@ -1166,9 +1155,10 @@ policy = [\"fcfs\"]
         for c in CsiQuality::ALL {
             assert_eq!(CsiQuality::by_name(c.name()), Some(c));
         }
-        for n in policy_names() {
-            assert!(policy_by_name(n).is_some());
+        let registry = PolicyRegistry::standard();
+        for n in registry.names() {
+            assert!(registry.resolve(n).is_ok());
         }
-        assert!(policy_by_name("nope").is_none());
+        assert!(registry.resolve("nope").is_err());
     }
 }

@@ -72,6 +72,18 @@ impl TrafficConfig {
 /// integer exponents `PathLoss::gain` evaluates with `powi`.
 const MAX_TRUE_PATHLOSS_EXPONENT: f64 = 8.0;
 
+/// Largest cell radius (m) a configuration may set: a 100 km cell is past
+/// any WCDMA deployment. Far larger radii underflow the path gain to zero
+/// or, past about 1e150 m, stall mobile placement on a NaN edge test.
+pub const MAX_CELL_RADIUS_M: f64 = 100_000.0;
+
+/// The cell-radius rule [`SimConfig::validate`] and the campaign spec share.
+pub(crate) fn check_cell_radius(radius_m: f64) -> Result<(), String> {
+    (radius_m > 0.0 && radius_m <= MAX_CELL_RADIUS_M)
+        .then_some(())
+        .ok_or_else(|| format!("cell radius must be in (0, {MAX_CELL_RADIUS_M}] m, got {radius_m}"))
+}
+
 /// Model-mismatch fault injection: the gap between the channel model the
 /// scheduler *assumes* (the calibration behind the eq.-24 region and the
 /// κ shadowing margin) and the physics the network actually evolves under.
@@ -308,6 +320,7 @@ impl SimConfig {
         if self.rings == 0 {
             return Err("need at least one ring".into());
         }
+        check_cell_radius(self.cell_radius_m)?;
         if !(self.csi_error_sigma_db >= 0.0) {
             return Err("CSI error sigma must be non-negative".into());
         }
@@ -403,7 +416,7 @@ impl SimConfig {
     /// and without the single-burst cap, and equal sharing. The open,
     /// superset registry (including policies outside the paper) is
     /// [`wcdma_admission::PolicyRegistry::standard`], which the campaign
-    /// layer's [`crate::campaign::policy_by_name`] resolves through.
+    /// spec's policy axis resolves through.
     pub fn comparison_policies() -> Vec<(&'static str, BoxedPolicy)> {
         vec![
             ("jaba-sd-j2", JabaSd::default_j2().into_boxed()),

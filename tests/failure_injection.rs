@@ -6,6 +6,7 @@ use wcdma::admission::{
 use wcdma::cdma::{CdmaConfig, DataUserMeasurement, Network, UserKind};
 use wcdma::geo::{CellId, HexLayout, Point};
 use wcdma::mac::LinkDir;
+use wcdma::sim::config::MAX_CELL_RADIUS_M;
 use wcdma::sim::{SimConfig, SimReport, Simulation};
 
 fn meas(mobile: usize, cell: u32, fch_power: f64, ebi0_db: f64) -> DataUserMeasurement {
@@ -282,7 +283,7 @@ fn edge_configs_run_with_finite_reports() {
         c.warmup_s = 0.0;
         c
     };
-    let accepted: [ConfigEdge; 7] = [
+    let accepted: [ConfigEdge; 8] = [
         ("n_data = 0", |c| c.n_data = 0),
         ("n_voice = 0", |c| c.n_voice = 0),
         // The largest f64 below 1.
@@ -303,6 +304,14 @@ fn edge_configs_run_with_finite_reports() {
         ("shadow_sigma_delta_db = 1e300", |c| {
             c.mismatch.shadow_sigma_delta_db = 1e300;
         }),
+        // The radius ceiling under the steepest true path loss.
+        (
+            "cell_radius_m = MAX_CELL_RADIUS_M, pathloss_exponent_delta = 4",
+            |c| {
+                c.cell_radius_m = MAX_CELL_RADIUS_M;
+                c.mismatch.pathloss_exponent_delta = 4.0;
+            },
+        ),
     ];
     for (what, edit) in accepted {
         let mut cfg = base();
@@ -313,8 +322,16 @@ fn edge_configs_run_with_finite_reports() {
             assert_report_finite(&report, &format!("{what} at {threads} frame threads"));
         }
     }
-    let rejected: [ConfigEdge; 3] = [
+    let rejected: [ConfigEdge; 8] = [
         ("rings = 0", |c| c.rings = 0),
+        // The path gain underflows to zero (a "non-positive link gain"
+        // panic), and past ~1e150 the hexagon edge test turns NaN and
+        // mobile placement never terminates.
+        ("cell_radius_m = 1e150", |c| c.cell_radius_m = 1e150),
+        ("cell_radius_m = 1e300", |c| c.cell_radius_m = 1e300),
+        ("cell_radius_m = NaN", |c| c.cell_radius_m = f64::NAN),
+        ("cell_radius_m = 0", |c| c.cell_radius_m = 0.0),
+        ("cell_radius_m = -1", |c| c.cell_radius_m = -1.0),
         ("csi_dropout_p = 1", |c| c.mismatch.csi_dropout_p = 1.0),
         // Would overflow `PathLoss::gain` near a base station.
         ("pathloss_exponent_delta = 1e3", |c| {
