@@ -285,7 +285,12 @@ impl Manifest {
     /// it must match — the one a resume would create, or the first slice
     /// of a merge set with this slice's index — with one specific error per
     /// way they can disagree. `want_from` names the source of `want`.
-    pub fn check_compat(&self, want: &Manifest, dir: &Path, want_from: &str) -> Result<(), String> {
+    pub(crate) fn check_compat(
+        &self,
+        want: &Manifest,
+        dir: &Path,
+        want_from: &str,
+    ) -> Result<(), String> {
         let path = dir.join(MANIFEST_FILE);
         let path = path.display();
         if self.fingerprint != want.fingerprint {

@@ -42,7 +42,7 @@ pub use builtin::{builtin, builtin_names};
 pub use emit::{
     campaign_csv, campaign_json, campaign_summary_json, campaign_trace_csv, write_artefacts,
 };
-pub use journal::{write_atomic, Checkpoint, Manifest, CHECKPOINT_FORMAT_VERSION};
+pub use journal::{write_atomic, Manifest, CHECKPOINT_FORMAT_VERSION};
 pub use merge::merge_dirs;
 pub use runner::{
     arbitrate_frame_threads, run_campaign, run_grid_jobs, run_spec, trace_campaign, CampaignResult,
