@@ -1,4 +1,4 @@
-//! E11 — frame-pipeline scaling: frames/second vs mobile count, and vs
+//! Frame-pipeline scaling: frames/second vs mobile count, and vs
 //! intra-frame thread count.
 //!
 //! The ROADMAP's north star is serving heavy traffic from very large user
@@ -45,7 +45,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 use wcdma_admission::PolicyRegistry;
-use wcdma_bench::banner;
 use wcdma_sim::{SimConfig, Simulation, Table};
 
 /// Scenario with `n_mobiles` total users (10 % data, 90 % voice).
@@ -257,8 +256,8 @@ fn write_json_snapshot(
     }
 }
 
-fn print_experiment() {
-    banner("E11", "frame-pipeline scaling: frames/sec vs mobile count");
+fn scaling_study() {
+    println!("frame-pipeline scaling: frames/sec vs mobile count");
     let quick = quick_mode();
     let (sizes, frames): (&[usize], usize) = if quick {
         (&[200, 1000], 30)
@@ -390,7 +389,7 @@ fn print_experiment() {
 }
 
 fn bench(c: &mut Criterion) {
-    print_experiment();
+    scaling_study();
     let mut group = c.benchmark_group("e11");
     let sizes: &[usize] = if quick_mode() { &[200] } else { &[200, 1000] };
     for &n in sizes {

@@ -2,51 +2,18 @@
 //!
 //! The paper's headline comparison: JABA-SD vs cdma2000 FCFS vs equal
 //! sharing, dynamic simulation with mobility, power control, soft hand-off.
+//! Times 10 s simulations under JABA-SD and FCFS.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wcdma_admission::{AdmissionPolicy, Fcfs};
-use wcdma_bench::{banner, quick_base};
-use wcdma_mac::LinkDir;
-use wcdma_sim::experiments::delay_vs_load;
-use wcdma_sim::table::ci;
-use wcdma_sim::{SimConfig, Simulation, Table};
-
-fn print_experiment() {
-    banner(
-        "E1",
-        "mean burst delay vs load, forward link (policy comparison)",
-    );
-    let base = quick_base();
-    let pols = SimConfig::comparison_policies();
-    let refs: Vec<(&str, _)> = pols.iter().map(|(n, p)| (*n, p.clone())).collect();
-    let rows = delay_vs_load(&base, LinkDir::Forward, &[8, 24, 48], &refs, 2);
-    let mut t = Table::new(&[
-        "policy",
-        "N_d",
-        "mean delay [s]",
-        "p95 [s]",
-        "cell tput [kbps]",
-        "denial",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.policy.clone(),
-            r.n_data.to_string(),
-            ci(&r.stats.mean_delay_s),
-            ci(&r.stats.p95_delay_s),
-            ci(&r.stats.per_cell_throughput_kbps),
-            ci(&r.stats.denial_rate),
-        ]);
-    }
-    println!("{}", t.render());
-}
+use wcdma_sim::experiments::contended_base;
+use wcdma_sim::Simulation;
 
 fn bench(c: &mut Criterion) {
-    print_experiment();
     let mut group = c.benchmark_group("e1");
     group.sample_size(10);
-    let mut cfg = quick_base();
+    let mut cfg = contended_base();
     cfg.duration_s = 10.0;
     cfg.warmup_s = 2.0;
     group.bench_function("sim_10s_jaba_sd", |b| {

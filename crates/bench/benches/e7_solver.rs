@@ -3,95 +3,20 @@
 //!
 //! Supports the "optimal burst scheduling" claim: the exact solver matches
 //! exhaustive enumeration while scaling far beyond it, and the greedy
-//! heuristic's optimality gap is quantified.
+//! heuristic's optimality gap is quantified. Times each solver on one
+//! random instance per size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use wcdma_bench::banner;
-use wcdma_ilp::{branch_and_bound, exhaustive, greedy, lp_relaxation, Problem};
+use wcdma_ilp::{branch_and_bound, exhaustive, greedy, Problem};
 use wcdma_math::Xoshiro256pp;
-use wcdma_sim::Table;
-
-/// Random instance shaped like the paper's IP: K cells, n requests, m ≤ 16.
-fn instance(n: usize, k: usize, rng: &mut Xoshiro256pp) -> Problem {
-    let c: Vec<f64> = (0..n).map(|_| rng.uniform(0.1, 4.0)).collect();
-    let a: Vec<Vec<f64>> = (0..k)
-        .map(|_| {
-            (0..n)
-                .map(|_| {
-                    if rng.bernoulli(0.5) {
-                        rng.uniform(0.05, 1.0)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let b: Vec<f64> = (0..k).map(|_| rng.uniform(2.0, 10.0)).collect();
-    let lo = vec![1u32; n];
-    let hi: Vec<u32> = (0..n).map(|_| 4 + rng.next_below(13) as u32).collect();
-    Problem::new(c, a, b, lo, hi)
-}
-
-fn print_experiment() {
-    banner("E7", "solver study: optimality gap and node counts");
-    let mut rng = Xoshiro256pp::new(0xE7);
-    let mut t = Table::new(&[
-        "N_d",
-        "instances",
-        "bb = exhaustive",
-        "greedy gap mean",
-        "greedy gap max",
-        "LP integrality gap",
-    ]);
-    for &n in &[3usize, 5, 7] {
-        let mut agree = 0;
-        let mut gaps = Vec::new();
-        let mut lp_gaps = Vec::new();
-        let trials = 25;
-        for _ in 0..trials {
-            let p = instance(n, 3, &mut rng);
-            let e = exhaustive(&p);
-            let (bb, complete) = branch_and_bound(&p, 0);
-            assert!(complete);
-            if (bb.objective - e.objective).abs() < 1e-9 {
-                agree += 1;
-            }
-            let g = greedy(&p);
-            let gap = if e.objective > 0.0 {
-                1.0 - g.objective / e.objective
-            } else {
-                0.0
-            };
-            gaps.push(gap);
-            if let Some(lp) = lp_relaxation(&p) {
-                if lp.objective > 0.0 {
-                    lp_gaps.push(1.0 - e.objective / lp.objective);
-                }
-            }
-        }
-        let mean_gap = gaps.iter().sum::<f64>() / gaps.len() as f64;
-        let max_gap = gaps.iter().cloned().fold(0.0, f64::max);
-        let lp_gap = lp_gaps.iter().sum::<f64>() / lp_gaps.len().max(1) as f64;
-        t.row(&[
-            n.to_string(),
-            trials.to_string(),
-            format!("{agree}/{trials}"),
-            format!("{:.1}%", mean_gap * 100.0),
-            format!("{:.1}%", max_gap * 100.0),
-            format!("{:.1}%", lp_gap * 100.0),
-        ]);
-    }
-    println!("{}", t.render());
-}
+use wcdma_sim::experiments::solver_instance;
 
 fn bench(c: &mut Criterion) {
-    print_experiment();
     let mut group = c.benchmark_group("e7");
     for &n in &[4usize, 8, 12, 16] {
         let mut rng = Xoshiro256pp::new(n as u64);
-        let p = instance(n, 4, &mut rng);
+        let p = solver_instance(n, 4, &mut rng, Problem::new);
         group.bench_with_input(BenchmarkId::new("branch_and_bound", n), &p, |b, p| {
             b.iter(|| branch_and_bound(black_box(p), 500_000))
         });

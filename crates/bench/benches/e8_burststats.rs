@@ -2,42 +2,15 @@
 //! burst durations, denial rate.
 //!
 //! Shows how JABA-SD's grants shrink and selectivity rises as the system
-//! saturates.
+//! saturates. Times a saturated 8 s simulation at 24 data users.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wcdma_bench::{banner, quick_base};
-use wcdma_mac::LinkDir;
-use wcdma_sim::{SimConfig, Simulation, Table};
-
-fn print_experiment() {
-    banner("E8", "burst statistics vs load (JABA-SD, forward)");
-    let mut t = Table::new(&[
-        "N_d",
-        "mean m",
-        "mean delta_beta",
-        "denial rate",
-        "bursts done",
-        "m histogram (1..16)",
-    ]);
-    for &n in &[4usize, 8, 16, 24] {
-        let cfg: SimConfig = quick_base().with_direction(LinkDir::Forward).with_n_data(n);
-        let r = Simulation::new(cfg).run();
-        t.row(&[
-            n.to_string(),
-            format!("{:.2}", r.mean_grant_m),
-            format!("{:.3}", r.mean_delta_beta),
-            format!("{:.3}", r.denial_rate),
-            r.bursts_completed.to_string(),
-            format!("{:?}", r.grant_hist),
-        ]);
-    }
-    println!("{}", t.render());
-}
+use wcdma_sim::experiments::contended_base;
+use wcdma_sim::Simulation;
 
 fn bench(c: &mut Criterion) {
-    print_experiment();
-    let mut cfg = quick_base();
+    let mut cfg = contended_base();
     cfg.n_data = 24;
     cfg.duration_s = 8.0;
     cfg.warmup_s = 2.0;

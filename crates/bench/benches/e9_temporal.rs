@@ -4,87 +4,21 @@
 //!
 //! This is the extension the paper explicitly defers ("we focus on the
 //! spatial dimension only"); the instance generator produces contended
-//! snapshots where deferral pays.
+//! snapshots where deferral pays. Times the greedy and exhaustive temporal
+//! schedulers on one random snapshot per size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use wcdma_admission::{
-    spatial_only_value, temporal_exhaustive, temporal_greedy, Region, TemporalConfig,
-    TemporalRequest,
-};
-use wcdma_bench::banner;
-use wcdma_geo::CellId;
+use wcdma_admission::{temporal_exhaustive, temporal_greedy, TemporalConfig};
 use wcdma_math::Xoshiro256pp;
-use wcdma_sim::Table;
-
-/// Random contended snapshot: K rows, n requests with mixed burst sizes.
-fn instance(n: usize, k: usize, rng: &mut Xoshiro256pp) -> (Region, Vec<TemporalRequest>) {
-    let a: Vec<Vec<f64>> = (0..k)
-        .map(|_| (0..n).map(|_| rng.uniform(0.2, 1.0)).collect())
-        .collect();
-    let b: Vec<f64> = (0..k).map(|_| rng.uniform(1.0, 2.5)).collect();
-    let cells = (0..k as u32).map(CellId).collect();
-    let region = Region { a, b, cells };
-    let reqs = (0..n)
-        .map(|_| TemporalRequest {
-            weight: rng.uniform(0.5, 4.0),
-            delta_beta: rng.uniform(0.3, 2.0),
-            size_bits: rng.uniform(200.0, 3000.0),
-            lo: 1,
-            hi: 4,
-        })
-        .collect();
-    (region, reqs)
-}
-
-fn print_experiment() {
-    banner(
-        "E9",
-        "temporal extension: schedule value vs spatial-only (JABA-STD)",
-    );
-    let cfg = TemporalConfig::default_config();
-    let mut t = Table::new(&[
-        "N_d",
-        "instances",
-        "mean gain greedy vs spatial",
-        "mean gain exact vs spatial",
-        "exact > spatial in",
-    ]);
-    let mut rng = Xoshiro256pp::new(0xE9);
-    for &n in &[2usize, 3, 4] {
-        let trials = 20;
-        let mut gain_greedy = 0.0;
-        let mut gain_exact = 0.0;
-        let mut wins = 0;
-        for _ in 0..trials {
-            let (region, reqs) = instance(n, 2, &mut rng);
-            let spatial = spatial_only_value(&region, &reqs, &cfg).max(1e-9);
-            let greedy = temporal_greedy(&region, &reqs, &cfg).value;
-            let exact = temporal_exhaustive(&region, &reqs, &cfg).value;
-            gain_greedy += greedy / spatial;
-            gain_exact += exact / spatial;
-            if exact > spatial + 1e-9 {
-                wins += 1;
-            }
-        }
-        t.row(&[
-            n.to_string(),
-            trials.to_string(),
-            format!("{:.2}x", gain_greedy / trials as f64),
-            format!("{:.2}x", gain_exact / trials as f64),
-            format!("{wins}/{trials}"),
-        ]);
-    }
-    println!("{}", t.render());
-}
+use wcdma_sim::experiments::temporal_instance;
 
 fn bench(c: &mut Criterion) {
-    print_experiment();
     let cfg = TemporalConfig::default_config();
     let mut group = c.benchmark_group("e9");
     for &n in &[4usize, 8, 12] {
         let mut rng = Xoshiro256pp::new(n as u64 ^ 0xE9);
-        let (region, reqs) = instance(n, 3, &mut rng);
+        let (region, reqs) = temporal_instance(n, 3, &mut rng);
         group.bench_with_input(BenchmarkId::new("temporal_greedy", n), &n, |b, _| {
             b.iter(|| temporal_greedy(black_box(&region), black_box(&reqs), &cfg))
         });

@@ -1,50 +1,15 @@
 //! F1 — Figure 1(b) content: the VTAOC staircase.
 //!
-//! Regenerates: average throughput, mode occupancy and delivered BER vs
-//! mean CSI under constant-BER adaptation, plus the fixed-PHY comparison.
-//! Times: threshold design, mode selection, analytic average throughput,
+//! Times threshold design, mode selection, analytic average throughput,
 //! and per-frame mode-sequence simulation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wcdma_bench::banner;
 use wcdma_math::{db_to_lin, Xoshiro256pp};
 use wcdma_phy::frame::simulate_frame;
-use wcdma_phy::{BerModel, FixedPhy, Vtaoc, NUM_MODES};
-use wcdma_sim::Table;
-
-fn print_experiment() {
-    banner(
-        "F1",
-        "VTAOC average throughput / mode occupancy vs mean CSI (Fig. 1b)",
-    );
-    let vtaoc = Vtaoc::default_config();
-    let fixed = FixedPhy::designed_for(BerModel::coded(), 1e-3, db_to_lin(6.0));
-    let mut t = Table::new(&[
-        "CSI [dB]",
-        "avg beta adaptive",
-        "avg beta fixed",
-        "P(outage)",
-        "P(top mode)",
-        "sim BER",
-    ]);
-    for db in (-5..=25).step_by(3) {
-        let eps = db_to_lin(db as f64);
-        let occ = vtaoc.mode_occupancy(eps);
-        t.row(&[
-            db.to_string(),
-            format!("{:.4}", vtaoc.avg_throughput(eps)),
-            format!("{:.4}", fixed.avg_throughput(eps)),
-            format!("{:.3}", occ[0]),
-            format!("{:.3}", occ[NUM_MODES]),
-            format!("{:.2e}", vtaoc.avg_ber(eps, 100_000, 1)),
-        ]);
-    }
-    println!("{}", t.render());
-}
+use wcdma_phy::{BerModel, Vtaoc};
 
 fn bench(c: &mut Criterion) {
-    print_experiment();
     let vtaoc = Vtaoc::default_config();
     let eps = db_to_lin(10.0);
 

@@ -1,71 +1,16 @@
 //! F2 — Figure 2 content: the measurement sub-layer's admissible regions.
 //!
-//! Regenerates: the forward (power headroom) and reverse (interference
-//! headroom) constraint systems for a live snapshot at several request
-//! counts. Times: region construction as the request count grows.
+//! Times construction of the forward (power headroom) and reverse
+//! (interference headroom) constraint systems for a live snapshot as the
+//! request count grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use wcdma_admission::{forward_region, reverse_region};
-use wcdma_bench::banner;
-use wcdma_cdma::{populate_round_robin, CdmaConfig, MeasurementView, Network};
-use wcdma_geo::HexLayout;
-use wcdma_math::Xoshiro256pp;
-use wcdma_sim::Table;
-
-fn warm_network(n_data: usize, seed: u64) -> Network {
-    let cfg = CdmaConfig::default_system();
-    let mut net = Network::new(cfg, HexLayout::new(1, 1000.0), seed);
-    let mut rng = Xoshiro256pp::new(seed);
-    populate_round_robin(&mut net, 12, n_data, 0.8, &mut rng);
-    for _ in 0..25 {
-        net.step(0.02);
-    }
-    net
-}
-
-fn print_experiment() {
-    banner(
-        "F2",
-        "admissible-region characterisation (Fig. 2 measurements)",
-    );
-    let mut t = Table::new(&[
-        "N_d",
-        "fwd rows",
-        "fwd headroom [W] (min)",
-        "rev rows",
-        "rev headroom [fW] (min)",
-    ]);
-    for &n in &[2usize, 4, 8, 12] {
-        let net = warm_network(n, 77);
-        let refs: Vec<MeasurementView> = net
-            .data_mobiles()
-            .iter()
-            .map(|&j| net.measurement_view(j))
-            .collect();
-        let fwd = forward_region(net.forward_load_w(), 20.0, 1.0, &refs);
-        let rev = reverse_region(
-            net.reverse_load_w(),
-            net.config().reverse_limit_w(),
-            1.0,
-            net.config().kappa_margin,
-            &refs,
-        );
-        let min_fwd = fwd.b.iter().cloned().fold(f64::INFINITY, f64::min);
-        let min_rev = rev.b.iter().cloned().fold(f64::INFINITY, f64::min);
-        t.row(&[
-            n.to_string(),
-            fwd.a.len().to_string(),
-            format!("{min_fwd:.3}"),
-            rev.a.len().to_string(),
-            format!("{:.3}", min_rev * 1e15),
-        ]);
-    }
-    println!("{}", t.render());
-}
+use wcdma_cdma::MeasurementView;
+use wcdma_sim::experiments::warm_network;
 
 fn bench(c: &mut Criterion) {
-    print_experiment();
     let mut group = c.benchmark_group("f2");
     for &n in &[4usize, 8, 16] {
         let net = warm_network(n, 99);

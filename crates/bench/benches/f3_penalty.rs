@@ -1,53 +1,14 @@
 //! F3 — Figure 3 content: MAC states and the delay-penalty function.
 //!
-//! Regenerates: the setup-delay step function D_s(t_w) (eq. 23), the overall
-//! delay w = t_w + D_s (eq. 22), and the J2 grant-weight curve showing the
-//! jumps at the MAC time-outs. Times: state machine updates and weight
-//! evaluation.
+//! Times MAC state-machine updates and the J2 grant weight, whose curve
+//! jumps at the MAC time-outs of the setup delay D_s(t_w) (eq. 21–23).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wcdma_admission::{delay_penalty, Objective};
-use wcdma_bench::banner;
+use wcdma_admission::Objective;
 use wcdma_mac::{MacStateMachine, MacTimers};
-use wcdma_sim::Table;
-
-fn print_experiment() {
-    banner(
-        "F3",
-        "MAC setup delays and J2 delay penalty (Fig. 3, eq. 21-23)",
-    );
-    let timers = MacTimers::default_timers();
-    let j2 = Objective::j2_default();
-    let mut t = Table::new(&[
-        "t_w [s]",
-        "MAC state after wait",
-        "D_s [s]",
-        "w = t_w + D_s [s]",
-        "J2 weight (delta_beta=1)",
-        "penalty f(w, r=1)",
-    ]);
-    for &tw in &[0.0, 0.25, 0.49, 0.5, 1.0, 1.9, 2.0, 3.0, 5.0] {
-        let mut m = MacStateMachine::new(timers);
-        m.tick(tw);
-        let state = format!("{:?}", m.state());
-        t.row(&[
-            format!("{tw:.2}"),
-            state,
-            format!("{:.2}", timers.setup_delay(tw)),
-            format!("{:.2}", timers.overall_delay(tw)),
-            format!("{:.4}", j2.weight(1.0, 0.0, tw, &timers)),
-            format!(
-                "{:.4}",
-                delay_penalty(1.0, 1.0, timers.overall_delay(tw), 1.0, 16.0)
-            ),
-        ]);
-    }
-    println!("{}", t.render());
-}
 
 fn bench(c: &mut Criterion) {
-    print_experiment();
     let timers = MacTimers::default_timers();
     let j2 = Objective::j2_default();
 

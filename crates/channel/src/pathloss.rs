@@ -50,11 +50,6 @@ impl PathLoss {
         Self::new(4.0, 128.1, 1000.0, 10.0)
     }
 
-    /// Free-space-like suburban variant: n = 3.5, 120 dB at 1 km.
-    pub fn suburban() -> Self {
-        Self::new(3.5, 120.0, 1000.0, 10.0)
-    }
-
     /// Path loss in dB at distance `d_m` metres.
     pub fn loss_db(&self, d_m: f64) -> f64 {
         let d = d_m.max(self.min_dist_m);

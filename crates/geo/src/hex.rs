@@ -224,12 +224,6 @@ impl HexLayout {
             }
         }
     }
-
-    /// Bounding half-extent of the whole cluster (used by mobility wrap).
-    pub fn cluster_extent(&self) -> f64 {
-        let d = 3f64.sqrt() * self.cell_radius;
-        d * (self.translations.len() as f64).sqrt() // generous bound
-    }
 }
 
 /// Point-in-hexagon test for a pointy-top hexagon of radius `r` centred at

@@ -14,4 +14,4 @@ pub mod hex;
 pub mod mobility;
 
 pub use hex::{CellId, HexLayout, Point};
-pub use mobility::{MobilityModel, RandomWalk, RandomWaypoint};
+pub use mobility::{MobilityModel, RandomWaypoint};

@@ -1,14 +1,7 @@
-//! User mobility models.
-//!
-//! * [`RandomWaypoint`] — pick a destination uniformly in a disc, move to it
-//!   at the user's speed, pause, repeat. The standard model in cellular
-//!   dynamic simulations.
-//! * [`RandomWalk`] — constant speed, direction perturbed by a bounded
-//!   random turn each step (Gauss–Markov-flavoured); models vehicular users.
-//!
-//! Both are bounded to a disc of radius `bound_m` around the layout origin
-//! by reflecting the heading at the boundary, so mobiles never leave the
-//! wrap-around cluster region.
+//! User mobility: [`RandomWaypoint`], the standard model in cellular
+//! dynamic simulations — pick a destination uniformly in a disc of radius
+//! `bound_m` around the layout origin, move to it at the user's speed,
+//! pause, repeat. Mobiles never leave the wrap-around cluster region.
 
 use crate::hex::Point;
 use wcdma_math::Xoshiro256pp;
@@ -118,87 +111,10 @@ impl MobilityModel for RandomWaypoint {
     }
 }
 
-/// Random-walk (smooth random direction) mobility.
-#[derive(Debug, Clone)]
-pub struct RandomWalk {
-    pos: Point,
-    heading: f64,
-    speed: f64,
-    /// Max heading change per second (radians).
-    turn_rate: f64,
-    bound_m: f64,
-    last_dist: f64,
-    rng: Xoshiro256pp,
-}
-
-impl RandomWalk {
-    /// Creates a walker with the given turn rate (rad/s of maximum random
-    /// heading drift).
-    pub fn new(
-        start: Point,
-        speed: f64,
-        turn_rate: f64,
-        bound_m: f64,
-        mut rng: Xoshiro256pp,
-    ) -> Self {
-        assert!(speed >= 0.0 && turn_rate >= 0.0 && bound_m > 0.0);
-        let heading = rng.uniform(0.0, 2.0 * core::f64::consts::PI);
-        Self {
-            pos: start,
-            heading,
-            speed,
-            turn_rate,
-            bound_m,
-            last_dist: 0.0,
-            rng,
-        }
-    }
-}
-
-impl MobilityModel for RandomWalk {
-    fn step(&mut self, dt: f64) -> Point {
-        debug_assert!(dt >= 0.0);
-        self.heading += self.rng.uniform(-1.0, 1.0) * self.turn_rate * dt;
-        let step = self.speed * dt;
-        let mut nx = self.pos.x + step * self.heading.cos();
-        let mut ny = self.pos.y + step * self.heading.sin();
-        // Reflect at the boundary disc.
-        let r = (nx * nx + ny * ny).sqrt();
-        if r > self.bound_m {
-            // Turn the heading back toward the origin and clamp position.
-            self.heading = (self.pos.y - ny).atan2(self.pos.x - nx) + self.rng.uniform(-0.5, 0.5);
-            let scale = self.bound_m / r;
-            nx *= scale;
-            ny *= scale;
-        }
-        self.last_dist = self.pos.dist(Point::new(nx, ny));
-        self.pos = Point::new(nx, ny);
-        self.pos
-    }
-
-    fn position(&self) -> Point {
-        self.pos
-    }
-
-    fn speed(&self) -> f64 {
-        self.speed
-    }
-
-    fn last_step_distance(&self) -> f64 {
-        self.last_dist
-    }
-}
-
 /// Converts a speed in km/h to m/s.
 #[inline]
 pub fn kmh(v: f64) -> f64 {
     v / 3.6
-}
-
-/// Maximum Doppler shift (Hz) for speed `v_ms` (m/s) at carrier `fc_hz`.
-#[inline]
-pub fn doppler_hz(v_ms: f64, fc_hz: f64) -> f64 {
-    v_ms * fc_hz / 299_792_458.0
 }
 
 #[cfg(test)]
@@ -257,48 +173,8 @@ mod tests {
     }
 
     #[test]
-    fn walk_stays_in_bounds() {
-        let mut m = RandomWalk::new(
-            Point::new(400.0, 0.0),
-            kmh(120.0),
-            0.3,
-            500.0,
-            Xoshiro256pp::new(4),
-        );
-        for _ in 0..20_000 {
-            let p = m.step(0.1);
-            let r = (p.x * p.x + p.y * p.y).sqrt();
-            assert!(r <= 500.0 + 1e-6, "escaped to {r}");
-        }
-    }
-
-    #[test]
-    fn walk_distance_tracks_speed() {
-        let mut m = RandomWalk::new(
-            Point::new(0.0, 0.0),
-            20.0,
-            0.1,
-            10_000.0,
-            Xoshiro256pp::new(5),
-        );
-        m.step(2.0);
-        assert!((m.last_step_distance() - 40.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn zero_speed_is_stationary() {
-        let mut m = RandomWalk::new(Point::new(5.0, 5.0), 0.0, 0.5, 100.0, Xoshiro256pp::new(6));
-        for _ in 0..10 {
-            m.step(1.0);
-        }
-        assert_eq!(m.position(), Point::new(5.0, 5.0));
-    }
-
-    #[test]
     fn unit_helpers() {
         assert!((kmh(3.6) - 1.0).abs() < 1e-12);
-        // 30 m/s at 2 GHz ≈ 200 Hz Doppler.
-        assert!((doppler_hz(30.0, 2.0e9) - 200.138).abs() < 0.1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`Exponential`] — voice on/off holding times, web reading times,
 //!   Poisson inter-arrivals.
 //! * [`Pareto`] — heavy-tailed web burst (file) sizes.
-//! * [`Normal`] / [`LogNormal`] — shadowing in dB / linear domain.
+//! * [`Normal`] — shadowing in dB.
 
 use crate::rng::Xoshiro256pp;
 
@@ -182,71 +182,8 @@ impl Distribution for Normal {
     }
 }
 
-/// Log-normal distribution: `exp(N(mu, sigma))`.
-///
-/// `mu`/`sigma` are in log (natural) domain. For dB-domain shadowing with
-/// standard deviation `sigma_db`, use [`LogNormal::from_db`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    normal: Normal,
-}
-
 /// `ln(10)/10`, converts dB to natural-log (neper-ish) scale.
 pub const DB_TO_NAT: f64 = core::f64::consts::LN_10 / 10.0;
-
-impl LogNormal {
-    /// Creates a log-normal with log-domain parameters.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        Self {
-            normal: Normal::new(mu, sigma),
-        }
-    }
-
-    /// Creates a log-normal describing a linear gain whose dB value is
-    /// `N(mu_db, sigma_db^2)` — the standard shadow-fading model.
-    pub fn from_db(mu_db: f64, sigma_db: f64) -> Self {
-        Self::new(mu_db * DB_TO_NAT, sigma_db * DB_TO_NAT)
-    }
-}
-
-impl Distribution for LogNormal {
-    #[inline]
-    fn sample(&self, rng: &mut Xoshiro256pp) -> f64 {
-        self.normal.sample(rng).exp()
-    }
-
-    fn mean(&self) -> f64 {
-        (self.normal.mu + 0.5 * self.normal.sigma * self.normal.sigma).exp()
-    }
-}
-
-/// Samples a Poisson-distributed count with mean `lambda` (Knuth's method;
-/// fine for the small per-frame arrival rates used here).
-pub fn poisson(rng: &mut Xoshiro256pp, lambda: f64) -> u64 {
-    assert!(
-        lambda.is_finite() && lambda >= 0.0,
-        "poisson lambda must be non-negative, got {lambda}"
-    );
-    if lambda == 0.0 {
-        return 0;
-    }
-    if lambda < 30.0 {
-        let l = (-lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= rng.next_f64_open();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    } else {
-        // Normal approximation for large lambda, clamped at zero.
-        let x = lambda + lambda.sqrt() * Normal::standard_sample(rng);
-        x.max(0.0).round() as u64
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -326,32 +263,5 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.03, "mean {mean}");
         assert!((var - 4.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn lognormal_db_mean() {
-        // 8 dB shadowing: E[10^(N(0,8^2)/10)] = exp(0.5*(8*ln10/10)^2).
-        let d = LogNormal::from_db(0.0, 8.0);
-        let expect = (0.5 * (8.0 * DB_TO_NAT).powi(2)).exp();
-        assert!((d.mean() - expect).abs() < 1e-12);
-        let m = sample_mean(&d, 500_000);
-        assert!(
-            (m - expect).abs() / expect < 0.1,
-            "sample mean {m} vs {expect}"
-        );
-    }
-
-    #[test]
-    fn poisson_mean_small_and_large() {
-        let mut r = rng();
-        for lambda in [0.5, 4.0, 80.0] {
-            let n = 100_000;
-            let m = (0..n).map(|_| poisson(&mut r, lambda) as f64).sum::<f64>() / n as f64;
-            assert!(
-                (m - lambda).abs() / lambda < 0.05,
-                "lambda {lambda} mean {m}"
-            );
-        }
-        assert_eq!(poisson(&mut r, 0.0), 0);
     }
 }

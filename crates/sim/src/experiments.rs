@@ -1,17 +1,108 @@
-//! Experiment drivers — one function per sweep experiment of the
-//! evaluation suite (E1–E6, E10–E13).
+//! Experiment drivers and inputs for the evaluation suite.
 //!
-//! Each driver builds its sweep points, runs them as one campaign grid of
-//! replications, and returns rows that the benches and examples render.
-//! They are deliberately configuration-driven so the quick bench profiles
-//! and the full paper-scale profiles share code.
+//! One driver per sweep experiment (E1–E6, E10–E13) builds its sweep
+//! points, runs them as one campaign grid of replications, and returns the
+//! rows. Alongside them sit the inputs the tables share: the
+//! [`contended_base`] config, the warmed network of the region study (F2)
+//! and the random instances of the solver (E7) and temporal (E9) studies.
+//! `examples/full_evaluation.rs` renders every table from these; the
+//! benches time the kernels behind them on the same inputs.
 
-use wcdma_admission::{AdmissionPolicy, BoxedPolicy, JabaSd};
+use wcdma_admission::{AdmissionPolicy, BoxedPolicy, JabaSd, Region, TemporalRequest};
+use wcdma_cdma::{populate_round_robin, CdmaConfig, Network};
+use wcdma_geo::{CellId, HexLayout};
 use wcdma_mac::LinkDir;
+use wcdma_math::Xoshiro256pp;
 
 use crate::campaign::{run_campaign, RunOptions, Scenario};
 use crate::config::{PhyKind, SimConfig};
 use crate::stats::ReplicationStats;
+
+/// The base every experiment table starts from: the 7-cell baseline tuned
+/// into the *contended* regime (tight 12 W forward budget, 100 voice users,
+/// heavy 480 kbit web bursts) where the admission policies genuinely
+/// diverge, with 20 s runs so each table takes seconds.
+pub fn contended_base() -> SimConfig {
+    let mut c = SimConfig::baseline();
+    c.cdma.max_bs_power_w = 12.0;
+    c.n_voice = 100;
+    c.n_data = 16;
+    c.traffic.mean_burst_bits = 480_000.0;
+    c.traffic.mean_reading_s = 2.0;
+    c.duration_s = 20.0;
+    c.warmup_s = 4.0;
+    c.seed = 0xBE9C;
+    c
+}
+
+/// F2: a 7-cell network with 12 voice and `n_data` data users, stepped
+/// through 25 frames so the measurements behind the admissible regions are
+/// live.
+pub fn warm_network(n_data: usize, seed: u64) -> Network {
+    let cfg = CdmaConfig::default_system();
+    let mut net = Network::new(cfg, HexLayout::new(1, 1000.0), seed);
+    let mut rng = Xoshiro256pp::new(seed);
+    populate_round_robin(&mut net, 12, n_data, 0.8, &mut rng);
+    for _ in 0..25 {
+        net.step(0.02);
+    }
+    net
+}
+
+/// E7: a random instance shaped like the paper's burst-scheduling IP — `k`
+/// cells, `n` requests, grants `1 ≤ m ≤ hi` with `hi` in 4..=16 — passed to
+/// `build` as `(c, a, b, lo, hi)`. This crate does not link the ILP solver,
+/// so callers pass `wcdma_ilp::Problem::new`.
+pub fn solver_instance<P>(
+    n: usize,
+    k: usize,
+    rng: &mut Xoshiro256pp,
+    build: impl FnOnce(Vec<f64>, Vec<Vec<f64>>, Vec<f64>, Vec<u32>, Vec<u32>) -> P,
+) -> P {
+    let c: Vec<f64> = (0..n).map(|_| rng.uniform(0.1, 4.0)).collect();
+    let a: Vec<Vec<f64>> = (0..k)
+        .map(|_| {
+            (0..n)
+                .map(|_| {
+                    if rng.bernoulli(0.5) {
+                        rng.uniform(0.05, 1.0)
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let b: Vec<f64> = (0..k).map(|_| rng.uniform(2.0, 10.0)).collect();
+    let lo = vec![1u32; n];
+    let hi: Vec<u32> = (0..n).map(|_| 4 + rng.next_below(13) as u32).collect();
+    build(c, a, b, lo, hi)
+}
+
+/// E9: a random contended snapshot for the temporal extension — `k` region
+/// rows and `n` requests with mixed burst sizes and `1 ≤ m ≤ 4`.
+pub fn temporal_instance(
+    n: usize,
+    k: usize,
+    rng: &mut Xoshiro256pp,
+) -> (Region, Vec<TemporalRequest>) {
+    let a: Vec<Vec<f64>> = (0..k)
+        .map(|_| (0..n).map(|_| rng.uniform(0.2, 1.0)).collect())
+        .collect();
+    let b: Vec<f64> = (0..k).map(|_| rng.uniform(1.0, 2.5)).collect();
+    let cells = (0..k as u32).map(CellId).collect();
+    let region = Region { a, b, cells };
+    let reqs = (0..n)
+        .map(|_| TemporalRequest {
+            weight: rng.uniform(0.5, 4.0),
+            delta_beta: rng.uniform(0.3, 2.0),
+            size_bits: rng.uniform(200.0, 3000.0),
+            lo: 1,
+            hi: 4,
+        })
+        .collect();
+    (region, reqs)
+}
 
 /// Runs every `(key, cfg)` point as one campaign grid of `n_reps`
 /// replications each, and returns each key with its cross-replication
@@ -476,6 +567,25 @@ mod tests {
         assert!(delay_vs_load(&tiny(), LinkDir::Forward, &[], &policies, 1).is_empty());
         assert!(delay_vs_load(&tiny(), LinkDir::Forward, &[2], &[], 1).is_empty());
         assert!(speed_sweep(&tiny(), LinkDir::Forward, &[], 1).is_empty());
+    }
+
+    #[test]
+    fn shared_inputs_have_the_requested_shape() {
+        let mut rng = Xoshiro256pp::new(1);
+        let (c, a, b, lo, hi) =
+            solver_instance(5, 3, &mut rng, |c, a, b, lo, hi| (c, a, b, lo, hi));
+        assert_eq!((c.len(), a.len(), a[0].len(), b.len()), (5, 3, 5, 3));
+        assert!(lo
+            .iter()
+            .zip(&hi)
+            .all(|(&l, &h)| l == 1 && (4..=16).contains(&h)));
+        let (region, reqs) = temporal_instance(4, 2, &mut rng);
+        assert_eq!(
+            (region.a.len(), region.a[0].len(), region.cells.len()),
+            (2, 4, 2)
+        );
+        assert_eq!(reqs.len(), 4);
+        assert_eq!(warm_network(3, 1).data_mobiles().len(), 3);
     }
 
     #[test]

@@ -41,19 +41,21 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders as an aligned text table.
+    /// Renders as an aligned text table. Columns are padded by `char`
+    /// count, so cells such as `3.103 ± 1.541` or a `β` header line up.
     pub fn render(&self) -> String {
         let ncol = self.header.len();
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
+        let width = |s: &str| s.chars().count();
+        let mut widths: Vec<usize> = self.header.iter().map(|h| width(h)).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(width(cell));
             }
         }
         let mut out = String::new();
         let line = |cells: &[String], out: &mut String| {
             for i in 0..ncol {
-                let pad = widths[i] - cells[i].len();
+                let pad = widths[i] - width(&cells[i]);
                 let _ = write!(out, "{}{}", cells[i], " ".repeat(pad));
                 if i + 1 < ncol {
                     out.push_str("  ");
@@ -120,14 +122,18 @@ mod tests {
 
     #[test]
     fn renders_aligned() {
-        let mut t = Table::new(&["policy", "delay"]);
-        t.row(&["jaba-sd".into(), "0.120".into()]);
-        t.row(&["fcfs".into(), "0.340".into()]);
+        let mut t = Table::new(&["policy", "delay", "avg β"]);
+        t.row(&["jaba-sd".into(), "3.103 ± 1.541".into(), "0.5".into()]);
+        t.row(&["fcfs".into(), "0.340".into(), "1.25".into()]);
         let s = t.render();
         assert!(s.contains("policy"));
         assert!(s.lines().count() == 4);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
+        // Multibyte cells (±, β) must not shift later columns: every line,
+        // the rule included, has the same width in chars.
+        let widths: Vec<usize> = s.lines().map(|l| l.chars().count()).collect();
+        assert!(widths.iter().all(|&w| w == widths[0]), "{widths:?}\n{s}");
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Policy comparison (experiment E1, reduced profile): average burst delay
-//! vs offered load for JABA-SD against the FCFS and equal-share baselines.
+//! Policy comparison at paper scale: average burst delay vs offered load
+//! for JABA-SD against the FCFS and equal-share baselines on the 19-cell
+//! layout, with 60 s runs and 5 replications per point.
 //!
 //! ```text
-//! cargo run --release --example policy_comparison [-- full]
+//! cargo run --release --example policy_comparison
 //! ```
 //!
-//! The optional `full` argument runs the paper-scale profile (19 cells,
-//! longer runs, more replications) instead of the quick one.
+//! `examples/full_evaluation.rs` renders the same comparison (E1) on the
+//! contended 7-cell base in seconds; this profile takes minutes.
 
 use wcdma::mac::LinkDir;
 use wcdma::sim::experiments::delay_vs_load;
@@ -14,28 +15,22 @@ use wcdma::sim::table::{ci, Table};
 use wcdma::sim::SimConfig;
 
 fn main() {
-    let full = std::env::args().any(|a| a == "full");
     let mut base = SimConfig::baseline();
-    let (loads, reps): (Vec<usize>, usize) = if full {
-        base.rings = 2;
-        base.n_voice = 120;
-        base.duration_s = 60.0;
-        base.warmup_s = 10.0;
-        (vec![4, 8, 12, 16, 24, 32], 5)
-    } else {
-        base.n_voice = 20;
-        base.duration_s = 20.0;
-        base.warmup_s = 4.0;
-        (vec![2, 4, 8, 12], 2)
-    };
+    base.rings = 2;
+    base.n_voice = 120;
+    base.duration_s = 60.0;
+    base.warmup_s = 10.0;
 
     let policies = SimConfig::comparison_policies();
 
-    println!(
-        "E1: mean burst delay vs offered load (forward link, {} profile)\n",
-        if full { "full" } else { "quick" }
+    println!("mean burst delay vs offered load (forward link, paper-scale profile)\n");
+    let rows = delay_vs_load(
+        &base,
+        LinkDir::Forward,
+        &[4, 8, 12, 16, 24, 32],
+        &policies,
+        5,
     );
-    let rows = delay_vs_load(&base, LinkDir::Forward, &loads, &policies, reps);
 
     let mut table = Table::new(&[
         "policy",

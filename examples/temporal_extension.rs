@@ -1,19 +1,17 @@
 //! The temporal scheduling dimension (JABA-STD) — the extension the paper
-//! defers ("we focus on the spatial dimension only"). Shows contended
-//! snapshots where deferring a burst start admits more total value than any
-//! spatial-only schedule.
+//! defers ("we focus on the spatial dimension only"). A hand-built snapshot
+//! where deferring a burst start admits more total value than any
+//! spatial-only schedule; `examples/full_evaluation.rs` (E9) measures the
+//! gain on random snapshots.
 //!
 //! ```text
 //! cargo run --release --example temporal_extension
 //! ```
 
 use wcdma::admission::{
-    spatial_only_value, temporal_exhaustive, temporal_greedy, Region, TemporalConfig,
-    TemporalRequest,
+    spatial_only_value, temporal_exhaustive, Region, TemporalConfig, TemporalRequest,
 };
 use wcdma::geo::CellId;
-use wcdma::math::Xoshiro256pp;
-use wcdma::sim::Table;
 
 fn main() {
     let cfg = TemporalConfig::default_config();
@@ -49,45 +47,4 @@ fn main() {
         "  temporal value     : {:.3}  (both, staggered: {:?})",
         temporal.value, temporal.placements
     );
-
-    // Random contended instances: average gain.
-    println!("\nRandom contended snapshots (2 rows, m <= 4, horizon 8):");
-    let mut rng = Xoshiro256pp::new(0x7E0);
-    let mut table = Table::new(&["N_d", "mean temporal/spatial value", "greedy/exact"]);
-    for n in [2usize, 3, 4] {
-        let trials = 30;
-        let mut gain = 0.0;
-        let mut greedy_ratio = 0.0;
-        for _ in 0..trials {
-            let a: Vec<Vec<f64>> = (0..2)
-                .map(|_| (0..n).map(|_| rng.uniform(0.2, 1.0)).collect())
-                .collect();
-            let b: Vec<f64> = (0..2).map(|_| rng.uniform(1.0, 2.5)).collect();
-            let region = Region {
-                a,
-                b,
-                cells: vec![CellId(0), CellId(1)],
-            };
-            let reqs: Vec<TemporalRequest> = (0..n)
-                .map(|_| TemporalRequest {
-                    weight: rng.uniform(0.5, 4.0),
-                    delta_beta: rng.uniform(0.3, 2.0),
-                    size_bits: rng.uniform(200.0, 3000.0),
-                    lo: 1,
-                    hi: 4,
-                })
-                .collect();
-            let spatial = spatial_only_value(&region, &reqs, &cfg).max(1e-9);
-            let exact = temporal_exhaustive(&region, &reqs, &cfg).value;
-            let greedy = temporal_greedy(&region, &reqs, &cfg).value;
-            gain += exact / spatial;
-            greedy_ratio += if exact > 0.0 { greedy / exact } else { 1.0 };
-        }
-        table.row(&[
-            n.to_string(),
-            format!("{:.2}x", gain / trials as f64),
-            format!("{:.2}", greedy_ratio / trials as f64),
-        ]);
-    }
-    println!("{}", table.render());
 }

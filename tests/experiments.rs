@@ -2,9 +2,9 @@
 //! `wcdma::sim::experiments` runs a small sweep, and an FNV-1a hash over
 //! each row's parameters and the raw words of every cross-replication
 //! accumulator (`ReplicationStats::welfords`, via `Welford::to_raw_parts`)
-//! must reproduce a committed value bit for bit. This pins the numbers the
-//! benches and `examples/full_evaluation.rs` render, whatever machinery
-//! runs the sweep underneath.
+//! must reproduce a committed value bit for bit. This pins the numbers
+//! `examples/full_evaluation.rs` renders, whatever machinery runs the sweep
+//! underneath.
 
 use wcdma::admission::{AdmissionPolicy, BoxedPolicy, Fcfs, JabaSd};
 use wcdma::mac::LinkDir;
