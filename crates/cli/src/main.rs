@@ -37,8 +37,9 @@ use std::process::ExitCode;
 
 use wcdma_sim::campaign::{
     builtin, builtin_names, campaign_csv, campaign_json, campaign_status, campaign_summary_json,
-    campaign_trace_csv, merge_dirs, run_spec, run_spec_service, trace_campaign, write_artefacts,
-    write_atomic, CampaignResult, PolicyRegistry, RunOptions, ScenarioSpec, ServiceConfig,
+    merge_dirs, observed_trace_csv, run_spec, run_spec_observed, run_spec_service, write_artefacts,
+    write_atomic, CampaignResult, Observation, PolicyRegistry, RunOptions, ScenarioSpec,
+    ServiceConfig,
 };
 use wcdma_sim::table::ci;
 use wcdma_sim::Table;
@@ -74,11 +75,13 @@ usage: wcdma <campaign | policy> <subcommand> [options]
 options:
   --file PATH   load the campaign from a TOML spec file instead of a name
   --quick       CI smoke profile: short runs, at most 2 replications
-  --trace       also capture per-frame policy decisions (first replication
-                of every scenario) into <name>-trace.csv
-  --sched-stats print per-scenario scheduling-phase statistics (solves,
-                warm-start hits, B&B nodes) from the first replication of
-                every scenario
+  --trace       also capture per-frame policy decisions into
+                <name>-trace.csv, observed on the first replication of
+                every scenario while the campaign runs it (a resumed
+                --out-dir run re-runs a first replication only if the run
+                that journaled it did not observe it)
+  --sched-stats print per-scenario scheduling-phase statistics (rounds,
+                B&B nodes), observed the same way
   --shards N    worker threads (default: one per core)
   --frame-threads N
                 threads *inside* each replication's frame loop (default:
@@ -315,8 +318,8 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
             }
             if run.slice.1 > 1 && (run.trace || run.sched_stats) {
                 return Err(
-                    "--trace/--sched-stats run whole-campaign instrumentation and cannot \
-                     combine with --grid-slice"
+                    "--trace/--sched-stats observe the first replication of every scenario \
+                     and cannot combine with --grid-slice"
                         .into(),
                 );
             }
@@ -551,7 +554,12 @@ fn cmd_run(args: &RunArgs) -> Result<(), String> {
     if let Some(dir) = &args.out_dir {
         return cmd_run_service(args, &spec, dir);
     }
-    let result = run_spec(&spec, &args.opts)?;
+    let observe = args.trace || args.sched_stats;
+    let (result, observations) = if observe {
+        run_spec_observed(&spec, &args.opts)?
+    } else {
+        (run_spec(&spec, &args.opts)?, Vec::new())
+    };
     println!("{}", summary_table(&result).render());
     let docs: [&str; 3] = [
         &campaign_csv(&result),
@@ -559,7 +567,7 @@ fn cmd_run(args: &RunArgs) -> Result<(), String> {
         &campaign_summary_json(&result),
     ];
     print_written(&write_artefacts(&args.out, &spec.name, docs)?);
-    instrument(args, &spec, &args.out)
+    instrument(args, &spec.name, &args.out, &observations)
 }
 
 /// Service-mode `campaign run`: checkpointed, resumable, sliceable.
@@ -569,6 +577,7 @@ fn cmd_run_service(args: &RunArgs, spec: &ScenarioSpec, dir: &Path) -> Result<()
         slice_index: args.slice.0,
         slice_count: args.slice.1,
         max_cells: args.max_cells,
+        observe: args.trace || args.sched_stats,
     };
     let outcome = run_spec_service(spec, dir, &cfg)?;
     println!(
@@ -585,12 +594,6 @@ fn cmd_run_service(args: &RunArgs, spec: &ScenarioSpec, dir: &Path) -> Result<()
             outcome.newly_run + outcome.skipped,
             outcome.slice_jobs
         );
-        if args.trace {
-            println!(
-                "trace deferred: {}-trace.csv is written (atomically) once the campaign completes",
-                spec.name
-            );
-        }
         return Ok(());
     }
     if outcome.artefacts.is_empty() {
@@ -601,7 +604,7 @@ fn cmd_run_service(args: &RunArgs, spec: &ScenarioSpec, dir: &Path) -> Result<()
         return Ok(());
     }
     print_written(&outcome.artefacts);
-    instrument(args, spec, dir)
+    instrument(args, &spec.name, dir, &outcome.observations)
 }
 
 fn print_written(paths: &[PathBuf]) {
@@ -609,58 +612,35 @@ fn print_written(paths: &[PathBuf]) {
     println!("wrote {}", paths.join(", "));
 }
 
-/// The `--trace` and `--sched-stats` output: one pass re-runs the first
-/// replication of every scenario under the run's own options and feeds
-/// both, writing the trace into `dir` atomically (it may share a checkpoint
-/// directory with a journal).
-fn instrument(args: &RunArgs, spec: &ScenarioSpec, dir: &Path) -> Result<(), String> {
-    if !args.trace && !args.sched_stats {
-        return Ok(());
-    }
+/// The `--trace` and `--sched-stats` output of either mode, from the
+/// observations the campaign's own pass took: the trace lands in `dir`
+/// atomically (it may share a checkpoint directory with a journal).
+fn instrument(
+    args: &RunArgs,
+    name: &str,
+    dir: &Path,
+    observations: &[Observation],
+) -> Result<(), String> {
     if args.trace {
-        println!("tracing policy decisions (first replication of every scenario)…");
-    }
-    let (traces, stats): (Vec<_>, Vec<_>) = trace_campaign(spec, &args.opts)?
-        .into_iter()
-        .map(|(label, decisions, sched)| ((label.clone(), decisions), (label, sched)))
-        .unzip();
-    if args.trace {
-        let path = dir.join(format!("{}-trace.csv", spec.name));
-        write_atomic(&path, &campaign_trace_csv(&traces))?;
+        let path = dir.join(format!("{name}-trace.csv"));
+        write_atomic(&path, &observed_trace_csv(observations))?;
         println!("wrote {}", path.display());
     }
     if args.sched_stats {
-        println!("collecting scheduling statistics (first replication of every scenario)…");
-        println!("{}", sched_stats_table(&stats).render());
+        println!("{}", sched_stats_table(observations).render());
     }
     Ok(())
 }
 
-/// Renders per-scenario scheduling-phase statistics: how many rounds ran,
-/// how many of them re-entered warm workspace buffers, and the
-/// branch-and-bound work.
-fn sched_stats_table(stats: &[(String, wcdma_sim::campaign::SchedStats)]) -> Table {
-    let mut t = Table::new(&[
-        "scenario",
-        "rounds",
-        "solves",
-        "warm hits",
-        "bb nodes",
-        "warm rate",
-    ]);
-    for (label, s) in stats {
-        let rate = if s.solves > 0 {
-            format!("{:.0}%", 100.0 * s.warm_hits as f64 / s.solves as f64)
-        } else {
-            "—".into()
-        };
+/// Renders per-scenario scheduling-phase statistics: how many rounds ran
+/// and the branch-and-bound work.
+fn sched_stats_table(observations: &[Observation]) -> Table {
+    let mut t = Table::new(&["scenario", "rounds", "bb nodes"]);
+    for obs in observations {
         t.row(&[
-            label.clone(),
-            s.rounds.to_string(),
-            s.solves.to_string(),
-            s.warm_hits.to_string(),
-            s.bb_nodes.to_string(),
-            rate,
+            obs.label.clone(),
+            obs.sched.rounds.to_string(),
+            obs.sched.bb_nodes.to_string(),
         ]);
     }
     t
@@ -941,11 +921,16 @@ mod tests {
     }
 
     #[test]
-    fn sched_stats_table_renders_rates() {
+    fn sched_stats_table_shows_rounds_and_bb_nodes() {
         use wcdma_sim::campaign::SchedStats;
+        let observe = |label: &str, sched| Observation {
+            label: label.into(),
+            trace_rows: String::new(),
+            sched,
+        };
         let rows = vec![
-            (
-                "busy".to_string(),
+            observe(
+                "busy",
                 SchedStats {
                     rounds: 4,
                     solves: 4,
@@ -954,12 +939,18 @@ mod tests {
                     bb_nodes: 123,
                 },
             ),
-            ("idle".to_string(), SchedStats::default()),
+            observe("idle", SchedStats::default()),
         ];
         let rendered = sched_stats_table(&rows).render();
-        assert!(rendered.contains("75%"), "{rendered}");
-        assert!(rendered.contains("—"), "{rendered}");
-        assert!(!rendered.contains("cached"), "{rendered}");
+        let header = rendered.lines().next().expect("header");
+        assert!(
+            header.contains("rounds") && header.contains("bb nodes"),
+            "{rendered}"
+        );
+        for gone in ["solves", "warm", "%"] {
+            assert!(!rendered.contains(gone), "{rendered}");
+        }
+        assert!(rendered.contains("123"), "{rendered}");
     }
 
     #[test]

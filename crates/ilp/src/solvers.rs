@@ -19,35 +19,65 @@ use crate::problem::{Problem, Solution};
 
 /// Exhaustively enumerates all assignments. Exponential; intended for
 /// `n · log(hi)` small enough that `Π (hi_j - lo_j + 2)` stays ≤ ~10⁷.
+///
+/// With every coefficient of A non-negative (which [`Problem::validate`]
+/// enforces), a subtree whose assigned prefix already violates a row
+/// cannot hold a feasible leaf, so it is skipped, and so is every larger
+/// value of the same variable. The prefix sums and the violation test are
+/// [`Problem::is_feasible`]'s own, in its summation order, so the leaves
+/// that remain — and the returned [`Solution`] — are exactly those of the
+/// full enumeration.
 pub fn exhaustive(p: &Problem) -> Solution {
-    let n = p.num_vars();
-    let mut best = p.reject_all();
-    let mut m = vec![0u32; n];
-    // Candidate values per variable: 0 and lo..=hi.
-    fn rec(p: &Problem, j: usize, m: &mut Vec<u32>, best: &mut Solution) {
-        if j == p.num_vars() {
+    /// `lhs` level `j` holds the K row sums over variables `0..j`.
+    fn rec(
+        p: &Problem,
+        prune: bool,
+        j: usize,
+        m: &mut [u32],
+        lhs: &mut [f64],
+        best: &mut Solution,
+    ) {
+        let (n, k) = (p.num_vars(), p.b.len());
+        if j == n {
             if p.is_feasible(m) {
                 let obj = p.objective(m);
                 if obj > best.objective {
                     *best = Solution {
-                        m: m.clone(),
+                        m: m.to_vec(),
                         objective: obj,
                     };
                 }
             }
             return;
         }
+        // m_j = 0 adds nothing to any row.
+        lhs.copy_within(j * k..(j + 1) * k, (j + 1) * k);
         m[j] = 0;
-        rec(p, j + 1, m, best);
+        rec(p, prune, j + 1, m, lhs, best);
         if p.admissible(j) {
             for v in p.lo[j]..=p.hi[j] {
+                let (prefix, next) = lhs.split_at_mut((j + 1) * k);
+                let mut violated = false;
+                for (r, &bk) in p.b.iter().enumerate() {
+                    let sum = prefix[j * k + r] + p.a[r * n + j] * v as f64;
+                    next[r] = sum;
+                    violated |= sum > bk + 1e-9 * (bk.abs() + sum.abs());
+                }
+                if prune && violated {
+                    // Rows only grow with v.
+                    break;
+                }
                 m[j] = v;
-                rec(p, j + 1, m, best);
+                rec(p, prune, j + 1, m, lhs, best);
             }
             m[j] = 0;
         }
     }
-    rec(p, 0, &mut m, &mut best);
+    let mut best = p.reject_all();
+    let prune = p.a.iter().all(|&x| x >= 0.0);
+    let mut m = vec![0; p.num_vars()];
+    let mut lhs = vec![0.0; (p.num_vars() + 1) * p.b.len()];
+    rec(p, prune, 0, &mut m, &mut lhs, &mut best);
     best
 }
 
@@ -425,6 +455,37 @@ mod tests {
         let s = exhaustive(&p);
         assert_eq!(s.m, vec![0, 4]);
         assert_eq!(s.objective, 40.0);
+    }
+
+    #[test]
+    fn pruned_enumeration_returns_the_full_enumerations_solution() {
+        // The unpruned enumeration, in the same order: every leaf checked.
+        fn full(p: &Problem, j: usize, m: &mut Vec<u32>, best: &mut Solution) {
+            if j == p.num_vars() {
+                if p.is_feasible(m) && p.objective(m) > best.objective {
+                    *best = p.solution(m.clone());
+                }
+                return;
+            }
+            m[j] = 0;
+            full(p, j + 1, m, best);
+            if p.admissible(j) {
+                for v in p.lo[j]..=p.hi[j] {
+                    m[j] = v;
+                    full(p, j + 1, m, best);
+                }
+                m[j] = 0;
+            }
+        }
+        let mut problems = rng_problems(300, 5, 6);
+        problems.push(toy());
+        for p in &problems {
+            let mut reference = p.reject_all();
+            full(p, 0, &mut vec![0; p.num_vars()], &mut reference);
+            let got = exhaustive(p);
+            assert_eq!(got.m, reference.m, "{p:?}");
+            assert_eq!(got.objective.to_bits(), reference.objective.to_bits());
+        }
     }
 
     #[test]

@@ -11,11 +11,10 @@ use wcdma_mac::LinkDir;
 use wcdma_math::stats::{MeanCi, Welford};
 
 use crate::stats::ReplicationStats;
-use crate::table::Table;
 use crate::trace::DecisionRecord;
 
 use super::journal::write_atomic;
-use super::runner::{CampaignResult, ScenarioResult};
+use super::runner::{CampaignResult, Observation, ScenarioResult};
 use super::spec::Scenario;
 
 /// Accessor into one metric accumulator of the streaming stats.
@@ -209,55 +208,81 @@ pub fn campaign_json(result: &CampaignResult) -> String {
     )
 }
 
-/// Renders per-frame policy decisions (from
-/// [`super::runner::trace_campaign`] or any
-/// [`crate::trace::DecisionLog`]) as CSV: one row per scheduling round,
-/// with the grant vector compacted into a `user:m|user:m` column.
-pub fn campaign_trace_csv(traces: &[(String, Vec<DecisionRecord>)]) -> String {
-    let mut t = Table::new(&[
-        "scenario",
-        "t_s",
-        "dir",
-        "requests",
-        "granted",
-        "total_m",
-        "objective_value",
-        "optimal",
-        "min_slack",
-        "grants",
-    ]);
-    for (label, records) in traces {
-        for rec in records {
-            let grants: Vec<String> = rec
-                .users
-                .iter()
-                .zip(&rec.m)
-                .filter(|(_, &m)| m > 0)
-                .map(|(u, m)| format!("{u}:{m}"))
-                .collect();
-            let min_slack = rec.min_slack();
-            t.row(&[
-                label.clone(),
-                format!("{}", rec.t_s),
-                match rec.dir {
-                    LinkDir::Forward => "forward".into(),
-                    LinkDir::Reverse => "reverse".into(),
-                },
-                rec.users.len().to_string(),
-                rec.granted().to_string(),
-                rec.total_m().to_string(),
-                format!("{}", rec.objective_value),
-                rec.optimal.to_string(),
-                if min_slack.is_finite() {
-                    format!("{min_slack}")
-                } else {
-                    String::new()
-                },
-                grants.join("|"),
-            ]);
-        }
+/// The trace CSV header line (newline-terminated).
+pub fn campaign_trace_header() -> String {
+    crate::table::csv_line(
+        &[
+            "scenario",
+            "t_s",
+            "dir",
+            "requests",
+            "granted",
+            "total_m",
+            "objective_value",
+            "optimal",
+            "min_slack",
+            "grants",
+        ]
+        .map(String::from),
+    )
+}
+
+/// One scenario's trace CSV rows (each newline-terminated): one row per
+/// scheduling round, with the grant vector compacted into a
+/// `user:m|user:m` column. These are the bytes an [`Observation`] keeps.
+pub fn campaign_trace_rows(label: &str, records: &[DecisionRecord]) -> String {
+    let mut out = String::new();
+    for rec in records {
+        let grants: Vec<String> = rec
+            .users
+            .iter()
+            .zip(&rec.m)
+            .filter(|(_, &m)| m > 0)
+            .map(|(u, m)| format!("{u}:{m}"))
+            .collect();
+        let min_slack = rec.min_slack();
+        out.push_str(&crate::table::csv_line(&[
+            label.to_string(),
+            format!("{}", rec.t_s),
+            match rec.dir {
+                LinkDir::Forward => "forward".into(),
+                LinkDir::Reverse => "reverse".into(),
+            },
+            rec.users.len().to_string(),
+            rec.granted().to_string(),
+            rec.total_m().to_string(),
+            format!("{}", rec.objective_value),
+            rec.optimal.to_string(),
+            if min_slack.is_finite() {
+                format!("{min_slack}")
+            } else {
+                String::new()
+            },
+            grants.join("|"),
+        ]));
     }
-    t.to_csv()
+    out
+}
+
+/// Renders per-frame policy decisions (from any
+/// [`crate::trace::DecisionLog`]) as the trace CSV: the header, then
+/// [`campaign_trace_rows`] for every scenario in order.
+pub fn campaign_trace_csv(traces: &[(String, Vec<DecisionRecord>)]) -> String {
+    let mut out = campaign_trace_header();
+    for (label, records) in traces {
+        out.push_str(&campaign_trace_rows(label, records));
+    }
+    out
+}
+
+/// The trace CSV of a campaign's observations, in scenario order:
+/// byte-identical to [`campaign_trace_csv`] over the same decisions.
+pub fn observed_trace_csv(observations: &[Observation]) -> String {
+    let mut out = campaign_trace_header();
+    for obs in observations {
+        out.push_str(&obs.trace_rows);
+    }
+    out
 }
 
 /// Opening fragment of the `BENCH_campaign.json` summary document.

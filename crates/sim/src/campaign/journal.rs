@@ -21,6 +21,11 @@
 //!   of its body. `fold` lines snapshot the cross-replication fold state
 //!   ([`wcdma_math::Welford::to_raw_parts`]) when an artefact row streams
 //!   out, so a resume can *prove* its refold is bit-identical.
+//! * `obs-<scenario>.txt` — written only by an observing run (`--trace`,
+//!   `--sched-stats`): scenario `scenario`'s [`Observation`], landed
+//!   **atomically** before its replication-0 cell is journaled, so a
+//!   journaled replication 0 without an observation can only come from an
+//!   unobserved run ([`write_observation`]).
 //!
 //! A SIGKILL can tear the final journal line mid-write; readers therefore
 //! tolerate exactly one undecodable **unterminated trailing** line
@@ -38,8 +43,11 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
+use wcdma_admission::SchedStats;
+
 use crate::stats::SimReport;
 
+use super::runner::Observation;
 use super::spec::{Scenario, ScenarioSpec};
 
 /// Version of the checkpoint directory layout and line formats. Bump on
@@ -48,7 +56,8 @@ use super::spec::{Scenario, ScenarioSpec};
 ///
 /// v2: report records carry the observed outage rate (15 fields) and the
 /// fold snapshot carries its Welford accumulator (11 metrics).
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
+/// v3: an observing run keeps one `obs-<scenario>.txt` per scenario.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
 
 /// Raw words in a `fold` snapshot: one [`wcdma_math::Welford::to_raw_parts`]
 /// quintet per metric accumulator of
@@ -352,6 +361,83 @@ pub fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
     std::fs::write(&tmp, contents).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
     std::fs::rename(&tmp, path)
         .map_err(|e| format!("cannot rename {} to {}: {e}", tmp.display(), path.display()))
+}
+
+/// The file holding scenario `scenario`'s observation in a checkpoint.
+pub fn observation_file(scenario: usize) -> String {
+    format!("obs-{scenario}.txt")
+}
+
+/// Writes scenario `scenario`'s observation into checkpoint `dir`
+/// atomically: one header line `sched <rounds> <solves> <warm_hits>
+/// <skipped_identical> <bb_nodes> <checksum>`, where the checksum is the
+/// FNV-1a 64 of the rows, then the trace CSV rows verbatim.
+pub fn write_observation(dir: &Path, scenario: usize, obs: &Observation) -> Result<(), String> {
+    let s = &obs.sched;
+    let header = format!(
+        "sched {} {} {} {} {} {:016x}\n",
+        s.rounds,
+        s.solves,
+        s.warm_hits,
+        s.skipped_identical,
+        s.bb_nodes,
+        fnv1a64(obs.trace_rows.as_bytes())
+    );
+    write_atomic(
+        &dir.join(observation_file(scenario)),
+        &(header + &obs.trace_rows),
+    )
+}
+
+/// Reads scenario `scenario`'s observation back from checkpoint `dir`
+/// under `label`; `None` when the run that journaled its replication 0
+/// did not observe. A file that does not decode, or whose rows fail their
+/// checksum, is an error naming it.
+pub fn read_observation(
+    dir: &Path,
+    scenario: usize,
+    label: &str,
+) -> Result<Option<Observation>, String> {
+    let path = dir.join(observation_file(scenario));
+    let text = match std::fs::read_to_string(&path) {
+        Ok(t) => t,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
+    };
+    let corrupt = |why: &str| format!("corrupt observation {}: {why}", path.display());
+    let (header, rows) = text
+        .split_once('\n')
+        .ok_or_else(|| corrupt("no header line"))?;
+    let words: Vec<&str> = header.split(' ').collect();
+    let ["sched", counters @ .., sum] = words.as_slice() else {
+        return Err(corrupt("header must start with `sched`"));
+    };
+    let counters = counters
+        .iter()
+        .map(|w| {
+            w.parse::<u64>()
+                .map_err(|_| corrupt(&format!("bad counter {w:?}")))
+        })
+        .collect::<Result<Vec<u64>, String>>()?;
+    let [rounds, solves, warm_hits, skipped_identical, bb_nodes] = counters[..] else {
+        return Err(corrupt("header must hold 5 counters and a checksum"));
+    };
+    let sum =
+        u64::from_str_radix(sum, 16).map_err(|_| corrupt(&format!("bad checksum {sum:?}")))?;
+    if sum != fnv1a64(rows.as_bytes()) {
+        return Err(corrupt("checksum mismatch"));
+    }
+    Ok(Some(Observation {
+        label: label.to_string(),
+        trace_rows: rows.to_string(),
+        sched: SchedStats {
+            rounds,
+            solves,
+            warm_hits,
+            skipped_identical,
+            bb_nodes,
+        },
+    }))
 }
 
 /// One decoded journal line.
@@ -841,6 +927,41 @@ mod tests {
         let dir = tmpdir("empty");
         let contents = read_journal(&dir).expect("no journal yet");
         assert!(contents.entries.is_empty() && !contents.torn_tail);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn observations_round_trip_and_malformed_files_are_errors() {
+        let dir = tmpdir("obs");
+        assert_eq!(read_observation(&dir, 0, "a").unwrap(), None);
+        let obs = Observation {
+            label: "a".into(),
+            trace_rows: "a,0.5,forward,1,1,2,3,true,0.25,7:2\n".into(),
+            sched: SchedStats {
+                rounds: 1,
+                solves: 1,
+                warm_hits: 0,
+                skipped_identical: 0,
+                bb_nodes: 9,
+            },
+        };
+        write_observation(&dir, 0, &obs).unwrap();
+        assert_eq!(read_observation(&dir, 0, "a").unwrap(), Some(obs.clone()));
+        let good = std::fs::read_to_string(dir.join(observation_file(0))).unwrap();
+        let (header, rows) = good.split_once('\n').unwrap();
+        for bad in [
+            String::new(),
+            header.to_string(),
+            good.replacen("sched", "sked", 1),
+            good.replacen(" 9 ", " 9 9 ", 1),
+            good.replacen(" 9 ", " x ", 1),
+            format!("{} zz\n{rows}", header.rsplit_once(' ').unwrap().0),
+            good.replace("7:2", "7:3"),
+        ] {
+            std::fs::write(dir.join(observation_file(0)), &bad).unwrap();
+            let err = read_observation(&dir, 0, "a").expect_err(&bad);
+            assert!(err.contains(&observation_file(0)), "{err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

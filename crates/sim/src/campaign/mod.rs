@@ -17,6 +17,10 @@
 //!   per-replication seed substreams, configured by one [`RunOptions`];
 //!   results are folded in replication order by [`ScenarioResult::fold`],
 //!   so the statistics are bit-identical regardless of the shard count.
+//!   [`run_spec_observed`] runs the same loop and also keeps an
+//!   [`Observation`] (trace rows, scheduler counters) of every scenario's
+//!   first replication — the `--trace` / `--sched-stats` data, taken from
+//!   the campaign's own pass.
 //! * [`emit`] — CSV and JSON renderers, including the
 //!   `BENCH_campaign.json`-style summary consumed by CI, and
 //!   [`write_artefacts`], which writes them atomically.
@@ -40,13 +44,14 @@ pub mod spec;
 
 pub use builtin::{builtin, builtin_names};
 pub use emit::{
-    campaign_csv, campaign_json, campaign_summary_json, campaign_trace_csv, write_artefacts,
+    campaign_csv, campaign_json, campaign_summary_json, campaign_trace_csv, observed_trace_csv,
+    write_artefacts,
 };
 pub use journal::{write_atomic, Manifest, CHECKPOINT_FORMAT_VERSION};
 pub use merge::merge_dirs;
 pub use runner::{
-    arbitrate_frame_threads, run_campaign, run_grid_jobs, run_spec, trace_campaign, CampaignResult,
-    RunOptions, ScenarioResult,
+    arbitrate_frame_threads, run_campaign, run_grid_jobs, run_spec, run_spec_observed,
+    CampaignResult, Observation, RunOptions, ScenarioResult,
 };
 pub use service::{run_spec_service, status as campaign_status, ServiceConfig, ServiceOutcome};
 pub use spec::{CsiQuality, MismatchLevel, Scenario, ScenarioSpec, SpeedClass, TrafficMix};

@@ -15,16 +15,16 @@ use std::sync::OnceLock;
 
 use wcdma_admission::SchedStats;
 
-use crate::config::SimConfig;
 use crate::engine::Simulation;
 use crate::stats::{ReplicationStats, SimReport};
-use crate::trace::{DecisionLog, DecisionRecord};
+use crate::trace::DecisionLog;
 
+use super::emit::campaign_trace_rows;
 use super::spec::{Scenario, ScenarioSpec};
 
 /// How a campaign runs: the knobs shared by [`run_campaign`],
-/// [`run_spec`], the service ([`super::ServiceConfig::run`]), and the
-/// first-replication pass [`trace_campaign`].
+/// [`run_spec`], [`run_spec_observed`], and the service
+/// ([`super::ServiceConfig::run`]).
 /// The thread knobs never change results; `candidates` does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOptions {
@@ -120,6 +120,23 @@ impl CampaignResult {
     }
 }
 
+/// What observing one scenario's first replication yields: its rows of
+/// the `--trace` CSV and the scheduler's final counters. A run that
+/// observes attaches a [`DecisionLog`] to replication 0 of every scenario
+/// while it runs that cell for the campaign itself, so observing never
+/// simulates anything twice and never changes a result.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Observation {
+    /// The scenario's label.
+    pub label: String,
+    /// The scenario's trace CSV rows, exactly as the artefact holds them
+    /// ([`super::emit::campaign_trace_rows`]); empty when no round ran.
+    pub trace_rows: String,
+    /// The last [`DecisionTrace::record_sched`](crate::DecisionTrace::record_sched)
+    /// value — the counters only move inside a scheduling round.
+    pub sched: SchedStats,
+}
+
 /// Caps the per-replication intra-frame thread count so that
 /// `shards × frame_threads` never oversubscribes the machine: the
 /// per-shard core budget is `available_cores / shards` (at least 1).
@@ -169,24 +186,27 @@ fn worker_count(shards: usize, n_jobs: usize) -> usize {
     wanted.min(n_jobs).max(1)
 }
 
-/// Runs `run` on the configuration of every job in `jobs` (global indices
-/// `scenario * n_reps + replication`) and hands each output to
-/// `on_complete(job, output)` from the worker thread. Workers claim jobs
-/// off a shared atomic cursor, so a slow job cannot strand the others;
-/// setting `stop` makes every worker exit before claiming another job.
+/// Simulates every job in `jobs` (global indices
+/// `scenario * n_reps + replication`) and hands each report to
+/// `on_complete(job, report, observation)` from the worker thread. Workers
+/// claim jobs off a shared atomic cursor, so a slow job cannot strand the
+/// others; setting `stop` makes every worker exit before claiming another
+/// job. With `observe`, a replication-0 job runs with a [`DecisionLog`]
+/// attached and comes with its scenario's [`Observation`]; every other job
+/// comes with `None`.
 ///
 /// A job's configuration is its scenario's with the seed substream
 /// `mix_seed(seed, 1 + replication)`, the candidate override of `opts`, and
 /// the frame-thread count arbitrated against the worker count — so every
 /// output depends only on the job's grid coordinates and `candidates`.
-fn run_jobs<T>(
+pub(crate) fn run_jobs(
     scenarios: &[Scenario],
     n_reps: usize,
     jobs: &[usize],
     opts: &RunOptions,
     stop: &AtomicBool,
-    run: impl Fn(SimConfig) -> T + Sync,
-    on_complete: impl Fn(usize, T) + Sync,
+    observe: bool,
+    on_complete: impl Fn(usize, SimReport, Option<Observation>) + Sync,
 ) {
     if jobs.is_empty() {
         return;
@@ -194,7 +214,7 @@ fn run_jobs<T>(
     let workers = worker_count(opts.shards, jobs.len());
     let frame_threads = arbitrate_frame_threads(opts.frame_threads, workers);
     let cursor = AtomicUsize::new(0);
-    let (cursor, run, on_complete) = (&cursor, &run, &on_complete);
+    let (cursor, on_complete) = (&cursor, &on_complete);
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(move || loop {
@@ -206,7 +226,8 @@ fn run_jobs<T>(
                     break;
                 }
                 let job = jobs[next];
-                let base = &scenarios[job / n_reps].cfg;
+                let scenario = &scenarios[job / n_reps];
+                let base = &scenario.cfg;
                 let rep = (job % n_reps) as u64;
                 let mut cfg = base.with_seed(wcdma_math::mix_seed(base.seed, 1 + rep));
                 if let Some((k, refresh)) = opts.candidates {
@@ -214,34 +235,21 @@ fn run_jobs<T>(
                     cfg.candidate_refresh = refresh;
                 }
                 cfg.frame_threads = frame_threads;
-                on_complete(job, run(cfg));
+                let mut sim = Simulation::new(cfg);
+                let log = (observe && rep == 0).then(DecisionLog::new);
+                if let Some(log) = &log {
+                    sim.attach_trace(Box::new(log.clone()));
+                }
+                let report = sim.run();
+                let observation = log.map(|log| Observation {
+                    label: scenario.label.clone(),
+                    trace_rows: campaign_trace_rows(&scenario.label, &log.take()),
+                    sched: log.sched_stats(),
+                });
+                on_complete(job, report, observation);
             });
         }
     });
-}
-
-/// Runs every job of the grid through `run` and returns the outputs in job
-/// order; each output lands in its own slot, so the order does not depend
-/// on the worker count.
-fn run_all<T: Send + Sync>(
-    scenarios: &[Scenario],
-    n_reps: usize,
-    opts: &RunOptions,
-    run: impl Fn(SimConfig) -> T + Sync,
-) -> Vec<T> {
-    let n_jobs = scenarios.len() * n_reps;
-    let jobs: Vec<usize> = (0..n_jobs).collect();
-    let mut slots: Vec<OnceLock<T>> = Vec::new();
-    slots.resize_with(n_jobs, OnceLock::new);
-    let never = AtomicBool::new(false);
-    run_jobs(scenarios, n_reps, &jobs, opts, &never, run, |job, out| {
-        let claimed = slots[job].set(out).is_ok();
-        assert!(claimed, "job claimed exactly once");
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("all jobs completed"))
-        .collect()
 }
 
 /// Runs an arbitrary subset of the (scenario × replication) job grid.
@@ -283,8 +291,8 @@ pub fn run_grid_jobs(
         jobs,
         &opts,
         stop,
-        |cfg| Simulation::new(cfg).run(),
-        |job, report| on_complete(job, &report),
+        false,
+        |job, report, _| on_complete(job, &report),
     );
 }
 
@@ -303,15 +311,7 @@ pub fn run_campaign(
     n_reps: usize,
     opts: &RunOptions,
 ) -> Result<CampaignResult, String> {
-    if n_reps == 0 {
-        return Err("need at least one replication".into());
-    }
-    if scenarios.is_empty() {
-        return Err("need at least one scenario".into());
-    }
-    check_candidates(&scenarios, opts.candidates)?;
-    let reports = run_all(&scenarios, n_reps, opts, |cfg| Simulation::new(cfg).run());
-    Ok(CampaignResult::fold(name, scenarios, n_reps, reports))
+    Ok(campaign(name, scenarios, n_reps, opts, false)?.0)
 }
 
 /// Expands a [`ScenarioSpec`] and runs it with [`run_campaign`]: the
@@ -320,38 +320,73 @@ pub fn run_spec(spec: &ScenarioSpec, opts: &RunOptions) -> Result<CampaignResult
     run_campaign(&spec.name, spec.expand()?, spec.replications, opts)
 }
 
-/// Re-runs the first replication of every matrix cell with a
-/// [`DecisionLog`] attached and returns, per cell in expansion order, its
-/// label, every policy decision, and the scheduler's final counters (the
-/// last [`DecisionTrace::record_sched`](crate::DecisionTrace::record_sched)
-/// value — the counters only move inside a scheduling round). The
-/// configuration is exactly what [`run_spec`] gives replication 0 under the
-/// same `opts`, so the re-run is bit-identical to the campaign's own first
-/// replication; cells run on the same worker and frame-thread counts. Feed
-/// the decisions to [`super::emit::campaign_trace_csv`].
-pub fn trace_campaign(
+/// [`run_spec`] that also observes replication 0 of every scenario while
+/// running it, returning one [`Observation`] per scenario in expansion
+/// order. The campaign result is bit-identical to [`run_spec`]'s: the
+/// decision log only watches. Feed the observations to
+/// [`super::emit::observed_trace_csv`].
+pub fn run_spec_observed(
     spec: &ScenarioSpec,
     opts: &RunOptions,
-) -> Result<Vec<(String, Vec<DecisionRecord>, SchedStats)>, String> {
-    let scenarios = spec.expand()?;
+) -> Result<(CampaignResult, Vec<Observation>), String> {
+    campaign(&spec.name, spec.expand()?, spec.replications, opts, true)
+}
+
+/// The one batch loop behind [`run_campaign`] and [`run_spec_observed`]:
+/// every job lands in its own slot, so the fold order does not depend on
+/// the worker count.
+fn campaign(
+    name: &str,
+    scenarios: Vec<Scenario>,
+    n_reps: usize,
+    opts: &RunOptions,
+    observe: bool,
+) -> Result<(CampaignResult, Vec<Observation>), String> {
+    if n_reps == 0 {
+        return Err("need at least one replication".into());
+    }
+    if scenarios.is_empty() {
+        return Err("need at least one scenario".into());
+    }
     check_candidates(&scenarios, opts.candidates)?;
-    let observed = run_all(&scenarios, 1, opts, |cfg| {
-        let log = DecisionLog::new();
-        let mut sim = Simulation::new(cfg);
-        sim.attach_trace(Box::new(log.clone()));
-        sim.run();
-        (log.take(), log.sched_stats())
-    });
-    Ok(scenarios
+    let n_jobs = scenarios.len() * n_reps;
+    let jobs: Vec<usize> = (0..n_jobs).collect();
+    let mut reports: Vec<OnceLock<SimReport>> = Vec::new();
+    reports.resize_with(n_jobs, OnceLock::new);
+    let mut observations: Vec<OnceLock<Observation>> = Vec::new();
+    observations.resize_with(if observe { scenarios.len() } else { 0 }, OnceLock::new);
+    let never = AtomicBool::new(false);
+    run_jobs(
+        &scenarios,
+        n_reps,
+        &jobs,
+        opts,
+        &never,
+        observe,
+        |job, report, observation| {
+            let claimed = reports[job].set(report).is_ok();
+            assert!(claimed, "job claimed exactly once");
+            if let Some(obs) = observation {
+                let claimed = observations[job / n_reps].set(obs).is_ok();
+                assert!(claimed, "scenario observed exactly once");
+            }
+        },
+    );
+    let reports = reports
         .into_iter()
-        .zip(observed)
-        .map(|(sc, (decisions, sched))| (sc.label, decisions, sched))
-        .collect())
+        .map(|slot| slot.into_inner().expect("all jobs completed"));
+    let result = CampaignResult::fold(name, scenarios, n_reps, reports);
+    let observations = observations
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every scenario observed"))
+        .collect();
+    Ok((result, observations))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SimConfig;
 
     fn tiny_scenarios() -> Vec<Scenario> {
         let mut base = SimConfig::baseline();
@@ -484,6 +519,35 @@ mod tests {
         let result = run_tiny(scenarios, &RunOptions::default());
         let standalone = Simulation::new(cfg.with_seed(wcdma_math::mix_seed(cfg.seed, 2))).run();
         assert_eq!(result.scenarios[1].reports[1], standalone);
+    }
+
+    #[test]
+    fn observing_watches_replication_zero_without_changing_results() {
+        let scenarios = tiny_scenarios();
+        let opts = with_shards(2);
+        let plain = run_tiny(scenarios.clone(), &opts);
+        let (observed, observations) =
+            campaign("tiny", scenarios.clone(), 2, &opts, true).expect("valid campaign");
+        assert_eq!(observations.len(), 2);
+        for ((a, b), (sc, obs)) in plain
+            .scenarios
+            .iter()
+            .zip(&observed.scenarios)
+            .zip(scenarios.iter().zip(&observations))
+        {
+            assert_eq!(a.reports, b.reports, "observing must not perturb the run");
+            assert_eq!(obs.label, sc.label);
+            let rep0 = sc.cfg.with_seed(wcdma_math::mix_seed(sc.cfg.seed, 1));
+            let (report, records) = crate::trace::run_with_trace(rep0);
+            assert_eq!(report, b.reports[0]);
+            assert!(
+                !records.is_empty(),
+                "{}: web traffic makes rounds",
+                sc.label
+            );
+            assert_eq!(obs.trace_rows, campaign_trace_rows(&sc.label, &records));
+            assert!(obs.sched.rounds > 0);
+        }
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //!    are rebuilt from the journal alone — a kill mid-append to an
 //!    artefact cannot leave any trace.
 //!
+//! An observing run ([`ServiceConfig::observe`], behind `--trace` and
+//! `--sched-stats`) watches replication 0 of every scenario while it runs
+//! that cell, and lands the observation in the checkpoint before the cell's
+//! journal line; see `docs/CHECKPOINT_FORMAT.md` for the re-run rule that
+//! covers first replications journaled by an unobserved run.
+//!
 //! `slice_count > 1` partitions the job grid round-robin across
 //! independent processes: each slice journals its own cells and emits no
 //! artefacts; [`super::merge`] folds the slice directories into artefacts
@@ -35,10 +41,11 @@ use crate::table::Table;
 
 use super::emit;
 use super::journal::{
-    repair_tail, validate_name, write_atomic, Checkpoint, JournalWriter, Manifest,
-    CHECKPOINT_FORMAT_VERSION, JOURNAL_FILE, MANIFEST_FILE, SPEC_FILE,
+    observation_file, read_observation, repair_tail, validate_name, write_atomic,
+    write_observation, Checkpoint, JournalWriter, Manifest, CHECKPOINT_FORMAT_VERSION,
+    JOURNAL_FILE, MANIFEST_FILE, SPEC_FILE,
 };
-use super::runner::{check_candidates, run_grid_jobs, RunOptions, ScenarioResult};
+use super::runner::{check_candidates, run_jobs, Observation, RunOptions, ScenarioResult};
 use super::spec::{Scenario, ScenarioSpec};
 
 /// Environment variable: milliseconds to sleep after journaling each
@@ -63,6 +70,11 @@ pub struct ServiceConfig {
     /// even with `shards > 1`: completions in flight when it lands are
     /// dropped (as a real kill would drop them) and re-run on resume.
     pub max_cells: Option<usize>,
+    /// Observe replication 0 of every scenario (`--trace`,
+    /// `--sched-stats`; unsliced runs only): each observed cell's
+    /// [`Observation`] lands in the checkpoint before the cell is
+    /// journaled, and a finished run returns them all.
+    pub observe: bool,
 }
 
 impl Default for ServiceConfig {
@@ -72,6 +84,7 @@ impl Default for ServiceConfig {
             slice_index: 1,
             slice_count: 1,
             max_cells: None,
+            observe: false,
         }
     }
 }
@@ -79,17 +92,25 @@ impl Default for ServiceConfig {
 /// What a service run did.
 #[derive(Debug, Clone)]
 pub struct ServiceOutcome {
-    /// Whether every cell this slice owns is now journaled (and, for an
-    /// unsliced run, the final artefacts written).
+    /// Whether every cell this slice owns is now journaled — and, for an
+    /// observing run, every scenario observed — and, for an unsliced run,
+    /// the final artefacts written.
     pub finished: bool,
     /// Cells simulated and journaled by *this* invocation.
     pub newly_run: usize,
     /// Cells skipped because the journal already had them.
     pub skipped: usize,
+    /// Journaled replication-0 cells simulated again by *this* invocation
+    /// only to observe them — their run had not observed. They are not
+    /// journaled again.
+    pub reobserved: usize,
     /// Total cells this slice owns.
     pub slice_jobs: usize,
     /// Final artefact paths (empty for sliced or stopped-early runs).
     pub artefacts: Vec<PathBuf>,
+    /// Every scenario's [`Observation`], in expansion order, when the run
+    /// observed and finished; empty otherwise.
+    pub observations: Vec<Observation>,
 }
 
 /// Flattened raw state of every cross-replication accumulator — the
@@ -148,7 +169,9 @@ impl Artefacts {
 /// Creates the checkpoint on first use, validates it on resume, journals
 /// every completed cell, streams artefact rows as scenarios complete
 /// (unsliced runs only), and finalizes atomically when the slice's last
-/// cell lands.
+/// cell lands. With [`ServiceConfig::observe`] the run also observes
+/// replication 0 of every scenario in the same pass; a finished run is one
+/// whose cells are all journaled and, when observing, all observed.
 pub fn run_spec_service(
     spec: &ScenarioSpec,
     dir: &Path,
@@ -159,6 +182,9 @@ pub fn run_spec_service(
             "bad grid slice {}/{} (need 1 ≤ index ≤ count)",
             cfg.slice_index, cfg.slice_count
         ));
+    }
+    if cfg.observe && cfg.slice_count > 1 {
+        return Err("observing a campaign (--trace, --sched-stats) needs an unsliced run".into());
     }
     // Checked before any file is created so a bad name cannot leave a
     // half-built checkpoint directory behind.
@@ -253,12 +279,22 @@ pub fn run_spec_service(
     }
 
     let slice_jobs = want.slice_jobs();
+    let skipped = slice_jobs
+        .iter()
+        .filter(|j| ckpt.cells.contains_key(j))
+        .count();
+    // An observing run also re-runs every journaled replication 0 whose
+    // observation is missing. An observed cell lands its observation before
+    // its journal line, so only an unobserved run can have left one.
+    let observed = |si: usize| dir.join(observation_file(si)).exists();
     let todo: Vec<usize> = slice_jobs
         .iter()
         .copied()
-        .filter(|j| !ckpt.cells.contains_key(j))
+        .filter(|&j| {
+            !ckpt.cells.contains_key(&j)
+                || (cfg.observe && j % n_reps == 0 && !observed(j / n_reps))
+        })
         .collect();
-    let skipped = slice_jobs.len() - todo.len();
     let pace_ms: u64 = std::env::var(PACE_ENV)
         .ok()
         .and_then(|v| v.parse().ok())
@@ -269,6 +305,7 @@ pub fn run_spec_service(
         writer: JournalWriter,
         art: Option<Artefacts>,
         newly: usize,
+        reobserved: usize,
         error: Option<String>,
     }
     let stop = AtomicBool::new(cfg.max_cells == Some(0));
@@ -277,17 +314,17 @@ pub fn run_spec_service(
         writer: JournalWriter::open(dir)?,
         art,
         newly: 0,
+        reobserved: 0,
         error: None,
     });
-    run_grid_jobs(
+    run_jobs(
         &scenarios,
         n_reps,
         &todo,
-        cfg.run.shards,
-        cfg.run.frame_threads,
-        cfg.run.candidates,
+        &cfg.run,
         &stop,
-        &|job, report| {
+        cfg.observe,
+        |job, report, observation| {
             let mut s = shared.lock().unwrap();
             if s.error.is_some() {
                 return;
@@ -299,9 +336,17 @@ pub fn run_spec_service(
             if cfg.max_cells.is_some_and(|max| s.newly >= max) {
                 return;
             }
-            let step = (|s: &mut Shared| -> Result<(), String> {
-                s.writer.append_cell(job, report)?;
-                s.completed.insert(job, report.clone());
+            // Returns whether the cell was journaled now.
+            let step = (|s: &mut Shared| -> Result<bool, String> {
+                if let Some(obs) = &observation {
+                    write_observation(dir, job / n_reps, obs)?;
+                }
+                if s.completed.contains_key(&job) {
+                    s.reobserved += 1;
+                    return Ok(false);
+                }
+                s.writer.append_cell(job, &report)?;
+                s.completed.insert(job, report);
                 if let Some(a) = s.art.as_mut() {
                     let before = a.frontier;
                     let done = a.advance(&scenarios, n_reps, &axis_keys, &s.completed);
@@ -312,14 +357,15 @@ pub fn run_spec_service(
                         write_partials(a)?;
                     }
                 }
-                Ok(())
+                Ok(true)
             })(&mut s);
             match step {
                 Err(e) => {
                     s.error = Some(e);
                     stop.store(true, Ordering::Relaxed);
                 }
-                Ok(()) => {
+                Ok(false) => {}
+                Ok(true) => {
                     s.newly += 1;
                     if pace_ms > 0 {
                         std::thread::sleep(Duration::from_millis(pace_ms));
@@ -336,7 +382,18 @@ pub fn run_spec_service(
     if let Some(e) = s.error {
         return Err(e);
     }
-    let finished = slice_jobs.iter().all(|j| s.completed.contains_key(j));
+    let journaled = slice_jobs.iter().all(|j| s.completed.contains_key(j));
+    let observations = if journaled && cfg.observe {
+        scenarios
+            .iter()
+            .enumerate()
+            .map(|(si, sc)| read_observation(dir, si, &sc.label))
+            .collect::<Result<Option<Vec<_>>, _>>()?
+    } else {
+        Some(Vec::new())
+    };
+    // A run stopped before it re-observed every scenario is not finished.
+    let finished = journaled && observations.is_some();
     let mut artefacts = Vec::new();
     if finished {
         if let Some(a) = &mut s.art {
@@ -354,8 +411,10 @@ pub fn run_spec_service(
         finished,
         newly_run: s.newly,
         skipped,
+        reobserved: s.reobserved,
         slice_jobs: slice_jobs.len(),
         artefacts,
+        observations: observations.unwrap_or_default(),
     })
 }
 

@@ -384,6 +384,27 @@ impl ScenarioSpec {
                 return Err("load axis values must be ≥ 1 data user".into());
             }
         }
+        // Every runner indexes the grid by `scenario * replications + rep`;
+        // a job count that overflows would wrap to a short (or empty) grid.
+        // `Manifest::parse` holds checkpoints to the same bound.
+        [
+            self.mixes.len(),
+            self.speeds.len(),
+            self.hotspots.len(),
+            self.csi.len(),
+            self.mismatch.len(),
+            self.loads.len().max(1),
+            self.policies.len(),
+            self.replications,
+        ]
+        .into_iter()
+        .try_fold(1usize, usize::checked_mul)
+        .ok_or_else(|| {
+            format!(
+                "the scenario matrix × {} replications overflows the job index",
+                self.replications
+            )
+        })?;
         Ok(())
     }
 
@@ -1014,6 +1035,15 @@ policy = [\"fcfs\"]
         reject("name = \"tail\" junk\n", "stray characters");
         reject("name = \"UPPER CASE\"\n", "campaign name");
         reject("replications = 0\n", "at least one replication");
+        reject(
+            "replications = 9223372036854775808\n[matrix]\npolicy = [\"jaba-sd-j2\", \"fcfs\"]\n",
+            "overflows the job index",
+        );
+        reject(
+            "replications = 4611686018427387904\n[matrix]\nmix = [\"balanced\", \"heavy-web\"]\n\
+             policy = [\"jaba-sd-j2\", \"fcfs\"]\n",
+            "overflows the job index",
+        );
         reject("duration_s = 1.0\nwarmup_s = 5.0\n", "exceed warm-up");
         reject("[matrix]\nmix = \"bogus-mix\"\n", "unknown mix");
         reject("[matrix]\npolicy = \"bogus\"\n", "unknown policy");

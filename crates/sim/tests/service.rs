@@ -6,8 +6,11 @@
 
 use std::path::{Path, PathBuf};
 
-use wcdma_sim::campaign::journal::{JournalWriter, FOLD_STATE_WORDS, JOURNAL_FILE, MANIFEST_FILE};
+use wcdma_sim::campaign::journal::{
+    observation_file, JournalWriter, FOLD_STATE_WORDS, JOURNAL_FILE, MANIFEST_FILE,
+};
 use wcdma_sim::campaign::spec::{MismatchLevel, TrafficMix};
+use wcdma_sim::campaign::{observed_trace_csv, run_spec_observed, Observation};
 use wcdma_sim::{
     campaign_status, merge_dirs, run_spec_service, RunOptions, ScenarioSpec, ServiceConfig,
     SimStats,
@@ -134,6 +137,119 @@ fn kill_and_resume_is_byte_identical() {
     );
 
     for d in [ref_dir, dir, torn_dir, torn_merged] {
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+}
+
+/// The batch run's artefacts and observations: what every observed
+/// service run must reproduce. `tag` keeps parallel tests' directories
+/// apart.
+fn batch_reference(spec: &ScenarioSpec, tag: &str) -> ((String, String, String), Vec<Observation>) {
+    let dir = tmpdir(tag);
+    let out = run_spec_service(spec, &dir, &svc(|_| {})).expect("uninterrupted run");
+    assert!(
+        out.observations.is_empty(),
+        "an unobserved run observes nothing"
+    );
+    let docs = artefacts(&dir);
+    std::fs::remove_dir_all(&dir).unwrap();
+    let (_, observations) = run_spec_observed(spec, &svc(|_| {}).run).expect("batch run");
+    (docs, observations)
+}
+
+/// A traced kill plus a traced resume observes every scenario in the
+/// campaign's own pass: each cell is simulated exactly once, and the
+/// observations — hence the trace CSV — equal the batch run's.
+#[test]
+fn traced_kill_and_resume_simulates_each_cell_once() {
+    let spec = small_spec();
+    let (ref_docs, ref_obs) = batch_reference(&spec, "traced-ref");
+    assert_eq!(ref_obs.len(), 2);
+    assert!(ref_obs.iter().all(|o| !o.trace_rows.is_empty()));
+    let observed = |max_cells| svc(move |c| (c.observe, c.max_cells) = (true, max_cells));
+
+    let dir = tmpdir("traced");
+    let out = run_spec_service(&spec, &dir, &observed(Some(2))).expect("traced kill");
+    assert!(!out.finished);
+    assert_eq!((out.newly_run, out.reobserved), (2, 0));
+    assert!(
+        out.observations.is_empty(),
+        "no observations before finishing"
+    );
+    assert!(dir.join(observation_file(0)).exists(), "job 0 was observed");
+    assert!(!dir.join(observation_file(1)).exists());
+    let out = run_spec_service(&spec, &dir, &observed(None)).expect("traced resume");
+    assert!(out.finished);
+    assert_eq!((out.newly_run, out.skipped, out.reobserved), (4, 2, 0));
+    assert_eq!(artefacts(&dir), ref_docs);
+    assert_eq!(out.observations, ref_obs);
+    assert_eq!(
+        observed_trace_csv(&out.observations),
+        observed_trace_csv(&ref_obs)
+    );
+
+    // Re-finalizing the finished checkpoint observes from the files alone.
+    let out = run_spec_service(&spec, &dir, &observed(None)).expect("re-finalize");
+    assert_eq!((out.newly_run, out.reobserved), (0, 0));
+    assert_eq!(out.observations, ref_obs);
+
+    // A damaged observation is an error naming its file.
+    let obs0 = dir.join(observation_file(0));
+    let text = std::fs::read_to_string(&obs0).unwrap();
+    std::fs::write(&obs0, text.replacen(',', ";", 1)).unwrap();
+    let err = run_spec_service(&spec, &dir, &observed(None)).expect_err("damaged");
+    assert!(err.contains(&observation_file(0)), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An untraced kill journals first replications without observing them; a
+/// traced resume re-runs exactly those, journals nothing twice, and still
+/// reproduces the batch trace.
+#[test]
+fn untraced_kill_then_traced_resume_matches_the_batch_trace() {
+    let spec = small_spec();
+    let (ref_docs, ref_obs) = batch_reference(&spec, "untraced-ref");
+    let dir = tmpdir("untraced");
+    // Jobs 0..4 hold both scenarios' replication 0 (jobs 0 and 3).
+    let out = run_spec_service(&spec, &dir, &svc(|c| c.max_cells = Some(4))).expect("kill");
+    assert_eq!(out.newly_run, 4);
+    let out = run_spec_service(&spec, &dir, &svc(|_| {})).expect("untraced finish");
+    assert!(out.finished);
+    // Stopped before re-observing: journaled, but not finished.
+    let traced = |max_cells| svc(move |c| (c.observe, c.max_cells) = (true, max_cells));
+    let out = run_spec_service(&spec, &dir, &traced(Some(0))).expect("stopped at once");
+    assert!(!out.finished, "first replications still unobserved");
+    assert_eq!((out.newly_run, out.reobserved), (0, 0));
+    let out = run_spec_service(&spec, &dir, &traced(None)).expect("traced resume");
+    assert!(out.finished);
+    assert_eq!((out.newly_run, out.skipped, out.reobserved), (0, 6, 2));
+    assert_eq!(artefacts(&dir), ref_docs);
+    assert_eq!(out.observations, ref_obs);
+    let journal = std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
+    assert_eq!(
+        journal.lines().filter(|l| l.starts_with("cell ")).count(),
+        6,
+        "re-observed cells are not journaled again"
+    );
+
+    // Untraced kill, traced resume straight to the end.
+    let dir2 = tmpdir("untraced-2");
+    run_spec_service(&spec, &dir2, &svc(|c| c.max_cells = Some(4))).expect("kill");
+    let out = run_spec_service(&spec, &dir2, &traced(None)).expect("traced resume");
+    assert!(out.finished);
+    assert_eq!((out.newly_run, out.skipped, out.reobserved), (2, 4, 2));
+    assert_eq!(artefacts(&dir2), ref_docs);
+    assert_eq!(out.observations, ref_obs);
+
+    // Observation needs the whole grid.
+    let err = run_spec_service(
+        &spec,
+        &tmpdir("sliced-obs"),
+        &svc(|c| (c.observe, c.slice_count) = (true, 2)),
+    )
+    .expect_err("sliced observation");
+    assert!(err.contains("unsliced"), "{err}");
+    for d in [dir, dir2] {
         std::fs::remove_dir_all(&d).unwrap();
     }
 }

@@ -13,9 +13,10 @@
 //! - Invalid knob combinations are rejected by `SimConfig::validate`.
 
 use wcdma::math::mix_seed;
+use wcdma::sim::campaign::emit::campaign_trace_rows;
 use wcdma::sim::campaign::journal::fnv1a64;
 use wcdma::sim::campaign::{
-    campaign_trace_csv, run_spec, trace_campaign, RunOptions, ScenarioSpec,
+    campaign_trace_csv, run_spec, run_spec_observed, RunOptions, ScenarioSpec,
 };
 use wcdma::sim::{run_with_trace, SimConfig, Simulation};
 
@@ -82,11 +83,12 @@ fn culling_is_frame_thread_invariant() {
     }
 }
 
-/// `campaign run --trace` and `--sched-stats` share one re-run of
-/// replication 0 of every cell: under a candidate override it must re-run
-/// the *culled* configuration the campaign itself ran, not the exact one.
+/// `campaign run --trace` and `--sched-stats` share one observation of
+/// replication 0 of every cell, taken while the campaign runs it: under a
+/// candidate override it must observe the *culled* configuration the
+/// campaign itself ran, not the exact one.
 #[test]
-fn campaign_trace_and_sched_stats_rerun_the_culled_replication() {
+fn campaign_trace_and_sched_stats_observe_the_culled_replication() {
     let spec = ScenarioSpec {
         name: "culled".into(),
         replications: 1,
@@ -101,21 +103,36 @@ fn campaign_trace_and_sched_stats_rerun_the_culled_replication() {
         candidates: Some((4, 8)),
     };
     let campaign = run_spec(&spec, &over).expect("valid override");
-    let observed = trace_campaign(&spec, &over).expect("valid override");
+    let (observed_run, observed) = run_spec_observed(&spec, &over).expect("valid override");
     assert_eq!(observed.len(), campaign.scenarios.len());
-    for (sr, (label, records, sched)) in campaign.scenarios.iter().zip(&observed) {
+    for ((sr, or), obs) in campaign
+        .scenarios
+        .iter()
+        .zip(&observed_run.scenarios)
+        .zip(&observed)
+    {
+        let label = &obs.label;
         assert_eq!(label, &sr.scenario.label);
+        assert_eq!(sr.reports, or.reports, "{label}: observing changes nothing");
         let rep0 = sr.scenario.cfg.with_seed(mix_seed(sr.scenario.cfg.seed, 1));
         let (report, expected) = run_with_trace(rep0.clone().with_candidates(4, 8));
         assert_eq!(
             report, sr.reports[0],
-            "{label}: the culled re-run is the campaign's replication 0"
+            "{label}: the observed run is the campaign's culled replication 0"
         );
-        assert!(!records.is_empty(), "{label}: scenario must make decisions");
-        assert_eq!(records, &expected, "{label}: trace of the culled run");
+        assert!(
+            !obs.trace_rows.is_empty(),
+            "{label}: scenario must make decisions"
+        );
+        assert_eq!(
+            obs.trace_rows,
+            campaign_trace_rows(label, &expected),
+            "{label}: trace of the culled run"
+        );
         let (_, exact) = run_with_trace(rep0.clone());
         assert_ne!(
-            records, &exact,
+            obs.trace_rows,
+            campaign_trace_rows(label, &exact),
             "{label}: the override must reach the trace"
         );
         let culled = rep0.with_candidates(4, 8);
@@ -124,8 +141,8 @@ fn campaign_trace_and_sched_stats_rerun_the_culled_replication() {
             fresh.step_frame();
         }
         assert_eq!(
-            sched,
-            &fresh.sched_stats(),
+            obs.sched,
+            fresh.sched_stats(),
             "{label}: stats of the culled run"
         );
     }
@@ -135,7 +152,7 @@ fn campaign_trace_and_sched_stats_rerun_the_culled_replication() {
         ..over
     };
     assert!(run_spec(&spec, &bad).is_err());
-    assert!(trace_campaign(&spec, &bad).is_err());
+    assert!(run_spec_observed(&spec, &bad).is_err());
 }
 
 /// FNV-1a over [`moving_culled_cfg`]'s `SimReport::encode_record` followed

@@ -9,7 +9,7 @@
 
 use wcdma::sim::campaign::journal::fnv1a64;
 use wcdma::sim::campaign::{
-    builtin, campaign_csv, campaign_json, run_spec, trace_campaign, RunOptions, Scenario,
+    builtin, campaign_csv, campaign_json, run_spec, run_spec_observed, RunOptions, Scenario,
 };
 use wcdma::sim::{run_with_trace, SimConfig, Simulation};
 
@@ -87,10 +87,10 @@ fn campaign_artefacts_are_byte_identical_across_frame_threads() {
     );
 }
 
-/// `campaign run --trace` re-runs replication 0 of every scenario under the
-/// run's own options: the decision trace of the burst-stress campaign is
-/// record-for-record identical at 1 and 2 frame threads (one shard, so
-/// the arbitration leaves room for the second frame thread).
+/// `campaign run --trace` observes replication 0 of every scenario while
+/// the campaign runs it: the decision trace of the burst-stress campaign is
+/// row-for-row identical at 1 and 2 frame threads (one shard, so the
+/// arbitration leaves room for the second frame thread).
 #[test]
 fn campaign_trace_is_identical_across_frame_threads() {
     let spec = builtin("burst-stress").expect("builtin").quickened();
@@ -100,11 +100,11 @@ fn campaign_trace_is_identical_across_frame_threads() {
             frame_threads,
             candidates: None,
         };
-        trace_campaign(&spec, &opts).expect("valid spec")
+        run_spec_observed(&spec, &opts).expect("valid spec").1
     };
     let one = trace(1);
     assert!(
-        one.iter().all(|(_, records, _)| !records.is_empty()),
+        one.iter().all(|obs| !obs.trace_rows.is_empty()),
         "every burst-stress cell must make decisions"
     );
     assert_eq!(one, trace(2), "trace must not move with frame threads");
