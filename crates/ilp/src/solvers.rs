@@ -430,7 +430,7 @@ pub fn greedy(p: &Problem) -> Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_rng::rng_problems;
+    use crate::test_rng::{rng_multirow_problems, rng_problems};
 
     fn toy() -> Problem {
         Problem::new(
@@ -541,6 +541,42 @@ mod tests {
             assert_eq!(fresh_greedy, *ws.greedy(&p), "instance {i}: greedy drift");
         }
         assert!(ws.total_nodes() >= ws.last_nodes());
+    }
+
+    /// FNV-1a over `branch_and_bound(p, 0)`'s grants and objective bits on
+    /// the seeded instances of [`decision_identity_hash`]. Any change to the
+    /// bounds must leave every completed search's answer bit-identical: a
+    /// tighter valid bound prunes only subtrees that hold no strictly better
+    /// leaf, and the node order and strict `>` incumbent update decide
+    /// which of the equal leaves is returned.
+    const BB_DECISION_HASH: u64 = 0xd76f_0f8a_74a3_659a;
+
+    fn decision_identity_hash() -> u64 {
+        let mut problems = rng_problems(300, 5, 6);
+        problems.extend(rng_multirow_problems(60, 0x9E37_79B9_7F4A_7C15));
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fnv = |x: u64| {
+            for byte in x.to_le_bytes() {
+                h ^= byte as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (i, p) in problems.iter().enumerate() {
+            let (s, complete) = branch_and_bound(p, 0);
+            assert!(complete, "instance {i}");
+            assert!(p.is_feasible(&s.m), "instance {i} infeasible");
+            for &v in &s.m {
+                fnv(v as u64);
+            }
+            fnv(s.objective.to_bits());
+        }
+        h
+    }
+
+    #[test]
+    fn bb_decisions_match_the_recorded_hash() {
+        let got = decision_identity_hash();
+        assert_eq!(got, BB_DECISION_HASH, "got {got:#018x}");
     }
 
     #[test]

@@ -31,3 +31,48 @@ pub fn rng_problems(count: usize, max_vars: usize, max_hi: u32) -> Vec<Problem> 
         })
         .collect()
 }
+
+/// Deterministic batch of larger multi-row [`Problem`]s: 8–13 variables
+/// over 2–7 rows, each row on its own scale, half of the batch with
+/// quantised coefficients (exact objective ties) and half continuous.
+pub fn rng_multirow_problems(count: usize, seed: u64) -> Vec<Problem> {
+    let mut state = seed;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as f64 / (1u64 << 31) as f64
+    };
+    (0..count)
+        .map(|i| {
+            let quantised = i % 2 == 0;
+            let mut draw = |scale: f64| {
+                let x = next() * scale;
+                if quantised {
+                    (x * 4.0).round() / 4.0
+                } else {
+                    x
+                }
+            };
+            let n = 8 + (draw(1.0) * 5.99) as usize;
+            let k = 2 + (draw(1.0) * 5.99) as usize;
+            let c: Vec<f64> = (0..n).map(|_| draw(10.0)).collect();
+            let mut a = Vec::with_capacity(k * n);
+            let mut b = Vec::with_capacity(k);
+            for _ in 0..k {
+                let row_scale = if quantised {
+                    1.0
+                } else {
+                    10f64.powi(-(draw(1.0) * 12.0) as i32)
+                };
+                let row: Vec<f64> = (0..n).map(|_| draw(3.0) * row_scale).collect();
+                let fill: f64 = row.iter().sum::<f64>() * (1.0 + draw(6.0));
+                a.extend_from_slice(&row);
+                b.push(fill);
+            }
+            let lo: Vec<u32> = (0..n).map(|_| 1 + (draw(1.0) * 3.0) as u32).collect();
+            let hi: Vec<u32> = lo.iter().map(|&l| l + (draw(1.0) * 12.0) as u32).collect();
+            Problem::from_flat(c, a, b, lo, hi)
+        })
+        .collect()
+}
