@@ -17,6 +17,8 @@
 //! cycle. The scheduler never calls this module — JABA-SD's integer program
 //! is solved by [`crate::BbWorkspace`].
 
+use crate::problem::Problem;
+
 /// Result of an LP solve.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LpSolution {
@@ -29,7 +31,9 @@ pub struct LpSolution {
 /// The dense tableau of one solve: flat row-major `(m + 1) × w`, with
 /// `m = k + n` constraint rows (`k` from `A`, `n` upper-bound rows) and
 /// `w = n + m + 1` columns (variables, slacks, right-hand side). The last
-/// row holds the negated objective.
+/// row holds the negated objective. Its buffers are reused by the next
+/// [`load`](Self::load), so a warm tableau solves without allocating.
+#[derive(Debug, Clone, Default)]
 struct Tableau {
     n: usize,
     m: usize,
@@ -38,20 +42,43 @@ struct Tableau {
     basis: Vec<usize>,
     /// Copy of the pivot row during elimination.
     pivot_row: Vec<f64>,
+    /// Factor each constraint row of `A` was multiplied by.
+    row_scale: Vec<f64>,
+    /// Factor the objective was multiplied by.
+    obj_scale: f64,
 }
 
 impl Tableau {
-    /// The all-slack starting tableau for `A x ≤ b`, `x ≤ u`, maximising
-    /// `c'x` (`a` flat row-major, `b.len()` rows × `c.len()` columns).
-    fn new(c: &[f64], a: &[f64], b: &[f64], u: &[f64]) -> Self {
+    /// Loads the all-slack starting tableau for `A x ≤ b`, `x ≤ u`,
+    /// maximising `c'x` (`a` flat row-major, `b.len()` rows × `c.len()`
+    /// columns).
+    ///
+    /// Each row of `A` is divided by its largest entry and the objective by
+    /// its largest magnitude, so the absolute pivot tolerances below mean
+    /// the same on every row: the scheduler's rows range from about 1e1
+    /// down to 1e-13. The primal solution is unchanged by this scaling;
+    /// [`dual`](Self::dual) undoes it.
+    fn load(&mut self, c: &[f64], a: &[f64], b: &[f64], u: &[f64]) {
         let (n, k) = (c.len(), b.len());
         let m = k + n;
         let w = n + m + 1;
-        let mut t = vec![0.0; (m + 1) * w];
+        self.n = n;
+        self.m = m;
+        self.w = w;
+        self.t.clear();
+        self.t.resize((m + 1) * w, 0.0);
+        self.row_scale.clear();
+        let t = &mut self.t;
         for i in 0..k {
-            t[i * w..i * w + n].copy_from_slice(&a[i * n..i * n + n]);
+            let row = &a[i * n..i * n + n];
+            let largest = row.iter().fold(0.0f64, |acc, &x| acc.max(x.abs()));
+            let scale = if largest > 0.0 { 1.0 / largest } else { 1.0 };
+            self.row_scale.push(scale);
+            for (tv, &av) in t[i * w..i * w + n].iter_mut().zip(row) {
+                *tv = av * scale;
+            }
             t[i * w + n + i] = 1.0;
-            t[i * w + w - 1] = b[i];
+            t[i * w + w - 1] = b[i] * scale;
         }
         for j in 0..n {
             let r = k + j;
@@ -60,17 +87,13 @@ impl Tableau {
             t[r * w + w - 1] = u[j];
         }
         // Objective row: maximize c'x ⇒ store -c, drive to non-negative.
+        let largest = c.iter().fold(0.0f64, |acc, &x| acc.max(x.abs()));
+        self.obj_scale = if largest > 0.0 { 1.0 / largest } else { 1.0 };
         for j in 0..n {
-            t[m * w + j] = -c[j];
+            t[m * w + j] = -c[j] * self.obj_scale;
         }
-        Self {
-            n,
-            m,
-            w,
-            t,
-            basis: (n..n + m).collect(),
-            pivot_row: Vec::with_capacity(w),
-        }
+        self.basis.clear();
+        self.basis.extend(n..n + m);
     }
 
     /// Pivot on `(row, col)`: normalize the pivot row, eliminate the column
@@ -96,7 +119,6 @@ impl Tableau {
         }
         self.basis[row] = col;
     }
-
     /// The classic pivot loop; returns `false` if the iteration limit trips.
     fn pivot_to_optimal(&mut self) -> bool {
         let (m, w) = (self.m, self.w);
@@ -162,6 +184,69 @@ impl Tableau {
         let objective = c.iter().zip(&x).map(|(&cj, &xj)| cj * xj).sum();
         LpSolution { x, objective }
     }
+
+    /// The multiplier of constraint row `i` of `A` in the original units,
+    /// clamped at zero: the reduced cost of the row's slack, unscaled.
+    /// Any clamped value gives a valid Lagrangian bound, whether or not the
+    /// pivot loop reached optimality.
+    fn dual(&self, i: usize) -> f64 {
+        let reduced = self.t[self.m * self.w + self.n + i];
+        (reduced * self.row_scale[i] / self.obj_scale).max(0.0)
+    }
+}
+
+/// Reusable scratch for the row multipliers of the branch and bound's LP
+/// bounds: the LP over a subset of a [`Problem`]'s columns, with the rows
+/// that touch them, copied into compact buffers and solved on a persistent
+/// [`Tableau`]. A warm instance allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DualLp {
+    c: Vec<f64>,
+    a: Vec<f64>,
+    b: Vec<f64>,
+    u: Vec<f64>,
+    /// Row of the problem behind each compact row.
+    rows: Vec<usize>,
+    tableau: Tableau,
+}
+
+impl DualLp {
+    /// Solves `max Σ c_j x_j` over the columns `cols` of `p`, subject to
+    /// `Σ a_rj x_j ≤ slack_r` and `0 ≤ x_j ≤ caps[j]`, and writes a
+    /// non-negative multiplier for every row of `p` into `y` (zero for rows
+    /// that no column in `cols` touches). Needs `slack ≥ 0`.
+    pub(crate) fn duals(
+        &mut self,
+        p: &Problem,
+        cols: &[usize],
+        caps: &[f64],
+        slack: &[f64],
+        y: &mut [f64],
+    ) {
+        let n = p.num_vars();
+        self.rows.clear();
+        self.a.clear();
+        self.b.clear();
+        for (r, &sr) in slack.iter().enumerate() {
+            let row = &p.a[r * n..r * n + n];
+            if cols.iter().any(|&j| row[j] > 0.0) {
+                self.rows.push(r);
+                self.a.extend(cols.iter().map(|&j| row[j]));
+                self.b.push(sr);
+            }
+        }
+        self.c.clear();
+        self.c.extend(cols.iter().map(|&j| p.c[j]));
+        self.u.clear();
+        self.u.extend(cols.iter().map(|&j| caps[j]));
+        self.tableau.load(&self.c, &self.a, &self.b, &self.u);
+        // An iteration-limit stop still leaves usable multipliers.
+        let _ = self.tableau.pivot_to_optimal();
+        y.fill(0.0);
+        for (i, &r) in self.rows.iter().enumerate() {
+            y[r] = self.tableau.dual(i);
+        }
+    }
 }
 
 /// Maximises `c'x` subject to `A x ≤ b`, `0 ≤ x ≤ u`, where `a` is the flat
@@ -179,7 +264,8 @@ fn solve_flat(c: &[f64], a: &[f64], b: &[f64], u: &[f64]) -> Option<LpSolution> 
         u.iter().all(|&x| x >= 0.0 && x.is_finite()),
         "bad upper bound"
     );
-    let mut tableau = Tableau::new(c, a, b, u);
+    let mut tableau = Tableau::default();
+    tableau.load(c, a, b, u);
     tableau.pivot_to_optimal().then(|| tableau.solution(c))
 }
 
@@ -195,7 +281,7 @@ pub fn simplex_max(c: &[f64], a: &[Vec<f64>], b: &[f64], u: &[f64]) -> Option<Lp
 
 /// LP relaxation of a scheduling [`crate::Problem`] (ignoring the
 /// semi-continuous `lo` restriction — a valid upper bound on the IP).
-pub fn lp_relaxation(p: &crate::Problem) -> Option<LpSolution> {
+pub fn lp_relaxation(p: &Problem) -> Option<LpSolution> {
     // Negative weights never help a ≤/≥0 LP: clamp to zero (the IP rejects
     // such variables too).
     let c: Vec<f64> = p.c.iter().map(|&x| x.max(0.0)).collect();
@@ -265,8 +351,10 @@ mod tests {
 
     /// The LP value bounds the B&B optimum from above, and B&B matches the
     /// enumeration oracle — on random instances and on degenerate variants
-    /// of each: tied weights, an extra all-zero row, every `hi < lo`, and
-    /// all-zero right-hand sides.
+    /// of each: tied weights, an extra all-zero row, every `hi < lo`,
+    /// all-zero right-hand sides, one zero right-hand side, and rows scaled
+    /// by factors from 1e-12 to 1e12 (with and without tied weights), the
+    /// spread the scheduler's power and interference rows have.
     #[test]
     fn relaxation_dominates_bb_on_random_instances() {
         let mut state = 0x853C_49E6_748F_EA9Bu64;
@@ -293,6 +381,17 @@ mod tests {
             let mut zero_row_b = b.clone();
             zero_row_b.push(next() * 2.0);
             let outage_lo: Vec<u32> = hi.iter().map(|&h| h + 1).collect();
+            let mut one_zero_b = b.clone();
+            one_zero_b[(next() * k as f64) as usize % k] = 0.0;
+            let scales: Vec<f64> = (0..k)
+                .map(|_| 10f64.powi((next() * 24.0).round() as i32 - 12))
+                .collect();
+            let scaled_a: Vec<Vec<f64>> = a
+                .iter()
+                .zip(&scales)
+                .map(|(row, s)| row.iter().map(|x| x * s).collect())
+                .collect();
+            let scaled_b: Vec<f64> = b.iter().zip(&scales).map(|(x, s)| x * s).collect();
             let variants = [
                 (
                     "random",
@@ -300,7 +399,25 @@ mod tests {
                 ),
                 (
                     "tied weights",
-                    Problem::new(tied, a.clone(), b.clone(), lo.clone(), hi.clone()),
+                    Problem::new(tied.clone(), a.clone(), b.clone(), lo.clone(), hi.clone()),
+                ),
+                (
+                    "rows scaled 1e-12..1e12",
+                    Problem::new(
+                        c.clone(),
+                        scaled_a.clone(),
+                        scaled_b.clone(),
+                        lo.clone(),
+                        hi.clone(),
+                    ),
+                ),
+                (
+                    "tied weights, rows scaled",
+                    Problem::new(tied, scaled_a, scaled_b, lo.clone(), hi.clone()),
+                ),
+                (
+                    "one zero rhs",
+                    Problem::new(c.clone(), a.clone(), one_zero_b, lo.clone(), hi.clone()),
                 ),
                 (
                     "all-zero row",

@@ -16,6 +16,7 @@
 //! arithmetic — of the original per-solve implementation.
 
 use crate::problem::{Problem, Solution};
+use crate::simplex::DualLp;
 
 /// Exhaustively enumerates all assignments. Exponential; intended for
 /// `n · log(hi)` small enough that `Π (hi_j - lo_j + 2)` stays ≤ ~10⁷.
@@ -82,15 +83,16 @@ pub fn exhaustive(p: &Problem) -> Solution {
 }
 
 /// Persistent branch-and-bound state: reusable variable order, surrogate
-/// weights, assignment buffer, per-depth slack stack, and incumbent. A warm
-/// workspace solves with zero allocations (the slack stack replaces the
-/// per-node `Vec` clone with a `copy_within` to the next depth level, which
-/// is bit-identical arithmetic).
+/// weights, assignment buffer, per-depth slack stack, incumbent, and the
+/// LP-bound scratch. A warm workspace solves with zero allocations (the
+/// slack stack replaces the per-node `Vec` clone with a `copy_within` to
+/// the next depth level, which is bit-identical arithmetic).
 #[derive(Debug, Clone, Default)]
 pub struct BbWorkspace {
     /// Variable processing order (by density, best first).
     order: Vec<usize>,
-    /// Surrogate weights: column sums of A (λ = 1 row combination).
+    /// Column sums of A (the λ = 1 row combination): the density key of
+    /// the variable order.
     surrogate: Vec<f64>,
     /// Current assignment during the search.
     m: Vec<u32>,
@@ -98,8 +100,38 @@ pub struct BbWorkspace {
     /// search depth `d`.
     slack: Vec<f64>,
     best: Solution,
+    bounds: LpBounds,
     last_nodes: u64,
     total_nodes: u64,
+}
+
+/// Scratch of the two LP-dual bounds (see the module docs), reset each
+/// solve and grown only when a problem is larger than any before it.
+#[derive(Debug, Clone, Default)]
+struct LpBounds {
+    /// Search depth at which each variable is branched on.
+    depth_of: Vec<usize>,
+    /// Per-node caps of the remaining variables, by variable:
+    /// `min(hi_j, ⌊slack_r / a_rj⌋)`, or 0 when no admitted value fits.
+    caps: Vec<f64>,
+    /// The remaining variables with a non-zero cap at the current node.
+    cols: Vec<usize>,
+    /// The current node's slack, widened by the search's feasibility
+    /// tolerance and clamped at zero.
+    slack: Vec<f64>,
+    /// Whether this solve's root LP has been solved.
+    root_ready: bool,
+    /// The root LP's row multipliers.
+    root_y: Vec<f64>,
+    /// The root multipliers folded into each column: `w_j = y'a_j`.
+    weights: Vec<f64>,
+    /// All variables by `c_j / w_j`, best first.
+    knapsack_order: Vec<usize>,
+    /// Row multipliers of the latest node LP.
+    y: Vec<f64>,
+    lp: DualLp,
+    /// LPs solved (root and node) across the workspace's lifetime.
+    solves: u64,
 }
 
 impl BbWorkspace {
@@ -126,13 +158,14 @@ impl BbWorkspace {
         self.slack.clear();
         self.slack.resize((n + 1) * k, 0.0);
         self.slack[..k].copy_from_slice(&p.b);
+        self.bounds.reset(&self.order, k);
         let mut run = BbRun {
             p,
             order: &self.order,
-            surrogate: &self.surrogate,
             best: &mut self.best,
             m: &mut self.m,
             slack: &mut self.slack,
+            bounds: &mut self.bounds,
             k,
             nodes: 0,
             node_limit,
@@ -163,6 +196,12 @@ impl BbWorkspace {
     /// Nodes visited across all solves in this workspace's lifetime.
     pub fn total_nodes(&self) -> u64 {
         self.total_nodes
+    }
+
+    /// LPs (root and per-node) solved for bounds across all solves in this
+    /// workspace's lifetime.
+    pub fn lp_solves(&self) -> u64 {
+        self.bounds.solves
     }
 
     /// Fills `surrogate` and the density-sorted `order` for `p`.
@@ -262,15 +301,136 @@ impl BbWorkspace {
     }
 }
 
+impl LpBounds {
+    /// Sizes the buffers for a solve over `order` with `k` rows; the root
+    /// LP waits until a node first needs it.
+    fn reset(&mut self, order: &[usize], k: usize) {
+        let n = order.len();
+        self.depth_of.clear();
+        self.depth_of.resize(n, 0);
+        for (depth, &j) in order.iter().enumerate() {
+            self.depth_of[j] = depth;
+        }
+        self.caps.clear();
+        self.caps.resize(n, 0.0);
+        self.slack.clear();
+        self.slack.resize(k, 0.0);
+        self.root_y.clear();
+        self.root_y.resize(k, 0.0);
+        self.y.clear();
+        self.y.resize(k, 0.0);
+        self.root_ready = false;
+    }
+
+    /// Widens `slack` by twice the search's feasibility tolerance
+    /// (`1e-9·|b_r|`, which a leaf may overdraw a row by, plus room for the
+    /// rounding of the running subtraction) and clamps it at zero.
+    fn widen(&mut self, slack: &[f64], b: &[f64]) {
+        for ((s, &sr), &br) in self.slack.iter_mut().zip(slack).zip(b) {
+            *s = (sr + 2e-9 * br.abs()).max(0.0);
+        }
+    }
+
+    /// Solves the root LP over the current columns and keeps its duals as
+    /// the surrogate multipliers for the rest of the solve.
+    fn solve_root(&mut self, p: &Problem) {
+        self.lp
+            .duals(p, &self.cols, &self.caps, &self.slack, &mut self.root_y);
+        self.solves += 1;
+        self.weights.clear();
+        for j in 0..p.num_vars() {
+            let w = (0..p.num_constraints())
+                .map(|r| self.root_y[r] * p.a(r, j))
+                .sum();
+            self.weights.push(w);
+        }
+        // Stable insertion sort, descending density (no merge buffer).
+        self.knapsack_order.clear();
+        self.knapsack_order.extend(0..p.num_vars());
+        let (order, w) = (&mut self.knapsack_order, &self.weights);
+        for i in 1..order.len() {
+            let x = order[i];
+            let dx = density(p.c[x], w[x]);
+            let mut at = i;
+            while at > 0 && dx > density(p.c[order[at - 1]], w[order[at - 1]]) {
+                order[at] = order[at - 1];
+                at -= 1;
+            }
+            order[at] = x;
+        }
+        self.root_ready = true;
+    }
+
+    /// Tier 2: the fractional knapsack on the root multipliers, over the
+    /// variables remaining at `depth`. It is evaluated as the Lagrangian
+    /// bound at the knapsack's critical ratio μ, a sum of non-negative
+    /// terms that is valid for any μ ≥ 0.
+    fn surrogate_bound(&self, p: &Problem, depth: usize) -> f64 {
+        let budget: f64 = self
+            .root_y
+            .iter()
+            .zip(&self.slack)
+            .map(|(y, s)| y * s)
+            .sum();
+        let mut mu = 0.0;
+        let mut used = 0.0;
+        for &j in &self.knapsack_order {
+            let w = self.weights[j];
+            if self.depth_of[j] < depth || self.caps[j] == 0.0 || w <= 0.0 {
+                continue;
+            }
+            used += self.caps[j] * w;
+            if used > budget {
+                mu = p.c[j] / w;
+                break;
+            }
+        }
+        let columns: f64 = self
+            .cols
+            .iter()
+            .map(|&j| self.caps[j] * (p.c[j] - mu * self.weights[j]).max(0.0))
+            .sum();
+        mu * budget + columns
+    }
+
+    /// Tier 3: the LP over the remaining variables against the current
+    /// slack, solved for its row multipliers y, and bounded by the dual
+    /// value `y'·slack + Σ_j cap_j·max(0, c_j − y'a_j)`, which holds for
+    /// any y ≥ 0 however the simplex stopped.
+    fn node_lp_bound(&mut self, p: &Problem) -> f64 {
+        self.lp
+            .duals(p, &self.cols, &self.caps, &self.slack, &mut self.y);
+        self.solves += 1;
+        let rows: f64 = self.y.iter().zip(&self.slack).map(|(y, s)| y * s).sum();
+        let columns: f64 = self
+            .cols
+            .iter()
+            .map(|&j| {
+                let priced: f64 = (0..p.num_constraints())
+                    .map(|r| self.y[r] * p.a(r, j))
+                    .sum();
+                self.caps[j] * (p.c[j] - priced).max(0.0)
+            })
+            .sum();
+        rows + columns
+    }
+}
+
+/// Relative margin added to an LP-dual bound before it may prune. Every
+/// term of the bound is non-negative, so its own rounding is a few ulps;
+/// the margin also covers the rounding of the leaf values it is compared
+/// with.
+const BOUND_MARGIN: f64 = 1e-9;
+
 /// One branch-and-bound run: disjoint borrows of the workspace fields so the
 /// recursion can mutate the incumbent, assignment, and slack stack at once.
 struct BbRun<'a> {
     p: &'a Problem,
     order: &'a [usize],
-    surrogate: &'a [f64],
     best: &'a mut Solution,
     m: &'a mut [u32],
     slack: &'a mut [f64],
+    bounds: &'a mut LpBounds,
     k: usize,
     nodes: u64,
     node_limit: u64,
@@ -314,9 +474,7 @@ impl BbRun<'_> {
             }
             return true;
         }
-        // Prune: current value + optimistic bound on the remainder.
-        let ub = value + self.upper_bound(depth);
-        if ub <= self.best.objective + 1e-12 {
+        if self.prunes(depth, value) {
             return true;
         }
         let k = self.k;
@@ -364,19 +522,48 @@ impl BbRun<'_> {
         complete
     }
 
-    /// Valid optimistic bound for variables order[depth..]: the minimum of
-    /// (a) each variable independently maxed against current slack and
-    /// (b) a fractional knapsack on the surrogate constraint.
-    fn upper_bound(&self, depth: usize) -> f64 {
+    /// Whether a bound on the variables `order[depth..]` proves that no
+    /// leaf below beats the incumbent by more than 1e-12. The bounds run
+    /// cheapest first, each only when the ones before it fail.
+    fn prunes(&mut self, depth: usize, value: f64) -> bool {
+        let target = self.best.objective + 1e-12;
+        let (independent, free) = self.independent_bound(depth);
+        if value + independent <= target {
+            return true;
+        }
+        // With one variable left the independent bound is its exact best.
+        if free < 2 {
+            return false;
+        }
+        let inflated = |bound: f64| {
+            let ub = value + bound;
+            ub + BOUND_MARGIN * ub.abs()
+        };
+        let k = self.k;
+        self.bounds
+            .widen(&self.slack[depth * k..depth * k + k], &self.p.b);
+        if !self.bounds.root_ready {
+            // The first node the independent bound cannot prune is the root.
+            debug_assert_eq!(depth, 0);
+            self.bounds.solve_root(self.p);
+        }
+        if inflated(self.bounds.surrogate_bound(self.p, depth)) <= target {
+            return true;
+        }
+        inflated(self.bounds.node_lp_bound(self.p)) <= target
+    }
+
+    /// Tier 1: each remaining variable maxed independently against the
+    /// current slack. Records the per-node caps and the variables that can
+    /// still be granted, and returns the bound with their count.
+    fn independent_bound(&mut self, depth: usize) -> (f64, usize) {
         let k = self.k;
         let slack = &self.slack[depth * k..depth * k + k];
+        let bounds = &mut *self.bounds;
+        bounds.cols.clear();
         let mut independent = 0.0;
-        let mut surrogate_slack: f64 = slack.iter().sum();
-        if surrogate_slack < 0.0 {
-            surrogate_slack = 0.0;
-        }
-        // (a) independent bound.
         for &j in &self.order[depth..] {
+            bounds.caps[j] = 0.0;
             if !self.p.admissible(j) || self.p.c[j] <= 0.0 {
                 continue;
             }
@@ -391,31 +578,11 @@ impl BbRun<'_> {
             };
             if cap >= self.p.lo[j] {
                 independent += self.p.c[j] * cap as f64;
+                bounds.caps[j] = cap as f64;
+                bounds.cols.push(j);
             }
         }
-        // (b) fractional knapsack on λ=1 surrogate (order is density-sorted).
-        let mut knap = 0.0;
-        let mut budget = surrogate_slack;
-        for &j in &self.order[depth..] {
-            if !self.p.admissible(j) || self.p.c[j] <= 0.0 {
-                continue;
-            }
-            let w = self.surrogate[j];
-            if w <= 0.0 {
-                // Free variable: take it whole.
-                knap += self.p.c[j] * self.p.hi[j] as f64;
-                continue;
-            }
-            let want = self.p.hi[j] as f64;
-            let afford = budget / w;
-            let take = want.min(afford);
-            knap += self.p.c[j] * take;
-            budget -= take * w;
-            if budget <= 0.0 {
-                break;
-            }
-        }
-        independent.min(knap)
+        (independent, bounds.cols.len())
     }
 }
 

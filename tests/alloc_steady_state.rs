@@ -7,7 +7,7 @@
 //! + bit delivery on already-active bursts) must not touch the allocator.
 //!
 //! This file is its own test binary because it installs a process-global
-//! allocator; the two scenarios run inside one `#[test]` so no concurrent
+//! allocator; the scenarios run inside one `#[test]` so no concurrent
 //! test thread can perturb the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -15,10 +15,13 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use wcdma::admission::{AdmissionPolicy, JabaSd, RequestState, Scheduler, SchedulerConfig};
+use wcdma::ilp::BbWorkspace;
 use wcdma::mac::LinkDir;
 use wcdma::sim::{SimConfig, Simulation};
 
 mod common;
+#[path = "../crates/ilp/tests/fixtures/mod.rs"]
+mod fixtures;
 
 struct CountingAlloc;
 
@@ -247,5 +250,32 @@ fn steady_state_frames_do_not_allocate() {
         stats.solves - stats_before.solves,
         300,
         "every one of the 300 rounds, repeats included, is a full solve: {stats:?}"
+    );
+
+    // Scenario E: the LP-dual bounds of the branch and bound. The recorded
+    // rounds that once stopped at JABA-SD's node cap cannot be proven
+    // without them; a second pass over the same rounds in one warm
+    // workspace — root LPs, node LPs, and their tableau included — must
+    // not allocate.
+    let rounds = fixtures::capped_rounds();
+    let mut ws = BbWorkspace::new();
+    for round in &rounds {
+        let (sol, complete) = ws.solve(&round.problem, 200_000);
+        assert!(complete && sol.objective >= round.capped, "{}", round.label);
+    }
+    let lp_before = ws.lp_solves();
+    let before = allocs();
+    for round in &rounds {
+        let _ = ws.solve(&round.problem, 200_000);
+    }
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "warm LP-bounded branch and bound must not allocate"
+    );
+    assert!(
+        ws.lp_solves() > lp_before,
+        "the second pass must reach the LP bounds"
     );
 }

@@ -177,7 +177,7 @@ fn multi_burst_completion_frames_replicate_bit_identically() {
 /// and each chunk's sum is added to the total in chunk order; any other
 /// association of that sum moves the throughput bits, and with them this
 /// hash.
-const GOLDEN_DELIVERY_HASH: u64 = 0x6c52_6f78_451f_8212;
+const GOLDEN_DELIVERY_HASH: u64 = 0x6985_3d38_8a18_8e1f;
 
 /// A short-burst web scenario whose active-burst list averages more than
 /// one 32-burst delivery chunk.

@@ -30,7 +30,7 @@ const GOLDEN_POLICY_HASH: u64 = 0xd6a8_aea8_b02c_cab9;
 
 /// [`first_replication_hash`] over the `policy-comparison` and
 /// `model-mismatch` built-ins, in that order.
-const GOLDEN_REGISTRY_MISMATCH_HASH: u64 = 0xbb7a_d732_bc69_fce8;
+const GOLDEN_REGISTRY_MISMATCH_HASH: u64 = 0xf2e7_58da_723f_9997;
 
 /// A built-in campaign shrunk to a few simulated seconds per cell and one
 /// replication.
