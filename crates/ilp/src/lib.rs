@@ -7,13 +7,15 @@
 //!   (the semi-continuous domain encodes the minimum-burst-duration rule,
 //!   eq. 24).
 //! * [`solvers::branch_and_bound`] — exact solver (JABA-SD's engine), with
-//!   [`solvers::BbWorkspace`] as its persistent zero-allocation form.
+//!   [`solvers::BbWorkspace`] as its persistent zero-allocation form,
+//!   pruned with LP-dual bounds.
 //! * [`solvers::exhaustive`] — enumeration oracle for verification.
 //! * [`solvers::greedy`] — density heuristic, quantified against the exact
 //!   solver in experiment E7.
 //! * [`simplex::lp_relaxation`] / [`simplex::simplex_max`] — dense primal
 //!   simplex for the LP relaxation (the integrality gap of experiment E7 and
-//!   an upper-bound cross-check in tests; the scheduler never calls it).
+//!   an upper-bound cross-check in tests); the branch and bound runs the
+//!   same tableau for its LP bounds.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -1,21 +1,28 @@
 //! A dense primal simplex solver for the LP relaxation of the scheduling
 //! problem.
 //!
-//! Standard form handled: `maximize c'x  s.t.  A x ≤ b, 0 ≤ x ≤ u` — upper
-//! bounds are expanded into explicit rows (the problems here have ≤ 19 cells
-//! × ≤ 32 requests, so a dense tableau is perfectly adequate).
+//! Standard form handled: `maximize c'x  s.t.  A x ≤ b, 0 ≤ x ≤ u`. The
+//! bounds `0 ≤ x ≤ u` are kept implicitly (a non-basic variable sits at
+//! either bound, and reaching the other one is a bound flip, not a pivot),
+//! so the dense tableau has one row per constraint of `A` only: the
+//! problems here have ≤ 19 cells × ≤ 40 requests.
 //!
 //! Used for:
+//! * the LP bounds of JABA-SD's branch and bound ([`crate::BbWorkspace`]):
+//!   the row duals of each round's root LP and of the node LPs, through the
+//!   crate-private `DualLp`, which keeps one tableau alive between solves so
+//!   a warm scheduling round allocates nothing;
 //! * the true LP-relaxation value, giving the **integrality gap** of the
 //!   scheduling integer program (reported in experiment E7);
 //! * an independent upper bound to cross-check the branch-and-bound pruning
 //!   bounds in property tests.
 //!
-//! Every call builds a fresh tableau and pivots from the all-slack basis:
-//! Dantzig's rule (most negative reduced cost), switching to Bland's rule
-//! (lowest index) beyond a safety iteration count so degenerate data cannot
-//! cycle. The scheduler never calls this module — JABA-SD's integer program
-//! is solved by [`crate::BbWorkspace`].
+//! Every solve pivots from the all-slack basis: Dantzig's rule (largest
+//! gain per unit), switching to Bland's rule (lowest index) beyond a
+//! safety iteration count so degenerate data cannot cycle. The pivot
+//! tolerances are absolute (`1e-9`, `1e-12`), so each constraint row and the
+//! objective are first divided by their largest entry: the scheduler's rows
+//! range from about 1e1 down to 1e-13.
 
 use crate::problem::Problem;
 
@@ -28,18 +35,27 @@ pub struct LpSolution {
     pub objective: f64,
 }
 
-/// The dense tableau of one solve: flat row-major `(m + 1) × w`, with
-/// `m = k + n` constraint rows (`k` from `A`, `n` upper-bound rows) and
-/// `w = n + m + 1` columns (variables, slacks, right-hand side). The last
-/// row holds the negated objective. Its buffers are reused by the next
-/// [`load`](Self::load), so a warm tableau solves without allocating.
+/// The dense tableau of one bounded-variable solve: `k` constraint rows of
+/// `B⁻¹ [A I]` over `w = n + k` columns (variables, then slacks), flat
+/// row-major, with the objective row `z_j = π'A_j − c_j` and the value of
+/// each row's basic variable kept beside it. A non-basic column sits at 0
+/// or, for a variable, at its upper bound `u_j`: bounds are never rows.
+/// Its buffers are reused by the next [`load`](Self::load), so a warm
+/// tableau solves without allocating.
 #[derive(Debug, Clone, Default)]
 struct Tableau {
     n: usize,
-    m: usize,
-    w: usize,
+    k: usize,
     t: Vec<f64>,
+    z: Vec<f64>,
+    /// Value of each row's basic variable.
+    beta: Vec<f64>,
+    /// Column basic in each row.
     basis: Vec<usize>,
+    /// Upper bound of every column (`∞` for the slacks).
+    upper: Vec<f64>,
+    /// Whether each non-basic column sits at its upper bound.
+    at_upper: Vec<bool>,
     /// Copy of the pivot row during elimination.
     pivot_row: Vec<f64>,
     /// Factor each constraint row of `A` was multiplied by.
@@ -49,7 +65,7 @@ struct Tableau {
 }
 
 impl Tableau {
-    /// Loads the all-slack starting tableau for `A x ≤ b`, `x ≤ u`,
+    /// Loads the all-slack starting tableau for `A x ≤ b`, `0 ≤ x ≤ u`,
     /// maximising `c'x` (`a` flat row-major, `b.len()` rows × `c.len()`
     /// columns).
     ///
@@ -60,46 +76,42 @@ impl Tableau {
     /// [`dual`](Self::dual) undoes it.
     fn load(&mut self, c: &[f64], a: &[f64], b: &[f64], u: &[f64]) {
         let (n, k) = (c.len(), b.len());
-        let m = k + n;
-        let w = n + m + 1;
+        let w = n + k;
         self.n = n;
-        self.m = m;
-        self.w = w;
+        self.k = k;
         self.t.clear();
-        self.t.resize((m + 1) * w, 0.0);
+        self.t.resize(k * w, 0.0);
         self.row_scale.clear();
-        let t = &mut self.t;
+        self.beta.clear();
         for i in 0..k {
             let row = &a[i * n..i * n + n];
             let largest = row.iter().fold(0.0f64, |acc, &x| acc.max(x.abs()));
             let scale = if largest > 0.0 { 1.0 / largest } else { 1.0 };
             self.row_scale.push(scale);
-            for (tv, &av) in t[i * w..i * w + n].iter_mut().zip(row) {
+            for (tv, &av) in self.t[i * w..i * w + n].iter_mut().zip(row) {
                 *tv = av * scale;
             }
-            t[i * w + n + i] = 1.0;
-            t[i * w + w - 1] = b[i] * scale;
+            self.t[i * w + n + i] = 1.0;
+            self.beta.push(b[i] * scale);
         }
-        for j in 0..n {
-            let r = k + j;
-            t[r * w + j] = 1.0;
-            t[r * w + n + k + j] = 1.0;
-            t[r * w + w - 1] = u[j];
-        }
-        // Objective row: maximize c'x ⇒ store -c, drive to non-negative.
         let largest = c.iter().fold(0.0f64, |acc, &x| acc.max(x.abs()));
         self.obj_scale = if largest > 0.0 { 1.0 / largest } else { 1.0 };
-        for j in 0..n {
-            t[m * w + j] = -c[j] * self.obj_scale;
-        }
+        self.z.clear();
+        self.z.extend(c.iter().map(|&cj| -cj * self.obj_scale));
+        self.z.resize(w, 0.0);
         self.basis.clear();
-        self.basis.extend(n..n + m);
+        self.basis.extend(n..w);
+        self.upper.clear();
+        self.upper.extend_from_slice(u);
+        self.upper.resize(w, f64::INFINITY);
+        self.at_upper.clear();
+        self.at_upper.resize(w, false);
     }
 
     /// Pivot on `(row, col)`: normalize the pivot row, eliminate the column
-    /// from every other row (objective row included).
+    /// from every other row and from the objective row.
     fn pivot(&mut self, row: usize, col: usize) {
-        let w = self.w;
+        let w = self.n + self.k;
         let piv = self.t[row * w + col];
         for v in &mut self.t[row * w..(row + 1) * w] {
             *v /= piv;
@@ -107,66 +119,98 @@ impl Tableau {
         self.pivot_row.clear();
         self.pivot_row
             .extend_from_slice(&self.t[row * w..(row + 1) * w]);
-        for i in 0..=self.m {
-            if i != row {
-                let f = self.t[i * w + col];
-                if f != 0.0 {
-                    for (vi, pv) in self.t[i * w..(i + 1) * w].iter_mut().zip(&self.pivot_row) {
-                        *vi -= f * pv;
-                    }
+        let others = self
+            .t
+            .chunks_exact_mut(w)
+            .enumerate()
+            .filter(|&(i, _)| i != row)
+            .map(|(_, r)| r)
+            .chain(std::iter::once(&mut self.z[..]));
+        for r in others {
+            let f = r[col];
+            if f != 0.0 {
+                for (vi, pv) in r.iter_mut().zip(&self.pivot_row) {
+                    *vi -= f * pv;
                 }
             }
         }
         self.basis[row] = col;
     }
-    /// The classic pivot loop; returns `false` if the iteration limit trips.
+
+    /// The bounded-variable pivot loop; returns `false` if the iteration
+    /// limit trips.
     fn pivot_to_optimal(&mut self) -> bool {
-        let (m, w) = (self.m, self.w);
-        let max_iters = 200 * (m + self.n);
+        let (n, k) = (self.n, self.k);
+        let w = n + k;
+        let max_iters = 200 * w;
         for iter in 0..max_iters {
-            // Entering column: most negative reduced cost (Dantzig),
-            // switching to Bland's rule (lowest index) beyond a safety
-            // iteration count.
-            let bland = iter > 50 * (m + self.n);
+            // Entering column: the largest gain per unit moved off its
+            // bound (Dantzig), switching to Bland's rule (lowest index)
+            // beyond a safety iteration count. Basic columns have z = 0.
+            let bland = iter > 50 * w;
             let mut enter: Option<usize> = None;
-            let mut best = -1e-9;
-            for j in 0..w - 1 {
-                let rc = self.t[m * w + j];
-                if rc < best {
+            let mut best = 1e-9;
+            for j in 0..w {
+                let gain = if self.at_upper[j] {
+                    self.z[j]
+                } else {
+                    -self.z[j]
+                };
+                if gain > best {
+                    enter = Some(j);
                     if bland {
-                        enter = Some(j);
                         break;
                     }
-                    best = rc;
-                    enter = Some(j);
+                    best = gain;
                 }
             }
             let Some(e) = enter else {
                 return true; // Optimal.
             };
-            // Ratio test.
-            let mut leave: Option<usize> = None;
-            let mut min_ratio = f64::INFINITY;
-            for i in 0..m {
-                if self.t[i * w + e] > 1e-12 {
-                    let ratio = self.t[i * w + w - 1] / self.t[i * w + e];
-                    if ratio < min_ratio - 1e-12
-                        || (bland
-                            && (ratio - min_ratio).abs() <= 1e-12
-                            && leave
-                                .map(|l| self.basis[i] < self.basis[l])
-                                .unwrap_or(false))
-                    {
-                        min_ratio = ratio;
-                        leave = Some(i);
-                    }
+            // Ratio test: the entering column moves by `dir·θ`, row i's
+            // basic variable by `−dir·t[i][e]·θ`; its own bound range may
+            // be the limit (a bound flip, no pivot).
+            let dir = if self.at_upper[e] { -1.0 } else { 1.0 };
+            let mut theta = self.upper[e];
+            let mut leave: Option<(usize, bool)> = None;
+            for i in 0..k {
+                let d = dir * self.t[i * w + e];
+                let (limit, to_upper) = if d > 1e-12 {
+                    (self.beta[i] / d, false)
+                } else if d < -1e-12 && self.upper[self.basis[i]].is_finite() {
+                    ((self.upper[self.basis[i]] - self.beta[i]) / -d, true)
+                } else {
+                    continue;
+                };
+                let limit = limit.max(0.0);
+                let tie_break = bland
+                    && (limit - theta).abs() <= 1e-12
+                    && leave.is_some_and(|(l, _)| self.basis[i] < self.basis[l]);
+                if limit < theta - 1e-12 || tie_break {
+                    theta = limit;
+                    leave = Some((i, to_upper));
                 }
             }
-            // Upper bounds are explicit rows, so the LP cannot be unbounded.
-            let Some(l) = leave else {
+            if !theta.is_finite() {
                 return false;
-            };
-            self.pivot(l, e);
+            }
+            for i in 0..k {
+                self.beta[i] -= dir * self.t[i * w + e] * theta;
+            }
+            match leave {
+                None => self.at_upper[e] = !self.at_upper[e],
+                Some((r, to_upper)) => {
+                    let entered = if self.at_upper[e] {
+                        self.upper[e] - theta
+                    } else {
+                        theta
+                    };
+                    self.at_upper[self.basis[r]] = to_upper;
+                    self.at_upper[e] = false;
+                    self.beta[r] = entered;
+                    self.pivot(r, e);
+                }
+            }
         }
         false
     }
@@ -174,11 +218,13 @@ impl Tableau {
     /// Reads the primal solution off the tableau and recomputes the
     /// objective from `c`.
     fn solution(&self, c: &[f64]) -> LpSolution {
-        let w = self.w;
-        let mut x = vec![0.0; self.n];
-        for (i, &bv) in self.basis.iter().enumerate() {
-            if bv < self.n {
-                x[bv] = self.t[i * w + w - 1];
+        let n = self.n;
+        let mut x: Vec<f64> = (0..n)
+            .map(|j| if self.at_upper[j] { self.upper[j] } else { 0.0 })
+            .collect();
+        for (&bv, &value) in self.basis.iter().zip(&self.beta) {
+            if bv < n {
+                x[bv] = value;
             }
         }
         let objective = c.iter().zip(&x).map(|(&cj, &xj)| cj * xj).sum();
@@ -186,12 +232,11 @@ impl Tableau {
     }
 
     /// The multiplier of constraint row `i` of `A` in the original units,
-    /// clamped at zero: the reduced cost of the row's slack, unscaled.
-    /// Any clamped value gives a valid Lagrangian bound, whether or not the
-    /// pivot loop reached optimality.
+    /// clamped at zero: the objective-row entry of the row's slack,
+    /// unscaled. Any clamped value gives a valid Lagrangian bound, whether
+    /// or not the pivot loop reached optimality.
     fn dual(&self, i: usize) -> f64 {
-        let reduced = self.t[self.m * self.w + self.n + i];
-        (reduced * self.row_scale[i] / self.obj_scale).max(0.0)
+        (self.z[self.n + i] * self.row_scale[i] / self.obj_scale).max(0.0)
     }
 }
 

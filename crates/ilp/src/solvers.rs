@@ -3,17 +3,39 @@
 //! * [`exhaustive`] — enumerates the full domain; the correctness oracle for
 //!   property tests and the small-`N_d` reference in experiment E7.
 //! * [`branch_and_bound`] — exact solver: depth-first search ordered by
-//!   utility density, pruned with the minimum of two valid upper bounds
-//!   (per-variable independent bound and a surrogate fractional-knapsack
-//!   bound). This is the JABA-SD optimal scheduler's engine.
+//!   utility density (column sums of A as the weight), highest value first.
+//!   This is the JABA-SD optimal scheduler's engine.
 //! * [`greedy`] — density-ordered heuristic with a final top-up pass;
 //!   near-optimal at a fraction of the cost (quantified by E7).
 //!
+//! The branch and bound prunes a node when a bound on the variables still
+//! to be branched on shows that no leaf below beats the incumbent by more
+//! than 1e-12. Three bounds are tried in order, each only when the ones
+//! before it fail:
+//!
+//! 1. **Independent:** every remaining variable at its per-node cap
+//!    `min(hi_j, ⌊slack_r / a_rj⌋)`, ignoring the others.
+//! 2. **Surrogate knapsack:** a fractional knapsack on the rows combined
+//!    with the duals of the round's root LP. That LP is solved once per
+//!    solve, at the root, and only if the independent bound cannot prune
+//!    there.
+//! 3. **Node LP:** the LP over the remaining variables against the node's
+//!    slack, with the per-node caps as variable bounds.
+//!
+//! Bounds 2 and 3 are evaluated as Lagrangian dual values,
+//! `y'·slack + Σ_j cap_j·max(0, c_j − y'a_j)` with `y ≥ 0`, which hold for
+//! any such `y`, so a simplex that stops on its tolerances still yields a
+//! valid bound. The slack is widened by the search's feasibility tolerance
+//! and the bound inflated by a relative margin before it may prune. A
+//! tighter valid bound only skips subtrees without a strictly better leaf,
+//! and the node order and strict `>` incumbent update are unchanged, so
+//! every search that completes returns the same leaf as with the
+//! independent bound alone; only searches that hit the node cap change.
+//!
 //! [`BbWorkspace`] is the persistent form of the branch-and-bound state: all
 //! scratch (variable order, surrogate weights, the per-depth slack stack, the
-//! incumbent) lives in reusable buffers, so a steady-state solve allocates
-//! nothing while visiting nodes in *exactly* the order — and with exactly the
-//! arithmetic — of the original per-solve implementation.
+//! incumbent, the LP tableau) lives in reusable buffers, so a steady-state
+//! solve allocates nothing.
 
 use crate::problem::{Problem, Solution};
 use crate::simplex::DualLp;
@@ -205,39 +227,13 @@ impl BbWorkspace {
     }
 
     /// Fills `surrogate` and the density-sorted `order` for `p`.
-    ///
-    /// The sort is a hand-rolled *stable* insertion sort (the standard
-    /// library's stable sort allocates a merge buffer), using the same
-    /// comparator as the original `sort_by` — stable sorts with equal
-    /// comparators produce equal orders.
     fn prepare(&mut self, p: &Problem) {
-        let n = p.num_vars();
         let k = p.num_constraints();
         self.surrogate.clear();
-        for j in 0..n {
+        for j in 0..p.num_vars() {
             self.surrogate.push((0..k).map(|r| p.a(r, j)).sum::<f64>());
         }
-        self.order.clear();
-        self.order.extend(0..n);
-        let order = &mut self.order;
-        let surrogate = &self.surrogate;
-        for i in 1..n {
-            let x = order[i];
-            let dx = density(p.c[x], surrogate[x]);
-            let mut at = i;
-            while at > 0 {
-                let y = order[at - 1];
-                let dy = density(p.c[y], surrogate[y]);
-                // Descending density; keep equal keys in original order.
-                if dx.partial_cmp(&dy).expect("finite densities") == std::cmp::Ordering::Greater {
-                    order[at] = y;
-                    at -= 1;
-                } else {
-                    break;
-                }
-            }
-            order[at] = x;
-        }
+        sort_by_density(&mut self.order, &p.c, &self.surrogate);
     }
 
     /// The greedy heuristic body, writing into `self.best` and using slack
@@ -344,20 +340,7 @@ impl LpBounds {
                 .sum();
             self.weights.push(w);
         }
-        // Stable insertion sort, descending density (no merge buffer).
-        self.knapsack_order.clear();
-        self.knapsack_order.extend(0..p.num_vars());
-        let (order, w) = (&mut self.knapsack_order, &self.weights);
-        for i in 1..order.len() {
-            let x = order[i];
-            let dx = density(p.c[x], w[x]);
-            let mut at = i;
-            while at > 0 && dx > density(p.c[order[at - 1]], w[order[at - 1]]) {
-                order[at] = order[at - 1];
-                at -= 1;
-            }
-            order[at] = x;
-        }
+        sort_by_density(&mut self.knapsack_order, &p.c, &self.weights);
         self.root_ready = true;
     }
 
@@ -447,6 +430,24 @@ pub fn branch_and_bound(p: &Problem, node_limit: u64) -> (Solution, bool) {
     (s.clone(), complete)
 }
 
+/// Sets `order` to the variables by descending `density(c_j, w_j)`, equal
+/// keys in index order. A hand-rolled stable insertion sort: the standard
+/// library's stable sort allocates a merge buffer.
+fn sort_by_density(order: &mut Vec<usize>, c: &[f64], w: &[f64]) {
+    order.clear();
+    order.extend(0..c.len());
+    for i in 1..order.len() {
+        let x = order[i];
+        let dx = density(c[x], w[x]);
+        let mut at = i;
+        while at > 0 && dx > density(c[order[at - 1]], w[order[at - 1]]) {
+            order[at] = order[at - 1];
+            at -= 1;
+        }
+        order[at] = x;
+    }
+}
+
 fn density(c: f64, w: f64) -> f64 {
     if w <= 0.0 {
         if c > 0.0 {
@@ -531,7 +532,8 @@ impl BbRun<'_> {
         if value + independent <= target {
             return true;
         }
-        // With one variable left the independent bound is its exact best.
+        // With at most one grantable variable left, the independent bound
+        // is already the subtree's exact best.
         if free < 2 {
             return false;
         }
@@ -543,7 +545,9 @@ impl BbRun<'_> {
         self.bounds
             .widen(&self.slack[depth * k..depth * k + k], &self.p.b);
         if !self.bounds.root_ready {
-            // The first node the independent bound cannot prune is the root.
+            // Caps only shrink with depth, so the first node to get here
+            // is the root: if the root stopped above, every node below
+            // would too.
             debug_assert_eq!(depth, 0);
             self.bounds.solve_root(self.p);
         }
