@@ -33,7 +33,7 @@
 //! independent bound alone; only searches that hit the node cap change.
 //!
 //! [`BbWorkspace`] is the persistent form of the branch-and-bound state: all
-//! scratch (variable order, surrogate weights, the per-depth slack stack, the
+//! scratch (variable order, column sums, the per-depth slack stack, the
 //! incumbent, the LP tableau) lives in reusable buffers, so a steady-state
 //! solve allocates nothing.
 
@@ -104,8 +104,8 @@ pub fn exhaustive(p: &Problem) -> Solution {
     best
 }
 
-/// Persistent branch-and-bound state: reusable variable order, surrogate
-/// weights, assignment buffer, per-depth slack stack, incumbent, and the
+/// Persistent branch-and-bound state: reusable variable order, column
+/// sums, assignment buffer, per-depth slack stack, incumbent, and the
 /// LP-bound scratch. A warm workspace solves with zero allocations (the
 /// slack stack replaces the per-node `Vec` clone with a `copy_within` to
 /// the next depth level, which is bit-identical arithmetic).
@@ -115,7 +115,7 @@ pub struct BbWorkspace {
     order: Vec<usize>,
     /// Column sums of A (the λ = 1 row combination): the density key of
     /// the variable order.
-    surrogate: Vec<f64>,
+    column_sums: Vec<f64>,
     /// Current assignment during the search.
     m: Vec<u32>,
     /// Slack stack: `(n + 1)` levels of `k` rows; level `d` is the slack at
@@ -226,14 +226,15 @@ impl BbWorkspace {
         self.bounds.solves
     }
 
-    /// Fills `surrogate` and the density-sorted `order` for `p`.
+    /// Fills `column_sums` and the density-sorted `order` for `p`.
     fn prepare(&mut self, p: &Problem) {
         let k = p.num_constraints();
-        self.surrogate.clear();
+        self.column_sums.clear();
         for j in 0..p.num_vars() {
-            self.surrogate.push((0..k).map(|r| p.a(r, j)).sum::<f64>());
+            self.column_sums
+                .push((0..k).map(|r| p.a(r, j)).sum::<f64>());
         }
-        sort_by_density(&mut self.order, &p.c, &self.surrogate);
+        sort_by_density(&mut self.order, &p.c, &self.column_sums);
     }
 
     /// The greedy heuristic body, writing into `self.best` and using slack

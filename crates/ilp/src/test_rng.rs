@@ -33,8 +33,9 @@ pub fn rng_problems(count: usize, max_vars: usize, max_hi: u32) -> Vec<Problem> 
 }
 
 /// Deterministic batch of larger multi-row [`Problem`]s: 8–13 variables
-/// over 2–7 rows, each row on its own scale, half of the batch with
-/// quantised coefficients (exact objective ties) and half continuous.
+/// over 2–7 rows. Even instances have quantised coefficients (exact
+/// objective ties); odd ones are continuous, each row on its own scale
+/// from 1 down to 1e-11.
 pub fn rng_multirow_problems(count: usize, seed: u64) -> Vec<Problem> {
     let mut state = seed;
     let mut next = move || {
