@@ -394,7 +394,8 @@ mod tests {
         assert!(lp.x.iter().all(|&x| (-1e-9..=4.0 + 1e-9).contains(&x)));
     }
 
-    /// The LP value bounds the B&B optimum from above, and B&B matches the
+    /// The LP value bounds the B&B optimum from above, the LP's row
+    /// multipliers price it exactly (strong duality), and B&B matches the
     /// enumeration oracle — on random instances and on degenerate variants
     /// of each: tied weights, an extra all-zero row, every `hi < lo`,
     /// all-zero right-hand sides, one zero right-hand side, and rows scaled
@@ -495,6 +496,26 @@ mod tests {
                     oracle.objective
                 );
                 assert!(p.is_feasible(&ip.m), "{family}: B&B answer infeasible");
+                // Strong duality: the multipliers the B&B bounds use price
+                // the LP optimum exactly, so the bounds lose nothing to
+                // the row scaling or its undoing.
+                let cols: Vec<usize> = (0..n).filter(|&j| p.admissible(j)).collect();
+                let caps: Vec<f64> = p.hi.iter().map(|&h| h as f64).collect();
+                let mut y = vec![0.0; p.num_constraints()];
+                DualLp::default().duals(p, &cols, &caps, &p.b, &mut y);
+                let priced: f64 = cols
+                    .iter()
+                    .map(|&j| {
+                        let w: f64 = y.iter().enumerate().map(|(r, yr)| yr * p.a(r, j)).sum();
+                        caps[j] * (p.c[j] - w).max(0.0)
+                    })
+                    .sum();
+                let dual = y.iter().zip(&p.b).map(|(yr, br)| yr * br).sum::<f64>() + priced;
+                assert!(
+                    (dual - lp.objective).abs() <= 1e-7 * lp.objective.max(1.0),
+                    "{family}: dual value {dual} != LP {}",
+                    lp.objective
+                );
             }
         }
     }
