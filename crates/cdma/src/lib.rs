@@ -15,8 +15,8 @@
 //!   [`MeasurementView`] of Figure 2 (with [`DataUserMeasurement`] as the
 //!   owned adapter).
 //! * [`scenario`] — scenario-builder helpers (round-robin and weighted
-//!   hotspot user placement) shared by the simulation engine, tests, and
-//!   benches.
+//!   hotspot user placement) shared by the simulation engine, the
+//!   experiment drivers, and tests.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

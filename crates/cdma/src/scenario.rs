@@ -1,5 +1,5 @@
 //! Scenario-builder helpers shared by the simulation engine, the
-//! integration tests, and the experiment benches.
+//! experiment drivers, and the integration tests.
 //!
 //! Every evaluation scenario in the paper places its users the same way:
 //! voice users first, then data users, scattered round-robin over the cells

@@ -4,8 +4,9 @@
 //! Within one 20 ms frame the fast fading changes symbol group to symbol
 //! group, so a transmitted frame is a *sequence of modes*. This module
 //! simulates that sequence against a fading trace and accounts the
-//! information bits actually delivered — used by the PHY validation
-//! experiment (F1) and by the fine-grained simulator mode.
+//! information bits actually delivered. Nothing outside this module calls
+//! it: it is the Monte Carlo reference for [`Vtaoc::avg_throughput`], which
+//! the `long_run_average_matches_analytic` test below checks against.
 
 use wcdma_math::rng::Xoshiro256pp;
 

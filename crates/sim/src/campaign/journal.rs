@@ -198,8 +198,17 @@ impl Manifest {
                     .parse::<u64>()
                     .map_err(|_| at(format!("line {}: bad {what} {value:?}", lineno + 1)))
             };
+            let uint32 = |what: &str| {
+                u32::try_from(uint(what)?).map_err(|_| {
+                    at(format!(
+                        "line {}: {key} = {value} is out of range (max {})",
+                        lineno + 1,
+                        u32::MAX
+                    ))
+                })
+            };
             match key {
-                "format" => format = Some(uint("format version")? as u32),
+                "format" => format = Some(uint32("format version")?),
                 "name" => {
                     let n = value
                         .strip_prefix('"')
@@ -219,7 +228,7 @@ impl Manifest {
                         at(format!("line {}: bad fingerprint {hex:?}", lineno + 1))
                     })?);
                 }
-                "canonical_order_version" => canonical = Some(uint("version")? as u32),
+                "canonical_order_version" => canonical = Some(uint32("version")?),
                 "n_scenarios" => n_scenarios = Some(uint("scenario count")? as usize),
                 "replications" => replications = Some(uint("replication count")? as usize),
                 "slice_index" => slice_index = Some(uint("slice index")? as usize),
@@ -855,6 +864,18 @@ mod tests {
                 .to_toml()
                 .replace("n_scenarios = 12", "n_scenarios = 0"),
             "non-empty",
+        );
+        // Values past u32::MAX must not wrap into a supported version.
+        reject(
+            &format!("{}format = 4294967299\n", manifest().to_toml()),
+            "format = 4294967299 is out of range",
+        );
+        reject(
+            &format!(
+                "{}canonical_order_version = 4294967298\n",
+                manifest().to_toml()
+            ),
+            "canonical_order_version = 4294967298 is out of range",
         );
     }
 

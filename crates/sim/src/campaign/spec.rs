@@ -827,7 +827,11 @@ fn apply_top_key(spec: &mut ScenarioSpec, key: &str, value: &Value) -> Result<()
         "replications" => spec.replications = value.as_u64()? as usize,
         "duration_s" => spec.duration_s = value.as_f64()?,
         "warmup_s" => spec.warmup_s = value.as_f64()?,
-        "rings" => spec.rings = value.as_u64()? as u32,
+        "rings" => {
+            let n = value.as_u64()?;
+            spec.rings = u32::try_from(n)
+                .map_err(|_| format!("rings = {n} is out of range (max {})", u32::MAX))?
+        }
         "cell_radius_m" => spec.cell_radius_m = value.as_f64()?,
         "link" => {
             spec.link = match value.as_str()? {
@@ -1055,6 +1059,7 @@ policy = [\"fcfs\"]
         reject("cell_radius_m = 1e150\n", "(0, 100000] m");
         reject("cell_radius_m = 0.0\n", "(0, 100000] m");
         reject("link = \"sideways\"\n", "unknown link");
+        reject("rings = 4294967297\n", "rings = 4294967297 is out of range");
         reject("duration_s\n", "key = value");
         reject("[matrix]\nmix = [\n", "unterminated array");
         reject("name = \"open\n", "unterminated string");

@@ -5,8 +5,7 @@
 //! rows. Alongside them sit the inputs the tables share: the
 //! [`contended_base`] config, the warmed network of the region study (F2)
 //! and the random instances of the solver (E7) and temporal (E9) studies.
-//! `examples/full_evaluation.rs` renders every table from these; the
-//! benches time the kernels behind them on the same inputs.
+//! `examples/full_evaluation.rs` renders every table from these.
 
 use wcdma_admission::{AdmissionPolicy, BoxedPolicy, JabaSd, Region, TemporalRequest};
 use wcdma_cdma::{populate_round_robin, CdmaConfig, Network};

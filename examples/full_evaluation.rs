@@ -5,8 +5,7 @@
 //! cargo run --release --example full_evaluation
 //! ```
 //!
-//! This is the only place the tables are rendered; `cargo bench` times the
-//! kernels behind them on the same inputs.
+//! This is the only place the tables are rendered.
 
 use wcdma::admission::{
     forward_region, reverse_region, spatial_only_value, temporal_exhaustive, temporal_greedy,

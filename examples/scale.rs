@@ -1,9 +1,15 @@
 //! Frame-pipeline scaling: frames/second vs mobile count, and vs
 //! intra-frame thread count.
 //!
+//! ```text
+//! cargo run --release --example scale
+//! WCDMA_BENCH_QUICK=1 WCDMA_BENCH_JSON=$PWD/BENCH_e11_scale.json \
+//!     cargo run --release --example scale     # CI smoke: guards + snapshot
+//! ```
+//!
 //! The ROADMAP's north star is serving heavy traffic from very large user
 //! populations, so the 20 ms frame loop (mobility → network → traffic →
-//! delivery → scheduling) must scale with the mobile count. This bench
+//! delivery → scheduling) must scale with the mobile count. This example
 //! sweeps the population and reports achieved frames/second and the
 //! real-time margin (frames/sec × 20 ms), the direct regression guard for
 //! the struct-of-arrays hot-path work.
@@ -14,8 +20,8 @@
 //! populations, with and without candidate-cell culling
 //! (`SimConfig::candidate_k`). In quick mode the sweep shrinks to 5k
 //! mobiles × {1, 4} threads, and on a machine with at least two cores the
-//! bench asserts a wide, median-of-k bound like the feedback guard below:
-//! over 5 interleaved pairs at 5k mobiles, the median frames/s ratio of
+//! example asserts a wide, median-of-k bound like the feedback guard below:
+//! over 9 interleaved pairs at 5k mobiles, the median frames/s ratio of
 //! `min(4, cores)` threads over 1 thread is at least 0.8 — the CI guard
 //! that the parallel path never falls clearly below inline execution at
 //! scale. Capping at the core count keeps the guard measuring the
@@ -39,13 +45,16 @@
 //! `feedback` object records the medians.
 //!
 //! Set `WCDMA_BENCH_QUICK=1` (CI smoke mode) to shrink the sweep so the
-//! bench cannot bit-rot without burning CI minutes.
+//! study cannot bit-rot without burning CI minutes. Set
+//! `WCDMA_BENCH_JSON=<path>` to write the machine-readable snapshot; its
+//! `"bench": "e11_scale"` key keeps the trend continuous with the snapshots
+//! written when this study was the `e11_scale` bench.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
-use wcdma_admission::PolicyRegistry;
-use wcdma_sim::{SimConfig, Simulation, Table};
+use wcdma::admission::PolicyRegistry;
+use wcdma::math::CANONICAL_ORDER_VERSION;
+use wcdma::sim::{SimConfig, Simulation, Table};
 
 /// Scenario with `n_mobiles` total users (10 % data, 90 % voice).
 fn scale_cfg(n_mobiles: usize) -> SimConfig {
@@ -72,11 +81,6 @@ fn cfg_frames_per_sec(cfg: SimConfig, frames: usize) -> f64 {
     frames as f64 / dt
 }
 
-/// Steps `frames` frames after a short warm-up and returns frames/second.
-fn frames_per_sec(n_mobiles: usize, frames: usize) -> f64 {
-    cfg_frames_per_sec(scale_cfg(n_mobiles), frames)
-}
-
 /// Candidate-list size for the culled rows: 3 of the baseline 7 cells —
 /// the minimum the config accepts (`K ≥ active_set_max = 3`), so the
 /// full soft hand-off set still fits inside the candidate list.
@@ -92,8 +96,8 @@ fn culled_cfg(n_mobiles: usize) -> SimConfig {
 
 /// The large-population rows (full mode only): `(mobiles, candidate_k,
 /// frames/s)` at one frame thread. 100k is measured exact *and* culled —
-/// the cross-PR acceptance pair — and the 1M row proves a million-mobile
-/// frame loop completes at a measurable rate.
+/// the acceptance pair tracked across commits — and the 1M row proves a
+/// million-mobile frame loop completes at a measurable rate.
 fn large_rows() -> Vec<(usize, usize, f64)> {
     vec![
         (100_000, 0, cfg_frames_per_sec(scale_cfg(100_000), 20)),
@@ -161,7 +165,7 @@ const QUICK_SWEEP_FRAMES: usize = 60;
 
 /// Interleaved 1-thread/many-thread pairs behind the quick-mode thread
 /// guard.
-const THREAD_GUARD_PAIRS: usize = 5;
+const THREAD_GUARD_PAIRS: usize = 9;
 
 /// The intra-frame parallelism sweep: `(mobiles, threads, candidate_k,
 /// frames/s)` rows. Full mode repeats the largest population with
@@ -193,7 +197,7 @@ fn thread_sweep(quick: bool) -> Vec<(usize, usize, usize, f64)> {
 
 /// Writes the sweeps plus the feedback smoke as a machine-readable snapshot
 /// (CI uploads it as `BENCH_e11_scale.json` so the perf trajectory
-/// accumulates over PRs).
+/// accumulates across commits).
 fn write_json_snapshot(
     path: &str,
     quick: bool,
@@ -245,7 +249,7 @@ fn write_json_snapshot(
     let (jaba_fps, measured_fps, ratio) = feedback;
     let json = format!(
         "{{\n  \"bench\": \"e11_scale\",\n  \"quick\": {quick},\n  \"cores\": {cores},{note}\n  \"canonical_order_version\": {},\n  \"rows\": [\n{}\n  ],\n  \"scale_rows\": [\n{}\n  ],\n  \"thread_sweep\": [\n{}\n  ],\n  \"feedback\": {{\"jaba_sd_fps\": {jaba_fps:.1}, \"measured_region_fps\": {measured_fps:.1}, \"ratio\": {ratio:.4}}}\n}}\n",
-        wcdma_math::CANONICAL_ORDER_VERSION,
+        CANONICAL_ORDER_VERSION,
         entries.join(",\n"),
         scale_entries.join(",\n"),
         sweep_entries.join(",\n"),
@@ -256,7 +260,7 @@ fn write_json_snapshot(
     }
 }
 
-fn scaling_study() {
+fn main() {
     println!("frame-pipeline scaling: frames/sec vs mobile count");
     let quick = quick_mode();
     let (sizes, frames): (&[usize], usize) = if quick {
@@ -267,7 +271,7 @@ fn scaling_study() {
     let mut t = Table::new(&["mobiles", "frames/sec", "x realtime (20 ms frames)"]);
     let mut rows = Vec::with_capacity(sizes.len());
     for &n in sizes {
-        let fps = frames_per_sec(n, frames);
+        let fps = cfg_frames_per_sec(scale_cfg(n), frames);
         t.row(&[
             n.to_string(),
             format!("{fps:.1}"),
@@ -387,29 +391,3 @@ fn scaling_study() {
         }
     }
 }
-
-fn bench(c: &mut Criterion) {
-    scaling_study();
-    let mut group = c.benchmark_group("e11");
-    let sizes: &[usize] = if quick_mode() { &[200] } else { &[200, 1000] };
-    for &n in sizes {
-        let mut sim = Simulation::new(scale_cfg(n));
-        for _ in 0..20 {
-            sim.step_frame();
-        }
-        group.bench_with_input(BenchmarkId::new("step_frame", n), &n, |b, _| {
-            b.iter(|| {
-                sim.step_frame();
-                black_box(sim.time())
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Workspace layering: asserts the intended dependency direction
 //!
 //! ```text
-//! math → phy / channel / geo → mac / cdma / ilp → admission → sim → bench
+//! math → phy / channel / geo → mac / cdma / ilp → admission → sim → cli
 //! ```
 //!
 //! by driving a small cross-crate scenario **through the umbrella crate
