@@ -11,6 +11,10 @@
 //!   policy) and every `model-mismatch` cell (the faults drive
 //!   `measured-region`'s η and `graceful-degradation`'s ladder), so the
 //!   policies the paper-eval matrix does not name are pinned too.
+//! * **Per-cell digests** — beside each golden hash, a committed list of
+//!   every hashed cell's report hash, trace hash and trace row count, so a
+//!   drift names the first cell that moved and whether its report or its
+//!   trace moved.
 //! * **Open registry end-to-end** — the two adaptive-CAC additions
 //!   (weighted fair share, threshold reservation) run through a TOML
 //!   policy axis exactly the way a user would write one.
@@ -32,6 +36,62 @@ const GOLDEN_POLICY_HASH: u64 = 0xd6a8_aea8_b02c_cab9;
 /// `model-mismatch` built-ins, in that order.
 const GOLDEN_REGISTRY_MISMATCH_HASH: u64 = 0xf2e7_58da_723f_9997;
 
+/// Per-cell digests behind [`GOLDEN_POLICY_HASH`], in expansion order:
+/// `(label, report hash, trace hash, trace rows)`, see [`CellDigest`].
+#[rustfmt::skip]
+const GOLDEN_POLICY_CELLS: &[(&str, u64, u64, usize)] = &[
+    ("mix=voice-dominated/speed=pedestrian/hotspot=1/csi=ideal/policy=jaba-sd-j2", 0xe886_c042_189f_dabf, 0xa4d7_4efe_7e06_5249, 5),
+    ("mix=voice-dominated/speed=pedestrian/hotspot=1/csi=ideal/policy=fcfs", 0x92ab_f22b_852e_46aa, 0xcea0_0dd7_0a77_ba9d, 5),
+    ("mix=voice-dominated/speed=vehicular/hotspot=1/csi=ideal/policy=jaba-sd-j2", 0x0827_0b28_48d6_d48b, 0x9c39_5c93_d033_2bc7, 5),
+    ("mix=voice-dominated/speed=vehicular/hotspot=1/csi=ideal/policy=fcfs", 0x844d_3368_4ca8_7779, 0x7df4_8411_5e2f_7f5b, 4),
+    ("mix=balanced/speed=pedestrian/hotspot=1/csi=ideal/policy=jaba-sd-j2", 0x5bce_34aa_646d_6dae, 0x621d_0e1d_cda7_7e2f, 7),
+    ("mix=balanced/speed=pedestrian/hotspot=1/csi=ideal/policy=fcfs", 0x24be_7ef4_db4e_ebc4, 0x51de_c30b_07a8_8d9a, 9),
+    ("mix=balanced/speed=vehicular/hotspot=1/csi=ideal/policy=jaba-sd-j2", 0x907e_3e75_853e_5dbe, 0xd53a_a0e0_2ef6_8236, 8),
+    ("mix=balanced/speed=vehicular/hotspot=1/csi=ideal/policy=fcfs", 0x1a5d_23bf_d145_8c5e, 0xa28f_3b7b_53d7_bf7c, 10),
+    ("mix=heavy-web/speed=pedestrian/hotspot=1/csi=ideal/policy=jaba-sd-j2", 0x07a3_72c8_717d_9e10, 0x28bd_8f6e_1804_747a, 12),
+    ("mix=heavy-web/speed=pedestrian/hotspot=1/csi=ideal/policy=fcfs", 0xc6fb_1b54_4c15_2e98, 0x26d2_c395_323d_f7b2, 15),
+    ("mix=heavy-web/speed=vehicular/hotspot=1/csi=ideal/policy=jaba-sd-j2", 0x193d_b07c_b145_7bf9, 0x8b3f_ddec_f21c_52a3, 16),
+    ("mix=heavy-web/speed=vehicular/hotspot=1/csi=ideal/policy=fcfs", 0xc084_810c_290a_5e16, 0xd53e_f8ce_944e_55ca, 15),
+];
+
+/// Per-cell digests behind [`GOLDEN_REGISTRY_MISMATCH_HASH`].
+#[rustfmt::skip]
+const GOLDEN_REGISTRY_MISMATCH_CELLS: &[(&str, u64, u64, usize)] = &[
+    ("mix=balanced/speed=pedestrian/hotspot=1/csi=ideal/policy=jaba-sd-j2", 0x4c10_7202_9ba5_1f44, 0x44ff_c7d1_aa35_2e0f, 9),
+    ("mix=balanced/speed=pedestrian/hotspot=1/csi=ideal/policy=jaba-sd-j1", 0x8467_5ee8_78ee_1fea, 0xa420_9c61_4abc_ced7, 8),
+    ("mix=balanced/speed=pedestrian/hotspot=1/csi=ideal/policy=fcfs", 0x1c0e_964b_f78c_7db7, 0xbdce_eb46_2ab1_83cd, 11),
+    ("mix=balanced/speed=pedestrian/hotspot=1/csi=ideal/policy=fcfs-1", 0x3f1b_d60c_7653_4ddd, 0xd109_0eea_d108_d178, 11),
+    ("mix=balanced/speed=pedestrian/hotspot=1/csi=ideal/policy=equal-share", 0xbe73_7b9c_6969_dd45, 0x55c4_9c2b_8503_78a4, 7),
+    ("mix=balanced/speed=pedestrian/hotspot=1/csi=ideal/policy=weighted-fair-share", 0xc085_3aea_0ba3_94c2, 0xaf42_3fab_8130_d453, 8),
+    ("mix=balanced/speed=pedestrian/hotspot=1/csi=ideal/policy=threshold-reservation", 0x45d1_9eb7_298a_c9ef, 0x64d3_2233_94fa_ec00, 10),
+    ("mix=balanced/speed=pedestrian/hotspot=1/csi=ideal/policy=measured-region", 0x76e2_95f1_f699_6709, 0x18c9_a612_74f3_cbb8, 9),
+    ("mix=balanced/speed=pedestrian/hotspot=1/csi=ideal/policy=graceful-degradation", 0xa1d1_d877_258f_3ff5, 0xe8cf_caa9_f6dd_5d88, 10),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=ideal/mismatch=none/load=32/policy=jaba-sd-j2", 0x55f7_d561_27db_f87a, 0x59a1_0dc3_6923_45a7, 159),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=ideal/mismatch=none/load=32/policy=measured-region", 0x1c70_6667_1a2f_a67a, 0xb6d6_1d7c_76c0_4fa4, 140),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=ideal/mismatch=none/load=32/policy=graceful-degradation", 0x1e5c_389d_1fec_451c, 0x694d_51b8_d982_f8cc, 176),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=ideal/mismatch=pathloss/load=32/policy=jaba-sd-j2", 0xb5ab_7605_71b2_8802, 0x37f4_2803_8e34_d8e7, 151),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=ideal/mismatch=pathloss/load=32/policy=measured-region", 0x651a_6e49_a076_b772, 0xc043_672e_fdab_9152, 163),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=ideal/mismatch=pathloss/load=32/policy=graceful-degradation", 0xd79b_2a48_7524_fb0f, 0xa468_99d2_53f4_09b3, 184),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=ideal/mismatch=shadow/load=32/policy=jaba-sd-j2", 0x31cf_2a4a_7b78_1615, 0x2945_dea6_0cf4_8b1e, 189),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=ideal/mismatch=shadow/load=32/policy=measured-region", 0x1741_aecc_dc51_80e1, 0x6db7_c20d_0bd5_ef27, 147),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=ideal/mismatch=shadow/load=32/policy=graceful-degradation", 0x2811_b688_d0c3_10f1, 0x4761_45ca_78ae_ce2d, 170),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=ideal/mismatch=combined/load=32/policy=jaba-sd-j2", 0xcea3_7d87_23c3_5264, 0xc961_ed79_9ddb_f3bf, 171),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=ideal/mismatch=combined/load=32/policy=measured-region", 0x558d_947b_c45f_0a02, 0xf1f6_4dfc_3283_0bd3, 140),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=ideal/mismatch=combined/load=32/policy=graceful-degradation", 0x3bbd_899c_647b_d1c1, 0x6f8e_07f4_1bfc_9fbe, 175),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=degraded/mismatch=none/load=32/policy=jaba-sd-j2", 0x5cbf_2cb0_e33b_9071, 0x40d6_ab2c_172a_a093, 124),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=degraded/mismatch=none/load=32/policy=measured-region", 0xa9ec_eb49_e67d_894f, 0x5045_7d6a_8c48_6019, 142),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=degraded/mismatch=none/load=32/policy=graceful-degradation", 0xb34a_0086_2b40_3a40, 0x028b_6894_2e2b_e9ac, 192),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=degraded/mismatch=pathloss/load=32/policy=jaba-sd-j2", 0xff42_9354_6fe1_90f0, 0x4a69_295d_bada_e169, 192),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=degraded/mismatch=pathloss/load=32/policy=measured-region", 0x3208_84fb_e7c0_5e2d, 0xd209_c18f_9020_bf01, 76),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=degraded/mismatch=pathloss/load=32/policy=graceful-degradation", 0x6457_d4c9_245e_2c3c, 0xd65b_4c9c_15d4_0fa9, 198),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=degraded/mismatch=shadow/load=32/policy=jaba-sd-j2", 0x1716_b885_0f46_5a71, 0x3122_decb_6f2d_9c62, 182),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=degraded/mismatch=shadow/load=32/policy=measured-region", 0x83dd_201b_5442_8996, 0xfd76_a7e4_a89c_a0d0, 180),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=degraded/mismatch=shadow/load=32/policy=graceful-degradation", 0x5fed_7b27_f09a_055d, 0xe9c5_75a1_4e54_50c8, 134),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=degraded/mismatch=combined/load=32/policy=jaba-sd-j2", 0x231f_0bcf_395e_1b28, 0xb7b8_f688_2d47_9b58, 179),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=degraded/mismatch=combined/load=32/policy=measured-region", 0xa702_ce00_15dd_feb8, 0xc6a4_b409_8ff1_0b01, 167),
+    ("mix=heavy-web/speed=pedestrian/hotspot=2/csi=degraded/mismatch=combined/load=32/policy=graceful-degradation", 0x3235_42fd_cc3e_ebc7, 0x8538_f6a4_e2ce_ec90, 198),
+];
+
 /// A built-in campaign shrunk to a few simulated seconds per cell and one
 /// replication.
 fn quick_builtin(name: &str) -> ScenarioSpec {
@@ -42,10 +102,20 @@ fn quick_builtin(name: &str) -> ScenarioSpec {
     spec
 }
 
+/// One cell's first replication, digested: FNV-1a of its
+/// `SimReport::encode_record`, FNV-1a of its `campaign_trace_csv`, and the
+/// number of trace records.
+struct CellDigest {
+    label: String,
+    report: u64,
+    trace: u64,
+    rows: usize,
+}
+
 /// Appends every cell's first replication, in expansion order, to
-/// `bytes`: `SimReport::encode_record` then the cell's
-/// `campaign_trace_csv`.
-fn hash_first_replications(spec: &ScenarioSpec, bytes: &mut Vec<u8>) {
+/// `bytes` (`SimReport::encode_record` then the cell's
+/// `campaign_trace_csv`) and its digest to `cells`.
+fn hash_first_replications(spec: &ScenarioSpec, bytes: &mut Vec<u8>, cells: &mut Vec<CellDigest>) {
     for sc in spec.expand().expect("valid spec") {
         // Replication-0 seed, exactly as the campaign runner derives it.
         let cfg = sc.cfg.with_seed(wcdma::math::mix_seed(sc.cfg.seed, 1));
@@ -55,18 +125,51 @@ fn hash_first_replications(spec: &ScenarioSpec, bytes: &mut Vec<u8>) {
             "{}: a 4 s web-traffic cell must schedule at least once",
             sc.label
         );
-        bytes.extend_from_slice(report.encode_record().as_bytes());
-        bytes.extend_from_slice(campaign_trace_csv(&[(sc.label, trace)]).as_bytes());
+        let rows = trace.len();
+        let report = report.encode_record();
+        let trace = campaign_trace_csv(&[(sc.label.clone(), trace)]);
+        bytes.extend_from_slice(report.as_bytes());
+        bytes.extend_from_slice(trace.as_bytes());
+        cells.push(CellDigest {
+            label: sc.label,
+            report: fnv1a64(report.as_bytes()),
+            trace: fnv1a64(trace.as_bytes()),
+            rows,
+        });
     }
 }
 
-/// FNV-1a of [`hash_first_replications`] over the named built-ins.
-fn first_replication_hash(names: &[&str]) -> u64 {
+/// FNV-1a of [`hash_first_replications`] over the named built-ins, and
+/// the per-cell digests.
+fn first_replication_hash(names: &[&str]) -> (u64, Vec<CellDigest>) {
     let mut bytes = Vec::new();
+    let mut cells = Vec::new();
     for name in names {
-        hash_first_replications(&quick_builtin(name), &mut bytes);
+        hash_first_replications(&quick_builtin(name), &mut bytes, &mut cells);
     }
-    fnv1a64(&bytes)
+    (fnv1a64(&bytes), cells)
+}
+
+/// Fails on the first cell whose digest differs from the committed list,
+/// naming the cell and whether its report or its trace moved.
+fn assert_cells_match(got: &[CellDigest], want: &[(&str, u64, u64, usize)]) {
+    for (g, &(label, report, trace, rows)) in got.iter().zip(want) {
+        assert_eq!(g.label, label, "the cell order changed");
+        let report_moved = g.report != report;
+        let trace_moved = g.trace != trace || g.rows != rows;
+        let moved = match (report_moved, trace_moved) {
+            (false, false) => continue,
+            (true, false) => "its report",
+            (false, true) => "its trace",
+            (true, true) => "its report and its trace",
+        };
+        panic!(
+            "first drifted cell {label}: {moved} moved; now \
+             (\"{label}\", {:#018x}, {:#018x}, {})",
+            g.report, g.trace, g.rows
+        );
+    }
+    assert_eq!(got.len(), want.len(), "the number of cells changed");
 }
 
 #[test]
@@ -76,7 +179,8 @@ fn registry_policies_reproduce_the_paper_eval_golden_hash() {
         12,
         "the full acceptance matrix"
     );
-    let hash = first_replication_hash(&["paper-eval"]);
+    let (hash, cells) = first_replication_hash(&["paper-eval"]);
+    assert_cells_match(&cells, GOLDEN_POLICY_CELLS);
     assert_eq!(
         hash, GOLDEN_POLICY_HASH,
         "paper-eval policy decisions drifted: hashed to {hash:#018x}"
@@ -88,7 +192,8 @@ fn every_registry_policy_reproduces_the_registry_and_mismatch_golden_hash() {
     let comparison = quick_builtin("policy-comparison");
     let names = PolicyRegistry::standard().names();
     assert_eq!(comparison.policies, names, "covers the whole registry");
-    let hash = first_replication_hash(&["policy-comparison", "model-mismatch"]);
+    let (hash, cells) = first_replication_hash(&["policy-comparison", "model-mismatch"]);
+    assert_cells_match(&cells, GOLDEN_REGISTRY_MISMATCH_CELLS);
     assert_eq!(
         hash, GOLDEN_REGISTRY_MISMATCH_HASH,
         "registry or mismatch policy decisions drifted: hashed to {hash:#018x}"
