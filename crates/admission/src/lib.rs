@@ -36,10 +36,7 @@ pub mod temporal;
 
 pub use csi::{delta_beta, sch_mean_csi, PhyModel};
 pub use feedback::{DirQos, QosFeedback, QosMonitor, DEFAULT_QOS_WINDOW_FRAMES};
-pub use measurement::{
-    forward_region, forward_region_into, region_problem, reverse_region, reverse_region_into,
-    Region,
-};
+pub use measurement::{forward_region, reverse_region, Region};
 pub use objective::{delay_penalty, Objective};
 pub use policy::{
     AdmissionPolicy, BoxedPolicy, EqualShare, Fcfs, GracefulDegradation, JabaSd, MeasuredRegion,

@@ -15,26 +15,53 @@
 //!   projected interference uses the forward-pilot relative path loss from
 //!   the SCRM with a shadowing margin κ (eq. 13–15). Rows (eq. 18) bound
 //!   each cell by `L_max − L_k`.
+//!
+//! Each direction has one builder, [`forward_region`] / [`reverse_region`],
+//! which rebuilds a caller's [`Region`] in place. The region's matrix is
+//! flat and row-major, the layout `wcdma_ilp::Problem` solves over, so the
+//! scheduler reuses one buffer per direction and hands the rows to the
+//! solver with a single copy.
 
 use wcdma_cdma::MeasurementView;
 use wcdma_geo::CellId;
-use wcdma_ilp::Problem;
 
 /// A linear admissible region `A m ≤ b` over the pending requests.
+///
+/// `A` is stored flat and row-major, the layout of `wcdma_ilp::Problem`:
+/// with `n` requests, coefficient `(k, j)` (cell row k, request j) is
+/// `a[k * n + j]`. Read it through [`Region::row`] / [`Region::rows`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Region {
-    /// Constraint rows, one per cell with at least one nonzero entry.
-    pub a: Vec<Vec<f64>>,
-    /// Headroom per row (same order as `a`).
+    /// Constraint matrix, row-major: one row per cell with at least one
+    /// nonzero entry, one column per request.
+    pub a: Vec<f64>,
+    /// Headroom per row (same order as the rows of `a`).
     pub b: Vec<f64>,
     /// Cell behind each row (for diagnostics).
     pub cells: Vec<CellId>,
 }
 
 impl Region {
+    /// Row length: the number of requests (0 for a region without rows).
+    fn width(&self) -> usize {
+        self.a.len().checked_div(self.b.len()).unwrap_or(0)
+    }
+
+    /// Constraint row `k`, one coefficient per request.
+    pub fn row(&self, k: usize) -> &[f64] {
+        let n = self.width();
+        &self.a[k * n..k * n + n]
+    }
+
+    /// The constraint rows in order, one per entry of `b`.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
+        let n = self.width();
+        (0..self.b.len()).map(move |k| &self.a[k * n..k * n + n])
+    }
+
     /// Whether the grant vector `m` fits in the region.
     pub fn admits(&self, m: &[u32]) -> bool {
-        self.a.iter().zip(&self.b).all(|(row, &bk)| {
+        self.rows().zip(&self.b).all(|(row, &bk)| {
             let lhs: f64 = row.iter().zip(m).map(|(&a, &mj)| a * mj as f64).sum();
             // Relative tolerance only — rows can live at the 1e-13 W scale.
             lhs <= bk + 1e-9 * (bk.abs() + lhs.abs())
@@ -43,8 +70,7 @@ impl Region {
 
     /// Remaining headroom per row after grants `m`.
     pub fn slack(&self, m: &[u32]) -> Vec<f64> {
-        self.a
-            .iter()
+        self.rows()
             .zip(&self.b)
             .map(|(row, &bk)| {
                 bk - row
@@ -55,72 +81,46 @@ impl Region {
             })
             .collect()
     }
+
+    /// The row for `cell` in a region being built over `n` requests,
+    /// appending a zero row on first encounter so rows keep
+    /// first-encounter order.
+    fn row_for(&mut self, cell: CellId, n: usize) -> &mut [f64] {
+        let k = match self.cells.iter().position(|c| *c == cell) {
+            Some(k) => k,
+            None => {
+                self.cells.push(cell);
+                self.a.resize(self.a.len() + n, 0.0);
+                self.cells.len() - 1
+            }
+        };
+        &mut self.a[k * n..k * n + n]
+    }
 }
 
-/// Builds the forward-link admissible region (eq. 6–8).
+/// Rebuilds `out` as the forward-link admissible region (eq. 6–8).
 ///
 /// * `fwd_load_w` — current forward power per cell, `P_k`;
 /// * `pmax_w` — per-cell budget `P_max`;
 /// * `gamma_s` — SCH/FCH relative symbol energy;
 /// * `reqs` — borrowed measurement report per pending request (column
 ///   order); owned reports convert via `DataUserMeasurement::as_view`.
-pub fn forward_region(
-    fwd_load_w: &[f64],
-    pmax_w: f64,
-    gamma_s: f64,
-    reqs: &[MeasurementView<'_>],
-) -> Region {
-    let mut out = Region::default();
-    let mut spare = Vec::new();
-    forward_region_into(
-        fwd_load_w,
-        pmax_w,
-        gamma_s,
-        reqs.iter().copied(),
-        &mut out,
-        &mut spare,
-    );
-    out
-}
-
-/// Fetches (or creates from the spare pool) the row for `cell`, keeping
-/// first-encounter row order.
-fn row_for<'r>(
-    cell: CellId,
-    out: &'r mut Region,
-    spare: &mut Vec<Vec<f64>>,
-    n: usize,
-) -> &'r mut Vec<f64> {
-    match out.cells.iter().position(|c| *c == cell) {
-        Some(i) => &mut out.a[i],
-        None => {
-            let mut row = spare.pop().unwrap_or_default();
-            row.clear();
-            row.resize(n, 0.0);
-            out.a.push(row);
-            out.cells.push(cell);
-            out.a.last_mut().expect("just pushed")
-        }
-    }
-}
-
-/// In-place variant of [`forward_region`]: rebuilds `out` for the given
-/// requests, recycling its old rows through `spare` so a warm caller
-/// allocates nothing. Row order, coefficients and headrooms are identical to
-/// the allocating variant.
-pub fn forward_region_into<'m, I>(
+///
+/// `out`'s buffers are reused, so a warm caller allocates nothing.
+pub fn forward_region<'m, I>(
     fwd_load_w: &[f64],
     pmax_w: f64,
     gamma_s: f64,
     reqs: I,
     out: &mut Region,
-    spare: &mut Vec<Vec<f64>>,
 ) where
-    I: Iterator<Item = MeasurementView<'m>> + Clone,
+    I: IntoIterator<Item = MeasurementView<'m>>,
+    I::IntoIter: Clone,
 {
     assert!(pmax_w > 0.0 && gamma_s > 0.0);
+    let reqs = reqs.into_iter();
     let n = reqs.clone().count();
-    spare.append(&mut out.a);
+    out.a.clear();
     out.b.clear();
     out.cells.clear();
     for (j, r) in reqs.enumerate() {
@@ -136,7 +136,7 @@ pub fn forward_region_into<'m, I>(
                 continue;
             }
             let coeff = gamma_s * p_jk * r.alpha_fl;
-            row_for(*cell, out, spare, n)[j] += coeff;
+            out.row_for(*cell, n)[j] += coeff;
         }
     }
     for i in 0..out.cells.len() {
@@ -145,49 +145,28 @@ pub fn forward_region_into<'m, I>(
     }
 }
 
-/// Builds the reverse-link admissible region (eq. 9–18).
+/// Rebuilds `out` as the reverse-link admissible region (eq. 9–18).
 ///
 /// * `rev_load_w` — current reverse received power per cell, `L_k`;
 /// * `lmax_w` — interference limit `L_max`;
 /// * `kappa` — shadowing margin applied to projected neighbour interference.
-pub fn reverse_region(
-    rev_load_w: &[f64],
-    lmax_w: f64,
-    gamma_s: f64,
-    kappa: f64,
-    reqs: &[MeasurementView<'_>],
-) -> Region {
-    let mut out = Region::default();
-    let mut spare = Vec::new();
-    reverse_region_into(
-        rev_load_w,
-        lmax_w,
-        gamma_s,
-        kappa,
-        reqs.iter().copied(),
-        &mut out,
-        &mut spare,
-    );
-    out
-}
-
-/// In-place variant of [`reverse_region`]: rebuilds `out` for the given
-/// requests, recycling its old rows through `spare`. Row order, coefficients
-/// and headrooms are identical to the allocating variant.
-pub fn reverse_region_into<'m, I>(
+///
+/// `out`'s buffers are reused, so a warm caller allocates nothing.
+pub fn reverse_region<'m, I>(
     rev_load_w: &[f64],
     lmax_w: f64,
     gamma_s: f64,
     kappa: f64,
     reqs: I,
     out: &mut Region,
-    spare: &mut Vec<Vec<f64>>,
 ) where
-    I: Iterator<Item = MeasurementView<'m>> + Clone,
+    I: IntoIterator<Item = MeasurementView<'m>>,
+    I::IntoIter: Clone,
 {
     assert!(lmax_w > 0.0 && gamma_s > 0.0 && kappa >= 1.0);
+    let reqs = reqs.into_iter();
     let n = reqs.clone().count();
-    spare.append(&mut out.a);
+    out.a.clear();
     out.b.clear();
     out.cells.clear();
     for (j, r) in reqs.enumerate() {
@@ -213,7 +192,7 @@ pub fn reverse_region_into<'m, I>(
                 continue;
             }
             let coeff = gamma_s * r.alpha_rl * r.zeta * t_rl * rev_load_w[cell.index()];
-            row_for(cell, out, spare, n)[j] += coeff;
+            out.row_for(cell, n)[j] += coeff;
         }
         // Neighbour cells from the SCRM, projected via relative path loss
         // (eq. 13–15): δP_{k,k'} = t^{FL}_{j,k'} / t^{FL}_{j,host}.
@@ -227,7 +206,7 @@ pub fn reverse_region_into<'m, I>(
                 }
                 let rel_path = t_fl / host_tfl;
                 let coeff = gamma_s * r.alpha_rl * r.zeta * host_trl * host_l * rel_path * kappa;
-                row_for(cell, out, spare, n)[j] += coeff;
+                out.row_for(cell, n)[j] += coeff;
             }
         }
     }
@@ -235,12 +214,6 @@ pub fn reverse_region_into<'m, I>(
         let headroom = (lmax_w - rev_load_w[out.cells[i].index()]).max(0.0);
         out.b.push(headroom);
     }
-}
-
-/// Assembles an ILP [`Problem`] from a region, objective weights and grant
-/// bounds. The region rows become the constraint matrix verbatim.
-pub fn region_problem(region: &Region, c: Vec<f64>, lo: Vec<u32>, hi: Vec<u32>) -> Problem {
-    Problem::new(c, region.a.clone(), region.b.clone(), lo, hi)
 }
 
 #[cfg(test)]
@@ -276,16 +249,17 @@ mod tests {
         let m0 = meas(0, vec![0, 1], vec![(0, 0.5), (1, 0.8)], vec![], vec![]);
         let m1 = meas(1, vec![1], vec![(1, 0.3)], vec![], vec![]);
         let loads = vec![12.0, 15.0];
-        let region = forward_region(&loads, 20.0, 2.0, &[m0.as_view(), m1.as_view()]);
+        let mut region = Region::default();
+        forward_region(&loads, 20.0, 2.0, [m0.as_view(), m1.as_view()], &mut region);
         // Expected rows: cell0: [2*0.5, 0] ≤ 8; cell1: [2*0.8, 2*0.3] ≤ 5.
         assert_eq!(region.cells.len(), 2);
         let idx0 = region.cells.iter().position(|c| *c == CellId(0)).unwrap();
         let idx1 = region.cells.iter().position(|c| *c == CellId(1)).unwrap();
-        assert!((region.a[idx0][0] - 1.0).abs() < 1e-12);
-        assert!((region.a[idx0][1]).abs() < 1e-12);
+        assert!((region.row(idx0)[0] - 1.0).abs() < 1e-12);
+        assert!((region.row(idx0)[1]).abs() < 1e-12);
         assert!((region.b[idx0] - 8.0).abs() < 1e-12);
-        assert!((region.a[idx1][0] - 1.6).abs() < 1e-12);
-        assert!((region.a[idx1][1] - 0.6).abs() < 1e-12);
+        assert!((region.row(idx1)[0] - 1.6).abs() < 1e-12);
+        assert!((region.row(idx1)[1] - 0.6).abs() < 1e-12);
         assert!((region.b[idx1] - 5.0).abs() < 1e-12);
         // eq. (7) check: m = (2, 3): cell1 lhs = 3.2+1.8 = 5.0 ≤ 5 ✓.
         assert!(region.admits(&[2, 3]));
@@ -296,14 +270,16 @@ mod tests {
     fn forward_alpha_scales_cost() {
         let mut m0 = meas(0, vec![0], vec![(0, 1.0)], vec![], vec![]);
         m0.alpha_fl = 1.5;
-        let region = forward_region(&[10.0], 20.0, 1.0, &[m0.as_view()]);
-        assert!((region.a[0][0] - 1.5).abs() < 1e-12);
+        let mut region = Region::default();
+        forward_region(&[10.0], 20.0, 1.0, [m0.as_view()], &mut region);
+        assert!((region.row(0)[0] - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn forward_overloaded_cell_gives_zero_headroom() {
         let m0 = meas(0, vec![0], vec![(0, 1.0)], vec![], vec![]);
-        let region = forward_region(&[25.0], 20.0, 1.0, &[m0.as_view()]);
+        let mut region = Region::default();
+        forward_region(&[25.0], 20.0, 1.0, [m0.as_view()], &mut region);
         assert_eq!(region.b[0], 0.0);
         assert!(region.admits(&[0]));
         assert!(!region.admits(&[1]));
@@ -314,9 +290,10 @@ mod tests {
         // Eq. 12: coeff = γ_s·α·ζ·t_rl·L_k = 1·1·2·0.01·1e-12.
         let m0 = meas(0, vec![0], vec![(0, 0.1)], vec![(0, 0.01)], vec![(0, 0.05)]);
         let loads = vec![1e-12];
-        let region = reverse_region(&loads, 4e-12, 1.0, 1.0, &[m0.as_view()]);
+        let mut region = Region::default();
+        reverse_region(&loads, 4e-12, 1.0, 1.0, [m0.as_view()], &mut region);
         assert_eq!(region.cells, vec![CellId(0)]);
-        assert!((region.a[0][0] - 2.0 * 0.01 * 1e-12).abs() < 1e-24);
+        assert!((region.row(0)[0] - 2.0 * 0.01 * 1e-12).abs() < 1e-24);
         assert!((region.b[0] - 3e-12).abs() < 1e-24);
     }
 
@@ -333,14 +310,15 @@ mod tests {
         );
         let loads = vec![1e-12, 2e-12];
         let kappa = wcdma_math::db_to_lin(2.0);
-        let region = reverse_region(&loads, 4e-12, 1.0, kappa, &[m0.as_view()]);
+        let mut region = Region::default();
+        reverse_region(&loads, 4e-12, 1.0, kappa, [m0.as_view()], &mut region);
         assert_eq!(region.cells.len(), 2);
         let i1 = region.cells.iter().position(|c| *c == CellId(1)).unwrap();
         let expect = 2.0 * 0.01 * 1e-12 * (0.025 / 0.05) * kappa;
         assert!(
-            (region.a[i1][0] - expect).abs() / expect < 1e-12,
+            (region.row(i1)[0] - expect).abs() / expect < 1e-12,
             "projected coeff {} vs {expect}",
-            region.a[i1][0]
+            region.row(i1)[0]
         );
         // Neighbour headroom uses its own load.
         assert!((region.b[i1] - 2e-12).abs() < 1e-24);
@@ -351,29 +329,54 @@ mod tests {
         // A cell both in soft hand-off and in the SCRM must appear once,
         // with the direct (pilot-measured) coefficient.
         let m0 = meas(0, vec![0], vec![(0, 0.1)], vec![(0, 0.01)], vec![(0, 0.05)]);
-        let region = reverse_region(&[1e-12], 4e-12, 1.0, 1.58, &[m0.as_view()]);
+        let mut region = Region::default();
+        reverse_region(&[1e-12], 4e-12, 1.0, 1.58, [m0.as_view()], &mut region);
         assert_eq!(region.cells.len(), 1);
-        assert!((region.a[0][0] - 2.0 * 0.01 * 1e-12).abs() < 1e-24);
+        assert!((region.row(0)[0] - 2.0 * 0.01 * 1e-12).abs() < 1e-24);
     }
 
     #[test]
     fn region_slack_accounting() {
         let m0 = meas(0, vec![0], vec![(0, 1.0)], vec![], vec![]);
-        let region = forward_region(&[10.0], 20.0, 1.0, &[m0.as_view()]);
+        let mut region = Region::default();
+        forward_region(&[10.0], 20.0, 1.0, [m0.as_view()], &mut region);
         let s = region.slack(&[4]);
         assert!((s[0] - 6.0).abs() < 1e-12);
     }
 
     #[test]
     fn region_to_problem_roundtrip() {
+        // The region's flat rows are the ILP's constraint matrix verbatim.
         let m0 = meas(0, vec![0], vec![(0, 1.0)], vec![], vec![]);
         let m1 = meas(1, vec![0], vec![(0, 2.0)], vec![], vec![]);
-        let region = forward_region(&[10.0], 20.0, 1.0, &[m0.as_view(), m1.as_view()]);
-        let p = region_problem(&region, vec![1.0, 1.0], vec![1, 1], vec![16, 16]);
+        let mut region = Region::default();
+        let reqs = [m0.as_view(), m1.as_view()];
+        forward_region(&[10.0], 20.0, 1.0, reqs, &mut region);
+        let p = wcdma_ilp::Problem::from_flat(
+            vec![1.0, 1.0],
+            region.a.clone(),
+            region.b.clone(),
+            vec![1, 1],
+            vec![16, 16],
+        );
         assert_eq!(p.num_vars(), 2);
-        assert_eq!(p.num_constraints(), region.a.len());
+        assert_eq!(p.num_constraints(), region.rows().len());
+        assert_eq!(p.row(0), region.row(0));
         let (sol, complete) = wcdma_ilp::branch_and_bound(&p, 0);
         assert!(complete);
         assert!(region.admits(&sol.m), "solver output must stay admissible");
+    }
+
+    #[test]
+    fn zero_requests_give_an_empty_region() {
+        // A rebuild over no requests leaves no stale rows behind.
+        let m0 = meas(0, vec![0], vec![(0, 1.0)], vec![(0, 0.01)], vec![(0, 0.05)]);
+        let mut region = Region::default();
+        reverse_region(&[1e-12], 4e-12, 1.0, 1.0, [m0.as_view()], &mut region);
+        reverse_region(&[1e-12], 4e-12, 1.0, 1.0, [], &mut region);
+        assert_eq!(region, Region::default());
+        assert_eq!(region.rows().len(), 0);
+        assert!(region.admits(&[]));
+        assert!(region.slack(&[]).is_empty());
     }
 }

@@ -254,8 +254,7 @@ fn fcfs_fill(
             continue;
         }
         let max_fit = region
-            .a
-            .iter()
+            .rows()
             .zip(&slack)
             .filter(|(row, _)| row[j] > 0.0)
             .map(|(row, &s)| (s / row[j]).floor().max(0.0))
@@ -267,7 +266,7 @@ fn fcfs_fill(
         };
         if cap_m >= lo {
             m[j] = cap_m;
-            for (row, sk) in region.a.iter().zip(slack.iter_mut()) {
+            for (row, sk) in region.rows().zip(slack.iter_mut()) {
                 *sk -= row[j] * cap_m as f64;
             }
             granted += 1;
@@ -334,9 +333,7 @@ impl JabaSd {
         problem.hi.clear();
         problem.hi.extend(ctx.bounds.iter().map(|b| b.1));
         problem.a.clear();
-        for row in &ctx.region.a {
-            problem.a.extend_from_slice(row);
-        }
+        problem.a.extend_from_slice(&ctx.region.a);
         problem.b.clear();
         problem.b.extend(ctx.region.b.iter().map(|&bk| bk * eta));
         problem.validate().expect("invalid problem");
@@ -588,10 +585,10 @@ impl AdmissionPolicy for WeightedFairShare {
                 }
             }
             let Some((j, _)) = pick else { break };
-            let fits = ctx.region.a.iter().zip(&slack).all(|(row, &s)| row[j] <= s);
+            let fits = ctx.region.rows().zip(&slack).all(|(row, &s)| row[j] <= s);
             if fits {
                 m[j] += 1;
-                for (row, sk) in ctx.region.a.iter().zip(slack.iter_mut()) {
+                for (row, sk) in ctx.region.rows().zip(slack.iter_mut()) {
                     *sk -= row[j];
                 }
             } else {

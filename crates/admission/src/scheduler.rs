@@ -26,7 +26,7 @@ use wcdma_phy::SpreadingConfig;
 
 use crate::csi::{delta_beta, PhyModel};
 use crate::feedback::QosFeedback;
-use crate::measurement::{forward_region_into, reverse_region_into, Region};
+use crate::measurement::{forward_region, reverse_region, Region};
 use crate::policy::{BoxedPolicy, PolicyContext, PolicyScratch};
 
 /// A pending burst request paired with its measurement report.
@@ -141,12 +141,10 @@ pub struct SchedStats {
 
 /// Per-direction persistent scheduling state: the outcome buffer (whose
 /// region and δβ̄ column are built in place and lent to the policy), the
-/// region's row pool, the bounds column, and the policy scratch.
+/// bounds column, and the policy scratch.
 #[derive(Debug, Clone, Default)]
 struct SchedWorkspace {
     outcome: ScheduleOutcome,
-    /// Recycled rows for `outcome.region` rebuilds.
-    spare_rows: Vec<Vec<f64>>,
     bounds: Vec<(u32, u32)>,
     scratch: PolicyScratch,
     rounds: u64,
@@ -194,8 +192,8 @@ fn grant_bounds_for(cfg: &SchedulerConfig, size_bits: f64, delta_beta: f64) -> (
 /// [`AdmissionPolicy`](crate::policy::AdmissionPolicy) object.
 ///
 /// The scheduler owns one persistent workspace per link direction, so a
-/// steady-state round allocates nothing: the region is rebuilt into pooled
-/// rows, δβ̄/bounds fill reusable columns, and the policy writes into a
+/// steady-state round allocates nothing: the region is rebuilt in its own
+/// buffers, δβ̄/bounds fill reusable columns, and the policy writes into a
 /// persistent [`PolicyScratch`]. Every round runs the policy, and reuse
 /// only changes where the buffers come from: a round's outcome is the one
 /// a freshly created scheduler would produce.
@@ -235,15 +233,9 @@ impl Scheduler {
         self.policy.as_ref()
     }
 
-    /// Cumulative scheduling statistics since creation (or the last
-    /// [`reset_stats`](Self::reset_stats)).
+    /// Cumulative scheduling statistics since creation.
     pub fn stats(&self) -> SchedStats {
         self.stats
-    }
-
-    /// Clears the cumulative statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = SchedStats::default();
     }
 
     /// Publishes a new in-loop QoS feedback signal; every subsequent round
@@ -304,22 +296,20 @@ impl Scheduler {
         let out = &mut ws.outcome;
 
         match dir {
-            LinkDir::Forward => forward_region_into(
+            LinkDir::Forward => forward_region(
                 fwd_load_w,
                 cfg.pmax_w,
                 gamma_s,
                 requests.iter().map(|r| r.meas),
                 &mut out.region,
-                &mut ws.spare_rows,
             ),
-            LinkDir::Reverse => reverse_region_into(
+            LinkDir::Reverse => reverse_region(
                 rev_load_w,
                 cfg.lmax_w,
                 gamma_s,
                 cfg.kappa,
                 requests.iter().map(|r| r.meas),
                 &mut out.region,
-                &mut ws.spare_rows,
             ),
         }
         out.delta_beta.clear();
@@ -755,7 +745,5 @@ mod tests {
             ws.warm_hits > 0,
             "shrinking rounds must re-enter a warm workspace: {ws:?}"
         );
-        warm.reset_stats();
-        assert_eq!(warm.stats(), SchedStats::default());
     }
 }

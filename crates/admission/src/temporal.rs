@@ -123,7 +123,7 @@ impl SlotSlack {
             return false;
         }
         for s in start..end {
-            for (k, row) in region.a.iter().enumerate() {
+            for (k, row) in region.rows().enumerate() {
                 let need = row[j] * m as f64;
                 if need > self.slack[s][k] + 1e-9 * region.b[k].abs() {
                     return false;
@@ -136,7 +136,7 @@ impl SlotSlack {
     fn commit(&mut self, region: &Region, j: usize, start: usize, m: u32, d: usize) {
         let end = (start + d).min(self.slack.len());
         for s in start..end {
-            for (k, row) in region.a.iter().enumerate() {
+            for (k, row) in region.rows().enumerate() {
                 self.slack[s][k] -= row[j] * m as f64;
             }
         }
@@ -315,7 +315,7 @@ mod tests {
 
     fn region_one_row(coeffs: Vec<f64>, budget: f64) -> Region {
         Region {
-            a: vec![coeffs],
+            a: coeffs,
             b: vec![budget],
             cells: vec![CellId(0)],
         }

@@ -777,24 +777,13 @@ impl Network {
         &self.rev_total_w
     }
 
-    /// Cells that hit the forward power clamp last frame.
-    pub fn overloaded_cells(&self) -> Vec<CellId> {
-        self.overloaded
-            .iter()
-            .enumerate()
-            .filter(|(_, &o)| o)
-            .map(|(k, _)| CellId(k as u32))
-            .collect()
-    }
-
-    /// Whether any cell hit the forward power clamp last frame
-    /// (allocation-free variant of [`Network::overloaded_cells`]).
+    /// Whether any cell hit the forward power clamp last frame.
     pub fn any_overloaded(&self) -> bool {
         self.overloaded.iter().any(|&o| o)
     }
 
     /// Per-cell forward power-clamp flags for the last frame, indexed by
-    /// cell (allocation-free variant of [`Network::overloaded_cells`]).
+    /// cell.
     pub fn overloaded_flags(&self) -> &[bool] {
         &self.overloaded
     }
@@ -1877,7 +1866,7 @@ mod tests {
             net.any_overloaded(),
             "20 max-rate edge bursts must overload some cell"
         );
-        assert!(!net.overloaded_cells().is_empty());
+        assert!(net.overloaded_flags().contains(&true));
         let pmax = net.config().max_bs_power_w;
         for &p in net.forward_load_w() {
             assert!(p <= pmax + 1e-9, "clamp failed: {p}");

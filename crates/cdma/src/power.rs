@@ -25,23 +25,10 @@ use wcdma_math::db::db_to_lin;
 /// * `target_ebi0` — FCH Eb/I0 target (linear);
 /// * `proc_gain` — FCH processing gain θ_f;
 /// * `interference_w` — total forward interference+noise at the mobile I_j;
-/// * `legs` — `(gain, _)` per active-set leg: long-term power gain g_{j,k}.
+/// * `leg_gains` — long-term power gain g_{j,k} per active-set leg.
 ///
-/// Returns per-leg transmit powers (W), equal-contribution MRC split.
-pub fn forward_fch_powers(
-    target_ebi0: f64,
-    proc_gain: f64,
-    interference_w: f64,
-    leg_gains: &[f64],
-) -> Vec<f64> {
-    let mut out = vec![0.0; leg_gains.len()];
-    forward_fch_powers_into(target_ebi0, proc_gain, interference_w, leg_gains, &mut out);
-    out
-}
-
-/// Allocation-free variant of [`forward_fch_powers`] for the per-frame hot
-/// path: writes one transmit power per leg into `out`
-/// (`out.len() == leg_gains.len()`).
+/// Writes one transmit power (W) per leg into `out`
+/// (`out.len() == leg_gains.len()`), equal-contribution MRC split.
 pub fn forward_fch_powers_into(
     target_ebi0: f64,
     proc_gain: f64,
@@ -227,8 +214,8 @@ mod tests {
         let theta = 384.0;
         let i = 1e-13;
         let g = 1e-12;
-        let p = forward_fch_powers(target, theta, i, &[g]);
-        assert_eq!(p.len(), 1);
+        let mut p = [0.0];
+        forward_fch_powers_into(target, theta, i, &[g], &mut p);
         let achieved = forward_fch_ebi0(theta, i, &p, &[g]);
         assert!((achieved - target).abs() / target < 1e-12);
     }
@@ -240,11 +227,13 @@ mod tests {
         let i = 1e-13;
         // Strong leg + weak leg.
         let gains = [1e-12, 1e-13];
-        let p = forward_fch_powers(target, theta, i, &gains);
+        let mut p = [0.0; 2];
+        forward_fch_powers_into(target, theta, i, &gains, &mut p);
         let achieved = forward_fch_ebi0(theta, i, &p, &gains);
         assert!((achieved - target).abs() / target < 1e-12);
         // Total SHO power must exceed single-best-leg power (footnote 4).
-        let single = forward_fch_powers(target, theta, i, &[gains[0]]);
+        let mut single = [0.0];
+        forward_fch_powers_into(target, theta, i, &[gains[0]], &mut single);
         assert!(p.iter().sum::<f64>() > single[0]);
         // Weak leg transmits more than the strong leg.
         assert!(p[1] > p[0]);
@@ -313,7 +302,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one leg")]
     fn forward_requires_legs() {
-        let _ = forward_fch_powers(1.0, 100.0, 1e-12, &[]);
+        forward_fch_powers_into(1.0, 100.0, 1e-12, &[], &mut []);
     }
 
     #[test]

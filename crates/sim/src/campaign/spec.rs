@@ -15,7 +15,7 @@
 use wcdma_admission::PolicyRegistry;
 use wcdma_mac::LinkDir;
 
-use crate::config::{check_cell_radius, MismatchConfig, SimConfig};
+use crate::config::{check_cell_radius, check_duration, MismatchConfig, SimConfig};
 
 /// Named traffic mixes — the per-class voice/web composition axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -346,9 +346,7 @@ impl ScenarioSpec {
         if self.replications == 0 {
             return Err("need at least one replication".into());
         }
-        if !(self.duration_s > self.warmup_s && self.warmup_s >= 0.0) {
-            return Err("duration must exceed warm-up (and warm-up be ≥ 0)".into());
-        }
+        check_duration(self.duration_s, self.warmup_s)?;
         if self.rings == 0 {
             return Err("need at least one ring".into());
         }
@@ -1049,6 +1047,7 @@ policy = [\"fcfs\"]
             "overflows the job index",
         );
         reject("duration_s = 1.0\nwarmup_s = 5.0\n", "exceed warm-up");
+        reject("duration_s = inf\n", "duration must be finite");
         reject("[matrix]\nmix = \"bogus-mix\"\n", "unknown mix");
         reject("[matrix]\npolicy = \"bogus\"\n", "unknown policy");
         reject("[matrix]\nspeed = \"warp\"\n", "unknown speed");

@@ -84,6 +84,14 @@ pub(crate) fn check_cell_radius(radius_m: f64) -> Result<(), String> {
         .ok_or_else(|| format!("cell radius must be in (0, {MAX_CELL_RADIUS_M}] m, got {radius_m}"))
 }
 
+/// The run-length rule [`SimConfig::validate`] and the campaign spec share.
+/// A NaN would run no frames; an infinite duration, about `usize::MAX`.
+pub(crate) fn check_duration(duration_s: f64, warmup_s: f64) -> Result<(), String> {
+    (warmup_s >= 0.0 && duration_s > warmup_s && duration_s.is_finite())
+        .then_some(())
+        .ok_or_else(|| "duration must be finite and exceed warm-up (and warm-up be ≥ 0)".into())
+}
+
 /// Model-mismatch fault injection: the gap between the channel model the
 /// scheduler *assumes* (the calibration behind the eq.-24 region and the
 /// κ shadowing margin) and the physics the network actually evolves under.
@@ -311,8 +319,9 @@ impl SimConfig {
         self.spreading.validate()?;
         self.timers.validate()?;
         self.traffic.validate()?;
-        if self.duration_s <= self.warmup_s {
-            return Err("duration must exceed warm-up".into());
+        check_duration(self.duration_s, self.warmup_s)?;
+        if !(self.speed_ms >= 0.0 && self.speed_ms.is_finite()) {
+            return Err("mobile speed must be finite and non-negative".into());
         }
         if !(self.target_ber > 0.0 && self.target_ber < 0.5) {
             return Err("target BER out of range".into());

@@ -85,9 +85,8 @@ pub fn temporal_instance(
     k: usize,
     rng: &mut Xoshiro256pp,
 ) -> (Region, Vec<TemporalRequest>) {
-    let a: Vec<Vec<f64>> = (0..k)
-        .map(|_| (0..n).map(|_| rng.uniform(0.2, 1.0)).collect())
-        .collect();
+    // Row-major, so the uniforms are drawn row by row.
+    let a: Vec<f64> = (0..k * n).map(|_| rng.uniform(0.2, 1.0)).collect();
     let b: Vec<f64> = (0..k).map(|_| rng.uniform(1.0, 2.5)).collect();
     let cells = (0..k as u32).map(CellId).collect();
     let region = Region { a, b, cells };
@@ -580,7 +579,7 @@ mod tests {
             .all(|(&l, &h)| l == 1 && (4..=16).contains(&h)));
         let (region, reqs) = temporal_instance(4, 2, &mut rng);
         assert_eq!(
-            (region.a.len(), region.a[0].len(), region.cells.len()),
+            (region.rows().len(), region.row(0).len(), region.cells.len()),
             (2, 4, 2)
         );
         assert_eq!(reqs.len(), 4);

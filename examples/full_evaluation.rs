@@ -9,9 +9,8 @@
 
 use wcdma::admission::{
     forward_region, reverse_region, spatial_only_value, temporal_exhaustive, temporal_greedy,
-    AdmissionPolicy, Fcfs, JabaSd, TemporalConfig,
+    AdmissionPolicy, Fcfs, JabaSd, Region, TemporalConfig,
 };
-use wcdma::cdma::MeasurementView;
 use wcdma::ilp::{branch_and_bound, exhaustive, greedy, lp_relaxation, Problem};
 use wcdma::mac::LinkDir;
 use wcdma::math::{db_to_lin, lin_to_db, Xoshiro256pp};
@@ -101,28 +100,27 @@ fn main() {
         "rev rows",
         "rev headroom [fW] (min)",
     ]);
+    let (mut fwd, mut rev) = (Region::default(), Region::default());
     for &n in &[2usize, 4, 8, 12] {
         let net = warm_network(n, 77);
-        let refs: Vec<MeasurementView> = net
-            .data_mobiles()
-            .iter()
-            .map(|&j| net.measurement_view(j))
-            .collect();
-        let fwd = forward_region(net.forward_load_w(), 20.0, 1.0, &refs);
-        let rev = reverse_region(
+        let data = net.data_mobiles();
+        let refs = data.iter().map(|&j| net.measurement_view(j));
+        forward_region(net.forward_load_w(), 20.0, 1.0, refs.clone(), &mut fwd);
+        reverse_region(
             net.reverse_load_w(),
             net.config().reverse_limit_w(),
             1.0,
             net.config().kappa_margin,
-            &refs,
+            refs,
+            &mut rev,
         );
         let min_fwd = fwd.b.iter().cloned().fold(f64::INFINITY, f64::min);
         let min_rev = rev.b.iter().cloned().fold(f64::INFINITY, f64::min);
         t.row(&[
             n.to_string(),
-            fwd.a.len().to_string(),
+            fwd.b.len().to_string(),
             format!("{min_fwd:.3}"),
-            rev.a.len().to_string(),
+            rev.b.len().to_string(),
             format!("{:.3}", min_rev * 1e15),
         ]);
     }

@@ -18,7 +18,10 @@
 //! (`SimConfig::frame_threads`, chunked per-mobile phase with the
 //! chunk-order load fold): frames/s at 1/2/4/8 threads for large
 //! populations, with and without candidate-cell culling
-//! (`SimConfig::candidate_k`). In quick mode the sweep shrinks to 5k
+//! (`SimConfig::candidate_k`). Full mode skips thread counts above the
+//! machine's core count, which would measure oversubscription, and takes
+//! the 5k-mobile 1-thread cell from the population table rather than
+//! running that configuration twice. In quick mode the sweep shrinks to 5k
 //! mobiles × {1, 4} threads, and on a machine with at least two cores the
 //! example asserts a wide, median-of-k bound like the feedback guard below:
 //! over 9 interleaved pairs at 5k mobiles, the median frames/s ratio of
@@ -170,8 +173,15 @@ const THREAD_GUARD_PAIRS: usize = 9;
 /// The intra-frame parallelism sweep: `(mobiles, threads, candidate_k,
 /// frames/s)` rows. Full mode repeats the largest population with
 /// candidate culling on, so the snapshot carries a mobiles × threads
-/// matrix for both the exact and the culled hot path.
-fn thread_sweep(quick: bool) -> Vec<(usize, usize, usize, f64)> {
+/// matrix for both the exact and the culled hot path, and runs no more
+/// threads than `cores`. A 1-thread exact cell whose population `table`
+/// (the population table's `(mobiles, frames/s)` rows) already measured
+/// reuses that row: it is the same configuration.
+fn thread_sweep(
+    quick: bool,
+    cores: usize,
+    table: &[(usize, f64)],
+) -> Vec<(usize, usize, usize, f64)> {
     let cells: Vec<(usize, usize)> = if quick {
         [(5000, 0)].into()
     } else {
@@ -188,8 +198,12 @@ fn thread_sweep(quick: bool) -> Vec<(usize, usize, usize, f64)> {
         } else {
             (600_000 / n).clamp(20, 150)
         };
-        for &t in threads {
-            rows.push((n, t, k, thread_cell(n, t, k, frames)));
+        for &t in threads.iter().filter(|&&t| quick || t <= cores) {
+            let fps = match table.iter().find(|row| row.0 == n) {
+                Some(&(_, fps)) if t == 1 && k == 0 => fps,
+                _ => thread_cell(n, t, k, frames),
+            };
+            rows.push((n, t, k, fps));
         }
     }
     rows
@@ -300,7 +314,8 @@ fn main() {
 
     // Thread sweep: deterministic intra-frame parallelism. Results are
     // bit-identical across thread counts; only frames/s moves.
-    let sweep = thread_sweep(quick);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let sweep = thread_sweep(quick, cores, &rows);
     let mut ts = Table::new(&[
         "mobiles",
         "candidate k",
@@ -323,7 +338,6 @@ fn main() {
         ]);
     }
     println!("{}", ts.render());
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if quick && cores >= 2 {
         // CI guard: at 5k mobiles the frame pipeline on `min(4, cores)`
         // threads must not be clearly slower than on one. More threads

@@ -20,7 +20,7 @@ fn main() {
     // cannot run together but fit back-to-back.
     println!("Illustration: two bursts, shared budget 1.0, each needs 1.0");
     let region = Region {
-        a: vec![vec![1.0, 1.0]],
+        a: vec![1.0, 1.0],
         b: vec![1.0],
         cells: vec![CellId(0)],
     };

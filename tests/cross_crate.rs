@@ -2,7 +2,7 @@
 //! by a real simulated network, and PHY/channel consistency.
 
 use wcdma::admission::{
-    forward_region, reverse_region, AdmissionPolicy, JabaSd, RequestState, Scheduler,
+    forward_region, reverse_region, AdmissionPolicy, JabaSd, Region, RequestState, Scheduler,
     SchedulerConfig,
 };
 use wcdma::geo::CellId;
@@ -25,14 +25,16 @@ fn network_measurements_build_valid_regions() {
         .map(|&j| net.measurement_view(j))
         .collect();
 
-    let fwd = forward_region(
+    let mut fwd = Region::default();
+    forward_region(
         net.forward_load_w(),
         net.config().max_bs_power_w,
         1.0,
-        &refs,
+        refs.iter().copied(),
+        &mut fwd,
     );
-    assert!(!fwd.a.is_empty(), "five data users must yield forward rows");
-    for row in &fwd.a {
+    assert!(!fwd.b.is_empty(), "five data users must yield forward rows");
+    for row in fwd.rows() {
         assert_eq!(row.len(), refs.len());
         assert!(row.iter().all(|&x| x >= 0.0 && x.is_finite()));
     }
@@ -41,15 +43,17 @@ fn network_measurements_build_valid_regions() {
         "reject-all always admissible"
     );
 
-    let rev = reverse_region(
+    let mut rev = Region::default();
+    reverse_region(
         net.reverse_load_w(),
         net.config().reverse_limit_w(),
         1.0,
         net.config().kappa_margin,
-        &refs,
+        refs.iter().copied(),
+        &mut rev,
     );
-    assert!(!rev.a.is_empty());
-    for (row, &b) in rev.a.iter().zip(&rev.b) {
+    assert!(!rev.b.is_empty());
+    for (row, &b) in rev.rows().zip(&rev.b) {
         assert!(b >= 0.0, "negative reverse headroom");
         assert!(row.iter().all(|&x| x >= 0.0 && x.is_finite()));
     }
@@ -124,7 +128,7 @@ fn granted_burst_power_is_within_predicted_headroom() {
     }
     net.step(0.02);
     assert!(
-        net.overloaded_cells().is_empty(),
+        !net.overloaded_flags().contains(&true),
         "admitted bursts must not overload any cell (loads: {:?})",
         net.forward_load_w()
     );
@@ -156,7 +160,6 @@ fn adjacent_cell_simultaneous_transactions_are_coupled() {
     // literature". In this formulation the coupling is automatic: requests
     // whose reduced active sets share a cell appear in the same constraint
     // row, so the joint solve cannot double-book the shared headroom.
-    use wcdma::admission::Region;
     use wcdma::cdma::DataUserMeasurement;
 
     let shared = CellId(1);
@@ -176,7 +179,8 @@ fn adjacent_cell_simultaneous_transactions_are_coupled() {
     let m0 = mk(0, 0); // lives in cell 0, soft hand-off with shared cell 1
     let m1 = mk(1, 2); // lives in cell 2, soft hand-off with shared cell 1
     let loads = vec![12.0, 16.0, 12.0]; // shared cell 1 is nearly full
-    let region: Region = forward_region(&loads, 20.0, 1.0, &[m0.as_view(), m1.as_view()]);
+    let mut region = Region::default();
+    forward_region(&loads, 20.0, 1.0, [m0.as_view(), m1.as_view()], &mut region);
 
     // The shared cell must appear as one row coupling both columns.
     let shared_row = region
@@ -184,7 +188,7 @@ fn adjacent_cell_simultaneous_transactions_are_coupled() {
         .iter()
         .position(|c| *c == shared)
         .expect("shared cell row exists");
-    assert!(region.a[shared_row][0] > 0.0 && region.a[shared_row][1] > 0.0);
+    assert!(region.row(shared_row)[0] > 0.0 && region.row(shared_row)[1] > 0.0);
 
     // Per-cell-independent admission would grant each request its max
     // against its own cell only (headroom 8 W / 0.3 coeff ⇒ large m) and
@@ -213,7 +217,9 @@ fn adjacent_cell_simultaneous_transactions_are_coupled() {
     let rev = vec![1e-13; 3];
     let out = scheduler.schedule(LinkDir::Forward, &loads, &rev, &requests);
     assert!(out.region.admits(&out.m));
-    let shared_use: f64 = out.region.a[shared_row]
+    let shared_use: f64 = out
+        .region
+        .row(shared_row)
         .iter()
         .zip(&out.m)
         .map(|(&a, &m)| a * m as f64)

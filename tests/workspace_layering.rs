@@ -99,11 +99,13 @@ fn cdma_mac_ilp_feed_admission() {
         .collect();
 
     // cdma → admission: measurements → forward admissible region.
-    let region: Region = forward_region(
+    let mut region = Region::default();
+    forward_region(
         net.forward_load_w(),
         net.config().max_bs_power_w,
         1.0,
-        &refs,
+        refs.iter().copied(),
+        &mut region,
     );
     assert!(region.admits(&vec![0; refs.len()]), "reject-all admissible");
 
