@@ -322,7 +322,7 @@ fn edge_configs_run_with_finite_reports() {
             assert_report_finite(&report, &format!("{what} at {threads} frame threads"));
         }
     }
-    let rejected: [ConfigEdge; 14] = [
+    let rejected: [ConfigEdge; 15] = [
         ("rings = 0", |c| c.rings = 0),
         // A NaN run length ran 0 frames and reported 0 s delay.
         ("duration_s = NaN", |c| c.duration_s = f64::NAN),
@@ -333,6 +333,7 @@ fn edge_configs_run_with_finite_reports() {
         // Both panicked in `RandomWaypoint::new`.
         ("speed_ms = NaN", |c| c.speed_ms = f64::NAN),
         ("speed_ms = -1", |c| c.speed_ms = -1.0),
+        ("speed_ms = inf", |c| c.speed_ms = f64::INFINITY),
         // The path gain underflows to zero (a "non-positive link gain"
         // panic), and past ~1e150 the hexagon edge test turns NaN and
         // mobile placement never terminates.
