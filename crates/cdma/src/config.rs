@@ -106,6 +106,11 @@ impl CdmaConfig {
         if !(self.t_drop < self.t_add) {
             return Err("T_DROP must be below T_ADD for hysteresis".into());
         }
+        // A positive T_DROP drops every active-set member that is not a
+        // candidate cell (its pilot reads 0), which the network relies on.
+        if !(self.t_drop > 0.0) {
+            return Err("T_DROP must be positive".into());
+        }
         if self.reduced_active_set == 0 || self.active_set_max == 0 {
             return Err("active set sizes must be at least 1".into());
         }

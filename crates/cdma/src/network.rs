@@ -3,10 +3,11 @@
 //!
 //! Responsibilities:
 //!
-//! * own one shadowing state per (mobile, cell) pair and advance it — the
-//!   path-loss model and shadowing parameters are identical for every link,
-//!   so they live once on the network ([`wcdma_channel::ShadowState`] holds
-//!   only the 48 hot bytes: value, spare Gaussian, RNG);
+//! * own one shadowing state per (mobile, candidate cell) link and advance
+//!   it — the path-loss model and shadowing parameters are identical for
+//!   every link, so they live once on the network
+//!   ([`wcdma_channel::ShadowState`] holds only the 48 hot bytes: value,
+//!   spare Gaussian, RNG);
 //! * forward pilot measurement → FCH active set with hysteresis → reduced
 //!   active set for the SCH;
 //! * forward FCH power allocation (MRC across soft hand-off legs) and
@@ -26,13 +27,26 @@
 //! # Hot-path layout
 //!
 //! Per-mobile state is stored **struct-of-arrays**: scalars live in one
-//! `Vec` per field indexed by mobile, and per-(mobile, cell) quantities live
-//! in flat row-major matrices (`gains[mobile * n_cells + cell]`). Leg tables
-//! and measurement-report rows use fixed strides (`active_set_max`,
-//! `reduced_active_set`, the 8-pilot SCRM cap), so [`Network::step`]
-//! performs **zero heap allocations in steady state**: every buffer —
-//! including the double-buffered load vectors and the per-chunk scratch —
-//! is a persistent field reused each frame.
+//! `Vec` per field indexed by mobile, and per-link quantities live in flat
+//! row-major tables indexed by *candidate slot*, stride `cand_k`:
+//! `gains[mobile * cand_k + i]` is the link from `mobile` to the cell
+//! `cand[mobile * cand_k + i]`. Network memory is therefore O(n·K), not
+//! O(n·`n_cells`). Leg tables and measurement-report rows use fixed
+//! strides (`active_set_max`, `reduced_active_set`, the 8-pilot SCRM cap),
+//! so [`Network::step`] performs **zero heap allocations in steady
+//! state**: every buffer — including the double-buffered load vectors and
+//! the per-chunk scratch — is a persistent field reused each frame. The
+//! one exception is a frame in which a candidate row change parks more
+//! links than a mobile has ever held parked (see below).
+//!
+//! A link that has never been a candidate has never advanced, so its
+//! shadowing state is built at its first candidacy from the stationary
+//! distribution, with exactly the substream and draw it would have had at
+//! [`Network::add_mobile`]. A link that leaves its mobile's candidate row
+//! is *parked* in that mobile's cold list (cell, frozen state, last gain)
+//! and resumes from there when the cell becomes a candidate again. Every
+//! link therefore sees the same draw sequence as under a dense
+//! (mobile, cell) layout, bit for bit.
 //!
 //! # Deterministic intra-frame parallelism
 //!
@@ -252,17 +266,27 @@ pub struct Network {
     /// Whether the FCH is transmitting this frame.
     fch_on: Vec<bool>,
 
-    // ---- flat (mobile, cell) matrices, row-major with stride n_cells ----
-    /// Per-link shadowing hot state. The path-loss model and the shadowing
+    /// First stream number of each mobile: the shadowing substream of its
+    /// link to `cell` derives from `stream0 + cell` (see [`fresh_link`]).
+    stream0: Vec<u64>,
+
+    // ---- flat per-link tables by candidate slot, stride `cand_k` ----
+    // Sized lazily by `Network::step`: a row is filled when its mobile is
+    // first stepped, so setting up a population touches none of them.
+    /// Per-link shadowing hot state; slot `i` of a row is the link to the
+    /// row's `i`-th candidate. The path-loss model and the shadowing
     /// parameters are the same for every link, so they are factored out
     /// into [`Network::pathloss`] / [`Network::shadow_tpl`] — this keeps
-    /// the per-frame advance walking 48-byte rows (fast fading has no
+    /// the per-frame advance walking 48-byte states (fast fading has no
     /// per-link state: the burst layer averages it analytically).
     shadow: Vec<ShadowState>,
-    /// Long-term (local-mean) gain to each cell.
+    /// Long-term (local-mean) gain per candidate slot.
     gains: Vec<f64>,
-    /// Pilot measurements sorted strongest-first per mobile row.
+    /// Pilot measurements of the candidates, strongest-first per row.
     pilots: Vec<PilotStrength>,
+    /// Cold per-mobile lists of links that have left the candidate row:
+    /// each resumes from its frozen state if its cell returns.
+    parked: Vec<Vec<ParkedLink>>,
 
     // ---- flat leg / report tables (fixed stride per mobile) ----
     /// Forward FCH (cell, power) legs; stride `active_set_max`.
@@ -289,7 +313,8 @@ pub struct Network {
     overloaded: Vec<bool>,
 
     // ---- per-mobile candidate cell lists (stride `cand_k`) ----
-    /// Candidate cell ids, ascending per row; `u32::MAX` = needs refresh.
+    /// Candidate cell ids, ascending per row; `u32::MAX` = not yet
+    /// selected. Sized with the per-link tables.
     cand: Vec<u32>,
     /// Candidates per mobile (resolved; `n_cells` = no culling).
     cand_k: usize,
@@ -303,6 +328,8 @@ pub struct Network {
     /// Full top-K selections run so far (see
     /// [`Network::candidate_selections`]).
     cand_selections: u64,
+    /// Parked links resumed so far (see [`Network::link_resumptions`]).
+    link_resumptions: u64,
 
     // ---- persistent per-frame scratch, one set per parallel chunk ----
     chunk_scratch: Vec<ChunkScratch>,
@@ -334,6 +361,39 @@ pub struct Network {
     next_stream: u64,
 }
 
+/// A link that has left its mobile's candidate row: its shadowing state
+/// frozen where it stopped, and its last long-term gain.
+#[derive(Debug, Clone)]
+struct ParkedLink {
+    cell: u32,
+    state: ShadowState,
+    gain: f64,
+}
+
+/// The shadowing state of a link that has never advanced: the stationary
+/// draw on the link's own substream, `(stream·1021 + cell) ^
+/// SHADOW_STREAM_XOR` with `stream = stream0 + cell` (pinned by the golden
+/// canonical-order hash). Built at the link's first candidacy, it has the
+/// same bits it would have had at [`Network::add_mobile`].
+fn fresh_link(seed: u64, sigma_db: f64, stream0: u64, cell: u32) -> ShadowState {
+    let stream = stream0 + cell as u64;
+    let s = stream.wrapping_mul(1021).wrapping_add(cell as u64);
+    ShadowState::stationary(
+        sigma_db,
+        wcdma_math::rng::Xoshiro256pp::substream(
+            seed,
+            s ^ wcdma_channel::shadowing::SHADOW_STREAM_XOR,
+        ),
+    )
+}
+
+/// A stand-in for table slots that no candidate row has claimed yet; every
+/// slot is overwritten (by [`fresh_link`] or a resumed state) before it is
+/// read.
+fn unclaimed_link() -> ShadowState {
+    ShadowState::stationary(0.0, wcdma_math::rng::Xoshiro256pp::new(0))
+}
+
 /// Per-chunk working memory: measurement scratch plus the chunk's partial
 /// per-cell load accumulators. Pre-sized once (see
 /// [`Network::set_frame_threads`] / the first [`Network::step`]); never
@@ -344,14 +404,17 @@ struct ChunkScratch {
     dist: Vec<f64>,
     /// Top-K selection scratch, `(distance, cell)` (len `n_cells`).
     sel: Vec<(f64, u32)>,
+    /// A newly selected candidate row, ascending (len `cand_k`).
+    new_row: Vec<u32>,
+    /// Link states and gains re-slotted for `new_row` (len `cand_k`).
+    new_shadow: Vec<ShadowState>,
+    new_gain: Vec<f64>,
     /// Distances to the candidate cells (len `cand_k`).
     cand_dist: Vec<f64>,
     /// Shadowing excursions in natural-log units (len `cand_k`).
     sh_db: Vec<f64>,
     /// Linear shadowing gains from the batched exp (len `cand_k`).
     sh_lin: Vec<f64>,
-    /// Long-term gains to the candidate cells (len `cand_k`).
-    cand_gain: Vec<f64>,
     /// Gathered previous-frame forward loads (len `cand_k`).
     cand_fwd: Vec<f64>,
     /// Received pilot power per candidate (len `cand_k`).
@@ -368,17 +431,64 @@ struct ChunkScratch {
     rev_w: Vec<f64>,
     /// Full top-K selections run by this chunk this frame.
     selections: u64,
+    /// Parked links this chunk resumed this frame.
+    resumptions: u64,
 }
 
 impl ChunkScratch {
+    /// Re-slots one mobile's links from its candidate row `cells` onto
+    /// `self.new_row` (both ascending). A cell in both rows carries its
+    /// state and gain over; a cell returning to the row resumes from its
+    /// parked entry; a cell that was never a candidate starts from
+    /// `fresh(cell)`. Cells leaving the row are then parked. Resuming
+    /// before parking means the parked list never shrinks, so it
+    /// allocates only when it grows past its longest yet.
+    fn rehome_links(
+        &mut self,
+        cells: &mut [u32],
+        shadow: &mut [ShadowState],
+        gains: &mut [f64],
+        parked: &mut Vec<ParkedLink>,
+        fresh: impl Fn(u32) -> ShadowState,
+    ) {
+        if *cells == self.new_row[..] {
+            return;
+        }
+        for (i, &c) in self.new_row.iter().enumerate() {
+            (self.new_shadow[i], self.new_gain[i]) = if let Ok(o) = cells.binary_search(&c) {
+                (shadow[o].clone(), gains[o])
+            } else if let Some(p) = parked.iter().position(|l| l.cell == c) {
+                self.resumptions += 1;
+                let l = parked.swap_remove(p);
+                (l.state, l.gain)
+            } else {
+                (fresh(c), 0.0)
+            };
+        }
+        for (o, &c) in cells.iter().enumerate() {
+            if c != u32::MAX && self.new_row.binary_search(&c).is_err() {
+                parked.push(ParkedLink {
+                    cell: c,
+                    state: shadow[o].clone(),
+                    gain: gains[o],
+                });
+            }
+        }
+        cells.copy_from_slice(&self.new_row);
+        shadow.clone_from_slice(&self.new_shadow);
+        gains.copy_from_slice(&self.new_gain);
+    }
+
     fn new(n_cells: usize, active_set_max: usize, cand_k: usize) -> Self {
         Self {
             dist: vec![0.0; n_cells],
             sel: vec![(0.0, 0); n_cells],
+            new_row: vec![0; cand_k],
+            new_shadow: vec![unclaimed_link(); cand_k],
+            new_gain: vec![0.0; cand_k],
             cand_dist: vec![0.0; cand_k],
             sh_db: vec![0.0; cand_k],
             sh_lin: vec![0.0; cand_k],
-            cand_gain: vec![0.0; cand_k],
             cand_fwd: vec![0.0; cand_k],
             pilot_rx: vec![0.0; cand_k],
             ec_io: vec![0.0; cand_k],
@@ -387,6 +497,7 @@ impl ChunkScratch {
             fwd_w: vec![0.0; n_cells],
             rev_w: vec![0.0; n_cells],
             selections: 0,
+            resumptions: 0,
         }
     }
 }
@@ -414,9 +525,11 @@ impl Network {
             ebi0_fwd: Vec::new(),
             ebi0_rev: Vec::new(),
             fch_on: Vec::new(),
+            stream0: Vec::new(),
             shadow: Vec::new(),
             gains: Vec::new(),
             pilots: Vec::new(),
+            parked: Vec::new(),
             fch_legs: Vec::new(),
             fch_leg_count: Vec::new(),
             reduced: Vec::new(),
@@ -435,6 +548,7 @@ impl Network {
             cand_refresh: DEFAULT_CANDIDATE_REFRESH,
             frame_idx: 0,
             cand_selections: 0,
+            link_resumptions: 0,
             chunk_scratch: Vec::new(),
             fch_theta: cfg.fch_processing_gain(),
             base_fwd_w: base_fwd,
@@ -516,6 +630,10 @@ impl Network {
     /// this is what makes the `k == num_cells` reduction exact. See
     /// `docs/DETERMINISM.md`.
     ///
+    /// Called after stepping, every current link is parked and each row is
+    /// selected afresh on the next step, so a link the new rows keep
+    /// resumes from the state it had.
+    ///
     /// # Panics
     /// If `refresh_frames == 0`.
     pub fn set_candidates(&mut self, k: usize, refresh_frames: usize) {
@@ -526,14 +644,50 @@ impl Network {
             k.min(self.n_cells)
         }
         .max(1);
+        // Park every stored link. Rows are stored only by a step, which
+        // selects each of them, so none is still the sentinel.
+        let old_k = self.cand_k;
+        for (m, row) in self.cand.chunks_exact(old_k).enumerate() {
+            for (i, &c) in row.iter().enumerate() {
+                self.parked[m].push(ParkedLink {
+                    cell: c,
+                    state: self.shadow[m * old_k + i].clone(),
+                    gain: self.gains[m * old_k + i],
+                });
+            }
+        }
+        self.cand.clear();
+        self.shadow.clear();
+        self.gains.clear();
+        self.pilots.clear();
         self.cand_k = kc;
         self.cand_identity = kc == self.n_cells;
         self.cand_refresh = refresh_frames as u64;
-        self.cand.clear();
-        self.cand.resize(self.n_mobiles * kc, u32::MAX);
         // Scratch rows are sized for `cand_k`: rebuild.
         self.chunk_scratch.clear();
         self.ensure_chunk_scratch();
+    }
+
+    /// Sizes the per-link tables for every mobile added so far: a new
+    /// mobile's row starts unselected (the sentinel), so its first step
+    /// selects it and builds its links. No allocation once sized.
+    fn ensure_link_tables(&mut self) {
+        let len = self.n_mobiles * self.cand_k;
+        if self.cand.len() < len {
+            self.cand.resize(len, u32::MAX);
+            self.shadow.resize(len, unclaimed_link());
+            self.gains.resize(len, 0.0);
+            self.pilots.resize(
+                len,
+                PilotStrength {
+                    cell: CellId(0),
+                    ec_io: 0.0,
+                },
+            );
+        }
+        if self.parked.len() < self.n_mobiles {
+            self.parked.resize_with(self.n_mobiles, Vec::new);
+        }
     }
 
     /// Candidates per mobile (resolved: `num_cells` when culling is off).
@@ -553,6 +707,22 @@ impl Network {
     /// so it is the same for every thread count.
     pub fn candidate_selections(&self) -> u64 {
         self.cand_selections
+    }
+
+    /// Parked links resumed since construction: links that left a
+    /// candidate row and later returned to one, each restarting from its
+    /// frozen state. Always 0 without culling. Folded in chunk order, so
+    /// it is the same for every thread count.
+    pub fn link_resumptions(&self) -> u64 {
+        self.link_resumptions
+    }
+
+    /// Links currently parked: they have left their mobile's candidate
+    /// row and hold their frozen state until it returns. A mobile's list
+    /// never shrinks while K is unchanged (a row change resumes before it
+    /// parks), so a frame that leaves this count unchanged grew no list.
+    pub fn parked_links(&self) -> usize {
+        self.parked.iter().map(Vec::len).sum()
     }
 
     /// Stride of the forward-leg / reverse-pilot report tables.
@@ -624,12 +794,14 @@ impl Network {
     }
 
     /// Reserves room for `additional` more mobiles in every per-mobile
-    /// table, each sized exactly once. Calling it before adding a known
-    /// population avoids the tables' repeated doubling, and with it a
-    /// peak of twice-sized buffers. Results do not depend on it.
+    /// table, each sized exactly once; the per-link tables get `cand_k`
+    /// slots per mobile, so call it after [`Network::set_candidates`].
+    /// Calling it before adding a known population avoids the tables'
+    /// repeated doubling, and with it a peak of twice-sized buffers.
+    /// Results do not depend on it.
     pub fn reserve_mobiles(&mut self, additional: usize) {
         let n = additional;
-        let k = self.n_cells;
+        let k = self.cand_k;
         let legs = n * self.leg_stride();
         self.pos.reserve_exact(n);
         self.motion.reserve_exact(n);
@@ -641,9 +813,11 @@ impl Network {
         self.ebi0_fwd.reserve_exact(n);
         self.ebi0_rev.reserve_exact(n);
         self.fch_on.reserve_exact(n);
+        self.stream0.reserve_exact(n);
         self.shadow.reserve_exact(n * k);
         self.gains.reserve_exact(n * k);
         self.pilots.reserve_exact(n * k);
+        self.parked.reserve_exact(n);
         self.fch_legs.reserve_exact(legs);
         self.fch_leg_count.reserve_exact(n);
         self.reduced.reserve_exact(n * self.red_stride());
@@ -651,30 +825,17 @@ impl Network {
         self.rep_rev_pilot.reserve_exact(legs);
         self.rep_fwd_pilot.reserve_exact(n * self.scrm_stride());
         self.rep_fwd_count.reserve_exact(n);
-        self.cand.reserve_exact(n * self.cand_k);
+        self.cand.reserve_exact(n * k);
     }
 
     /// Adds a mobile at `pos` with the given speed (m/s; fast fading is
     /// handled analytically by the burst layer, so the speed no longer
     /// seeds any per-link state); returns its index.
     pub fn add_mobile(&mut self, kind: UserKind, pos: Point, _speed_ms: f64) -> usize {
-        let k = self.n_cells;
-        let sigma_db = self.shadow_tpl.sigma_db();
-        for cell in 0..k {
-            let stream = self.next_stream;
-            self.next_stream += 1;
-            // Each link's shadowing substream is `stream·1021 + cell`,
-            // XOR `SHADOW_STREAM_XOR` (pinned by the golden
-            // canonical-order hash).
-            let s = stream.wrapping_mul(1021).wrapping_add(cell as u64);
-            self.shadow.push(ShadowState::stationary(
-                sigma_db,
-                wcdma_math::rng::Xoshiro256pp::substream(
-                    self.seed,
-                    s ^ wcdma_channel::shadowing::SHADOW_STREAM_XOR,
-                ),
-            ));
-        }
+        // One stream per cell: the link to `cell` draws from stream
+        // `stream0 + cell`, built at its first candidacy ([`fresh_link`]).
+        self.stream0.push(self.next_stream);
+        self.next_stream += self.n_cells as u64;
         let voice = match kind {
             UserKind::Voice => {
                 let s = self.next_stream;
@@ -693,14 +854,6 @@ impl Network {
         self.ebi0_fwd.push(0.0);
         self.ebi0_rev.push(0.0);
         self.fch_on.push(true);
-        self.gains.extend(std::iter::repeat(0.0).take(k));
-        self.pilots.extend(
-            std::iter::repeat(PilotStrength {
-                cell: CellId(0),
-                ec_io: 0.0,
-            })
-            .take(k),
-        );
         self.fch_legs
             .extend(std::iter::repeat((CellId(0), 0.0)).take(self.leg_stride()));
         self.fch_leg_count.push(0);
@@ -712,10 +865,6 @@ impl Network {
         self.rep_fwd_pilot
             .extend(std::iter::repeat((CellId(0), 0.0)).take(self.scrm_stride()));
         self.rep_fwd_count.push(0);
-        // Sentinel row: selected on this mobile's first step regardless of
-        // where the refresh cadence stands.
-        self.cand
-            .extend(std::iter::repeat(u32::MAX).take(self.cand_k));
         self.n_mobiles += 1;
         self.n_mobiles - 1
     }
@@ -795,7 +944,16 @@ impl Network {
     /// non-candidate cell returns its last value from when it was a
     /// candidate (or 0 if it never was).
     pub fn gain(&self, j: usize, cell: CellId) -> f64 {
-        self.gains[j * self.n_cells + cell.index()]
+        let kc = self.cand_k;
+        if let Some(row) = self.cand.get(j * kc..(j + 1) * kc) {
+            if let Ok(i) = row.binary_search(&cell.0) {
+                return self.gains[j * kc + i];
+            }
+        }
+        self.parked
+            .get(j)
+            .and_then(|p| p.iter().find(|l| l.cell == cell.0))
+            .map_or(0.0, |l| l.gain)
     }
 
     /// FCH active set of mobile `j`.
@@ -813,7 +971,6 @@ impl Network {
     /// bit-identical for every thread count.
     pub fn step(&mut self, dt: f64) {
         assert!(dt > 0.0);
-        let k = self.n_cells;
         let leg_stride = self.leg_stride();
         let red_stride = self.red_stride();
         // Double-buffer swap: *_prev_w now holds last frame's loads; the
@@ -821,6 +978,7 @@ impl Network {
         std::mem::swap(&mut self.fwd_total_w, &mut self.fwd_prev_w);
         std::mem::swap(&mut self.rev_total_w, &mut self.rev_prev_w);
         self.ensure_chunk_scratch();
+        self.ensure_link_tables();
         let n_chunks = chunk_count(self.n_mobiles, MOBILE_CHUNK);
 
         // Phases 1+2a, parallel over fixed-size mobile chunks: channels,
@@ -832,7 +990,6 @@ impl Network {
             let shared = StepShared {
                 cfg: &self.cfg,
                 layout: &self.layout,
-                k,
                 leg_stride,
                 red_stride,
                 dt,
@@ -844,6 +1001,8 @@ impl Network {
                 mobile_noise_w: self.mobile_noise_w,
                 pathloss: &self.pathloss,
                 shadow_tpl: &self.shadow_tpl,
+                seed: self.seed,
+                stream0: &self.stream0,
                 fch_theta: self.fch_theta,
                 ideal_reverse_pc: self.ideal_reverse_pc,
                 inner_loop: self.inner_loop,
@@ -864,6 +1023,7 @@ impl Network {
                 shadow: &mut self.shadow,
                 gains: &mut self.gains,
                 pilots: &mut self.pilots,
+                parked: &mut self.parked,
                 fch_legs: &mut self.fch_legs,
                 fch_leg_count: &mut self.fch_leg_count,
                 reduced: &mut self.reduced,
@@ -872,7 +1032,7 @@ impl Network {
             };
             let chunks = self.chunk_scratch[..n_chunks]
                 .iter_mut()
-                .map(move |s| (rest.split_off(k, leg_stride, red_stride, shared.cand_k), s));
+                .map(move |s| (rest.split_off(leg_stride, red_stride, shared.cand_k), s));
             self.pool
                 .for_each(chunks, |ci, (r, s)| step_chunk(&shared, r, s, ci));
         }
@@ -892,6 +1052,7 @@ impl Network {
                 *t += p;
             }
             self.cand_selections += s.selections;
+            self.link_resumptions += s.resumptions;
         }
         // Forward budget clamp: flag and clamp overloaded cells.
         for (over, f) in self.overloaded.iter_mut().zip(&mut self.fwd_total_w) {
@@ -904,19 +1065,19 @@ impl Network {
         // Phase 3: refresh the Figure-2 measurement report rows for data
         // users, so measurement views borrow without recomputation.
         let scrm_stride = self.scrm_stride();
+        let kc = self.cand_k;
         for m in 0..self.n_mobiles {
             if self.kind[m] != UserKind::Data {
                 continue;
             }
-            let row = m * k;
+            let row = m * kc;
+            let cand_row = &self.cand[row..row + kc];
             let pilot_tx = self.rev_fch_w[m] / self.cfg.fch_pilot_ratio;
             let members = self.active_set[m].members();
             let rr = m * leg_stride;
             for (i, &c) in members.iter().enumerate() {
-                self.rep_rev_pilot[rr + i] = (
-                    c,
-                    pilot_tx * self.gains[row + c.index()] / self.rev_total_w[c.index()],
-                );
+                let g = self.gains[row + candidate_slot(cand_row, c)];
+                self.rep_rev_pilot[rr + i] = (c, pilot_tx * g / self.rev_total_w[c.index()]);
             }
             let fs = m * scrm_stride;
             // Phase 1 fills the first `cand_k` pilot slots of every row, so
@@ -985,7 +1146,6 @@ impl Network {
 struct StepShared<'a> {
     cfg: &'a CdmaConfig,
     layout: &'a HexLayout,
-    k: usize,
     leg_stride: usize,
     red_stride: usize,
     dt: f64,
@@ -999,6 +1159,9 @@ struct StepShared<'a> {
     pathloss: &'a PathLoss,
     /// Shared shadowing parameters (ρ and σ for the per-link states).
     shadow_tpl: &'a Shadowing,
+    /// Network seed and per-mobile first streams, for [`fresh_link`].
+    seed: u64,
+    stream0: &'a [u64],
     fch_theta: f64,
     ideal_reverse_pc: bool,
     inner_loop: InnerLoop,
@@ -1011,7 +1174,7 @@ struct StepShared<'a> {
     refresh_all: bool,
 }
 
-/// The mutable per-mobile tables, or one chunk of their rows. Per-cell
+/// The mutable per-mobile tables, or one chunk of their rows. Per-link
 /// and leg tables hold `stride` elements per mobile, so the rows of one
 /// chunk cover the same mobiles in every table.
 struct StepRows<'a> {
@@ -1025,6 +1188,7 @@ struct StepRows<'a> {
     shadow: &'a mut [ShadowState],
     gains: &'a mut [f64],
     pilots: &'a mut [PilotStrength],
+    parked: &'a mut [Vec<ParkedLink>],
     fch_legs: &'a mut [(CellId, f64)],
     fch_leg_count: &'a mut [usize],
     reduced: &'a mut [CellId],
@@ -1034,9 +1198,9 @@ struct StepRows<'a> {
 
 impl<'a> StepRows<'a> {
     /// Peels the next `MOBILE_CHUNK` mobiles (fewer at the tail) off every
-    /// table, each at its own stride: `k` cells, `leg` FCH legs, `red`
-    /// reduced-set entries and `kc` candidates per mobile.
-    fn split_off(&mut self, k: usize, leg: usize, red: usize, kc: usize) -> StepRows<'a> {
+    /// table, each at its own stride: `leg` FCH legs, `red` reduced-set
+    /// entries and `kc` candidate links per mobile.
+    fn split_off(&mut self, leg: usize, red: usize, kc: usize) -> StepRows<'a> {
         fn peel<'a, T>(rows: &mut &'a mut [T], len: usize) -> &'a mut [T] {
             let (head, tail) = std::mem::take(rows).split_at_mut(len);
             *rows = tail;
@@ -1051,9 +1215,10 @@ impl<'a> StepRows<'a> {
             ebi0_fwd: peel(&mut self.ebi0_fwd, n),
             ebi0_rev: peel(&mut self.ebi0_rev, n),
             fch_on: peel(&mut self.fch_on, n),
-            shadow: peel(&mut self.shadow, n * k),
-            gains: peel(&mut self.gains, n * k),
-            pilots: peel(&mut self.pilots, n * k),
+            shadow: peel(&mut self.shadow, n * kc),
+            gains: peel(&mut self.gains, n * kc),
+            pilots: peel(&mut self.pilots, n * kc),
+            parked: peel(&mut self.parked, n),
             fch_legs: peel(&mut self.fch_legs, n * leg),
             fch_leg_count: peel(&mut self.fch_leg_count, n),
             reduced: peel(&mut self.reduced, n * red),
@@ -1070,7 +1235,6 @@ impl<'a> StepRows<'a> {
 /// whole frame.
 fn step_chunk(sh: &StepShared<'_>, rows: StepRows<'_>, scratch: &mut ChunkScratch, ci: usize) {
     let base = ci * MOBILE_CHUNK;
-    let k = sh.k;
     let StepRows {
         motion,
         voice,
@@ -1082,6 +1246,7 @@ fn step_chunk(sh: &StepShared<'_>, rows: StepRows<'_>, scratch: &mut ChunkScratc
         shadow,
         gains,
         pilots,
+        parked,
         fch_legs,
         fch_leg_count,
         reduced,
@@ -1097,22 +1262,28 @@ fn step_chunk(sh: &StepShared<'_>, rows: StepRows<'_>, scratch: &mut ChunkScratc
     scratch.fwd_w.fill(0.0);
     scratch.rev_w.fill(0.0);
     scratch.selections = 0;
+    scratch.resumptions = 0;
     for (lm, motion) in motion.iter_mut().enumerate() {
         let m = base + lm; // global mobile index (read-only tables)
-        let row = lm * k;
-        let cand_row = &mut cand[lm * kc..(lm + 1) * kc];
+        let row = lm * kc;
+        let cand_row = &mut cand[row..row + kc];
+        let shadow_row = &mut shadow[row..row + kc];
+        let gain_row = &mut gains[row..row + kc];
+        let fresh = |c: u32| fresh_link(sh.seed, sh.shadow_tpl.sigma_db(), sh.stream0[m], c);
 
         // Candidate cell list: select on this mobile's first-ever step
         // (flagged by the sentinel) and on cadence frames the movement-gap
         // certificate no longer covers; otherwise just recompute distances
         // to the standing candidates. Rows are stored ascending by cell id
-        // so the per-cell iteration order matches the unculled loop.
+        // so the per-cell iteration order matches the unculled loop. A
+        // changed row re-slots its links (see `ChunkScratch::rehome_links`).
         motion.cand_slack_m -= motion.moved_m;
         if sh.cand_identity {
             if cand_row[0] == u32::MAX {
-                for (i, c) in cand_row.iter_mut().enumerate() {
+                for (i, c) in scratch.new_row.iter_mut().enumerate() {
                     *c = i as u32;
                 }
+                scratch.rehome_links(cand_row, shadow_row, gain_row, &mut parked[lm], fresh);
             }
             // Identity list: the batched all-cells kernel produces exactly
             // the values `distances_subset_into` would (pinned by test).
@@ -1133,11 +1304,12 @@ fn step_chunk(sh: &StepShared<'_>, rows: StepRows<'_>, scratch: &mut ChunkScratc
                 .select_nth_unstable_by(kc, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let d_k = top.iter().fold(0.0f64, |acc, s| acc.max(s.0));
             motion.cand_slack_m = 0.5 * (next.0 - d_k);
-            for (slot, s) in cand_row.iter_mut().zip(top.iter()) {
+            for (slot, s) in scratch.new_row.iter_mut().zip(top.iter()) {
                 *slot = s.1;
             }
-            cand_row.sort_unstable();
+            scratch.new_row.sort_unstable();
             scratch.selections += 1;
+            scratch.rehome_links(cand_row, shadow_row, gain_row, &mut parked[lm], fresh);
             for (d, &c) in scratch.cand_dist.iter_mut().zip(cand_row.iter()) {
                 *d = scratch.dist[c as usize];
             }
@@ -1151,21 +1323,22 @@ fn step_chunk(sh: &StepShared<'_>, rows: StepRows<'_>, scratch: &mut ChunkScratc
         // displacement, so it is computed once per mobile from the shared
         // parameter template; fast fading is never read on this path (the
         // burst layer integrates fading analytically via VTAOC), so the
-        // per-link rows carry only the 48-byte shadowing hot state. The
-        // dB → linear conversion runs as one batched 4-lane exp over the
-        // gathered excursions.
+        // per-link slots carry only the 48-byte shadowing hot state, the
+        // row's K states contiguous. The dB → linear conversion runs as
+        // one batched 4-lane exp over the gathered excursions.
         let shadow_rho = sh.shadow_tpl.rho(motion.moved_m, sh.dt);
         let innov_scale = sh.shadow_tpl.innovation_scale(shadow_rho);
-        for (db, &c) in scratch.sh_db.iter_mut().zip(cand_row.iter()) {
-            let st = &mut shadow[row + c as usize];
+        for (db, st) in scratch.sh_db.iter_mut().zip(shadow_row.iter_mut()) {
             st.step_with_rho(shadow_rho, innov_scale);
             *db = st.value_db() * DB_TO_NAT;
         }
         simd::exp_into(&scratch.sh_db, &mut scratch.sh_lin);
-        for (i, &c) in cand_row.iter().enumerate() {
-            let g = sh.pathloss.gain(scratch.cand_dist[i]) * scratch.sh_lin[i];
-            scratch.cand_gain[i] = g;
-            gains[row + c as usize] = g;
+        for ((g, &d), &lin) in gain_row
+            .iter_mut()
+            .zip(&scratch.cand_dist)
+            .zip(&scratch.sh_lin)
+        {
+            *g = sh.pathloss.gain(d) * lin;
         }
         motion.moved_m = 0.0;
 
@@ -1175,12 +1348,8 @@ fn step_chunk(sh: &StepShared<'_>, rows: StepRows<'_>, scratch: &mut ChunkScratc
         for (fw, &c) in scratch.cand_fwd.iter_mut().zip(cand_row.iter()) {
             *fw = sh.fwd_prev_w[c as usize];
         }
-        let total_rx = sh.mobile_noise_w + simd::dot(&scratch.cand_fwd, &scratch.cand_gain);
-        simd::scale_into(
-            &scratch.cand_gain,
-            sh.cfg.pilot_power_w,
-            &mut scratch.pilot_rx,
-        );
+        let total_rx = sh.mobile_noise_w + simd::dot(&scratch.cand_fwd, gain_row);
+        simd::scale_into(gain_row, sh.cfg.pilot_power_w, &mut scratch.pilot_rx);
         simd::ratio_into(&scratch.pilot_rx, total_rx, &mut scratch.ec_io);
         pilots_from_ratios_into(cand_row, &scratch.ec_io, &mut pilots[row..row + kc]);
         active_set[lm].update_sorted(
@@ -1207,16 +1376,16 @@ fn step_chunk(sh: &StepShared<'_>, rows: StepRows<'_>, scratch: &mut ChunkScratc
         // term, so only the (few) active-set members are revisited. The
         // update above drops any member absent from the candidate pilots
         // (strength 0 < T_DROP), so members ⊆ candidates and their gains
-        // are fresh.
-        let mut interference = total_rx;
-        for &c in active_set[lm].members() {
-            let w = sh.fwd_prev_w[c.index()] * gains[row + c.index()];
-            interference -= w * ortho_back;
-        }
+        // are fresh: each is found through the sorted candidate row.
         let members = active_set[lm].members();
         let nl = members.len();
-        for (i, &c) in members.iter().enumerate() {
-            scratch.leg_gains[i] = gains[row + c.index()];
+        for (lg, &c) in scratch.leg_gains.iter_mut().zip(members) {
+            *lg = gain_row[candidate_slot(cand_row, c)];
+        }
+        let mut interference = total_rx;
+        for (&c, &g) in members.iter().zip(&scratch.leg_gains[..nl]) {
+            let w = sh.fwd_prev_w[c.index()] * g;
+            interference -= w * ortho_back;
         }
         forward_fch_powers_into(
             sh.cfg.fch_ebi0_target,
@@ -1240,9 +1409,8 @@ fn step_chunk(sh: &StepShared<'_>, rows: StepRows<'_>, scratch: &mut ChunkScratc
         // Reverse power control toward the best leg of last frame's L.
         debug_assert!(nl > 0, "active set never empty");
         let mut best_cell = members[0];
-        let mut best_gain = gains[row + best_cell.index()];
-        for &c in &members[1..] {
-            let g = gains[row + c.index()];
+        let mut best_gain = scratch.leg_gains[0];
+        for (&c, &g) in members[1..].iter().zip(&scratch.leg_gains[1..nl]) {
             if g > best_gain {
                 best_gain = g;
                 best_cell = c;
@@ -1301,10 +1469,18 @@ fn step_chunk(sh: &StepShared<'_>, rows: StepRows<'_>, scratch: &mut ChunkScratc
         // Reverse received power lands only at candidate cells — the same
         // culling approximation as the forward sums (exact when the list
         // is the identity).
-        for (&c, &g) in cand_row.iter().zip(scratch.cand_gain.iter()) {
+        for (&c, &g) in cand_row.iter().zip(gain_row.iter()) {
             scratch.rev_w[c as usize] += tx * g;
         }
     }
+}
+
+/// Slot of `cell` in a sorted candidate row. Only called for active-set
+/// members, which are always candidates (see [`step_chunk`]).
+#[inline]
+fn candidate_slot(row: &[u32], cell: CellId) -> usize {
+    row.binary_search(&cell.0)
+        .expect("active-set member is a candidate")
 }
 
 /// Forward reduced-active-set adjustment: the SCH is carried on fewer legs
@@ -1797,6 +1973,196 @@ mod tests {
                 assert!(net.gain(j, c) > 0.0, "mobile {j} member {c:?}");
             }
         }
+    }
+
+    /// Bit-exact text of a shadowing state (shortest round-trip floats):
+    /// `==` cannot compare an empty spare Gaussian, which is NaN.
+    fn state_bits(s: &ShadowState) -> String {
+        format!("{s:?}")
+    }
+
+    /// Walks one data mobile on the 19-cell layout (K = 4, re-examined
+    /// every frame) from near site 0 out to a ring-2 site and back along
+    /// the same line, checking every link as it leaves, waits in and
+    /// returns from the parked list. Returns the network and the cells
+    /// that were ever candidates.
+    fn walk_out_and_back() -> (Network, Vec<u32>) {
+        let dt = 0.02;
+        let layout = HexLayout::new(2, 1000.0);
+        let far = layout.site(CellId(12));
+        let mut net = Network::new(CdmaConfig::default_system(), layout, 41);
+        let start = Point::new(60.0, 30.0);
+        net.add_mobile(UserKind::Data, start, 0.0);
+        net.set_candidates(4, 1);
+        let at = |t: f64| {
+            Point::new(
+                start.x + t * (far.x - start.x),
+                start.y + t * (far.y - start.y),
+            )
+        };
+        let path = (0..=24).chain((0..=24).rev()).map(|i| at(i as f64 / 24.0));
+        // Each candidate's (state, gain) after the last step, and each
+        // parked link's (state, gain) when it left.
+        let mut last: Vec<(u32, ShadowState, f64)> = Vec::new();
+        let mut frozen: Vec<(u32, ShadowState, f64)> = Vec::new();
+        let mut ever: Vec<u32> = Vec::new();
+        let (mut parks, mut resumes) = (0u64, 0u64);
+        for p in path {
+            let moved = net.mobile_position(0).dist(p);
+            net.move_mobile(0, p);
+            net.step(dt);
+            let rho = net.shadow_tpl.rho(moved, dt);
+            let scale = net.shadow_tpl.innovation_scale(rho);
+            let row = net.cand[..4].to_vec();
+            for (i, &c) in row.iter().enumerate() {
+                if last.iter().any(|l| l.0 == c) {
+                    continue;
+                }
+                // An entering link: resumed if it was ever a candidate,
+                // else the stationary draw on its own substream. Either
+                // way it has advanced once, this frame.
+                let mut expect = match frozen.iter().position(|l| l.0 == c) {
+                    Some(f) => {
+                        resumes += 1;
+                        frozen.swap_remove(f).1
+                    }
+                    None => fresh_link(41, net.shadow_sigma_db(), net.stream0[0], c),
+                };
+                expect.step_with_rho(rho, scale);
+                assert_eq!(
+                    state_bits(&net.shadow[i]),
+                    state_bits(&expect),
+                    "cell {c} entering"
+                );
+                if !ever.contains(&c) {
+                    ever.push(c);
+                }
+            }
+            for (c, st, g) in last.drain(..) {
+                if !row.contains(&c) {
+                    parks += 1;
+                    frozen.push((c, st, g));
+                }
+            }
+            assert_eq!(net.parked[0].len(), frozen.len());
+            for (c, st, g) in &frozen {
+                let l = net.parked[0].iter().find(|l| l.cell == *c).expect("parked");
+                assert_eq!(
+                    state_bits(&l.state),
+                    state_bits(st),
+                    "cell {c} frozen as it left"
+                );
+                assert_eq!(
+                    net.gain(0, CellId(*c)),
+                    *g,
+                    "cell {c}: last gain while parked"
+                );
+            }
+            for (i, &c) in row.iter().enumerate() {
+                assert_eq!(net.gain(0, CellId(c)), net.gains[i]);
+                last.push((c, net.shadow[i].clone(), net.gains[i]));
+            }
+        }
+        assert!(
+            parks > 0 && resumes > 0,
+            "{parks} parked, {resumes} resumed"
+        );
+        assert_eq!(net.link_resumptions(), resumes);
+        (net, ever)
+    }
+
+    #[test]
+    fn parked_links_resume_from_the_state_they_left_with() {
+        let (net, ever) = walk_out_and_back();
+        // Back at the start, every link that left has returned.
+        assert!(ever.len() > 4, "the walk must change the candidate row");
+        assert_eq!(net.parked_links(), ever.len() - 4);
+    }
+
+    #[test]
+    fn gain_reads_the_candidate_slot_then_the_parked_value_then_zero() {
+        // The slot and parked readings are checked frame by frame along
+        // the walk; a cell that was never a candidate reads 0.
+        let (net, ever) = walk_out_and_back();
+        let never = (0..net.num_cells() as u32)
+            .find(|c| !ever.contains(c))
+            .expect("a 19-cell layout has cells the walk never nears");
+        assert_eq!(net.gain(0, CellId(never)), 0.0);
+        // Before its first step a mobile has no links at all.
+        let mut fresh = Network::new(CdmaConfig::default_system(), HexLayout::new(1, 1000.0), 1);
+        fresh.add_mobile(UserKind::Voice, Point::new(0.0, 0.0), 0.0);
+        assert_eq!(fresh.gain(0, CellId(0)), 0.0);
+    }
+
+    /// [`candidate_net`]'s motion with K = 4 for 20 frames, calling
+    /// `set_candidates(k, 8)` before cadence frame 8 when `reset` is given
+    /// (a cadence frame, so a run without the reset also brings every row
+    /// up to date there). Returns the network and the links resumed by
+    /// frame 8's step.
+    fn reset_candidates_net(reset: Option<usize>) -> (Network, u64) {
+        let mut net = Network::new(CdmaConfig::default_system(), HexLayout::new(1, 1000.0), 311);
+        let mut rng = Xoshiro256pp::new(311 ^ 0xD00D);
+        populate_round_robin(&mut net, 300, 40, 3.0, &mut rng);
+        net.set_candidates(4, 8);
+        let mut resumed_at_reset = 0;
+        for f in 0..20 {
+            for j in 0..net.num_mobiles() {
+                let p = net.mobile_position(j);
+                let step = Point::new(rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0));
+                net.move_mobile(j, Point::new(p.x + step.x, p.y + step.y));
+            }
+            let before = net.link_resumptions();
+            if let (8, Some(k)) = (f, reset) {
+                let parked_before = net.parked_links();
+                net.set_candidates(k, 8);
+                assert_eq!(
+                    net.parked_links(),
+                    parked_before + 4 * net.num_mobiles(),
+                    "every candidate link is parked"
+                );
+            }
+            net.step(0.02);
+            if f == 8 {
+                resumed_at_reset = net.link_resumptions() - before;
+            }
+        }
+        (net, resumed_at_reset)
+    }
+
+    #[test]
+    fn set_candidates_after_stepping_parks_and_resumes_every_link() {
+        // Re-setting the same K parks every link and the next step's fresh
+        // selections resume the ones they keep: bit-identical to never
+        // re-setting, down to each mobile's parked links.
+        let (straight, _) = reset_candidates_net(None);
+        let (again, resumed) = reset_candidates_net(Some(4));
+        assert_nets_bit_identical(&straight, &again, "K = 4 re-set after stepping");
+        assert_eq!(straight.cand, again.cand);
+        assert!(resumed > 0);
+        let parked = |net: &Network, j: usize| {
+            let mut p: Vec<(u32, String, u64)> = net.parked[j]
+                .iter()
+                .map(|l| (l.cell, state_bits(&l.state), l.gain.to_bits()))
+                .collect();
+            p.sort();
+            p
+        };
+        for j in 0..again.num_mobiles() {
+            assert_eq!(parked(&straight, j), parked(&again, j), "mobile {j}");
+            for i in 0..4 {
+                let slot = j * 4 + i;
+                assert_eq!(
+                    state_bits(&straight.shadow[slot]),
+                    state_bits(&again.shadow[slot])
+                );
+            }
+        }
+        // Widening to every cell resumes the 4 links each mobile had, and
+        // nothing stays parked (the identity row holds every cell).
+        let (wide, resumed) = reset_candidates_net(Some(7));
+        assert_eq!(wide.candidate_k(), 7);
+        assert!(resumed >= 4 * wide.num_mobiles() as u64);
+        assert_eq!(wide.parked_links(), 0);
     }
 
     #[test]

@@ -31,12 +31,15 @@
 //! pipeline rather than oversubscription and co-tenant load.
 //!
 //! The **large-population rows** (full mode only) are the million-mobile
-//! acceptance path: 100k mobiles exact vs culled on one thread, plus a
-//! 1M-mobile culled row that simply has to complete in real frames/s.
-//! Rows carry their `candidate_k` so downstream trend tooling can keep
-//! exact and culled trajectories apart, and the snapshot records the
-//! machine's core count so thread-sweep rows measured on a single-core
-//! container (pure overhead floor) can be discarded downstream.
+//! acceptance path: 100k mobiles exact vs culled on one thread, plus two
+//! 1M-mobile culled rows that simply have to complete in real frames/s —
+//! one on the baseline 7 cells, one on the 217-cell metro layout with
+//! K = 7, whose per-link network state is sized by candidates (O(n·K)).
+//! Rows carry their cell count and `candidate_k` so downstream trend
+//! tooling can keep exact and culled trajectories apart, and the snapshot
+//! records the machine's core count so thread-sweep rows measured on a
+//! single-core container (pure overhead floor) can be discarded
+//! downstream.
 //!
 //! The **measurement-feedback smoke** prices the in-loop QoS machinery
 //! behind the `measured-region` policy (per-frame violation accounting +
@@ -97,18 +100,39 @@ fn culled_cfg(n_mobiles: usize) -> SimConfig {
     scale_cfg(n_mobiles).with_candidates(CULL_K, CULL_REFRESH)
 }
 
-/// The large-population rows (full mode only): `(mobiles, candidate_k,
-/// frames/s)` at one frame thread. 100k is measured exact *and* culled —
-/// the acceptance pair tracked across commits — and the 1M row proves a
-/// million-mobile frame loop completes at a measurable rate.
-fn large_rows() -> Vec<(usize, usize, f64)> {
+/// The metro layout for the million-mobile row: 8 rings (217 cells),
+/// K = 7 candidates refreshed every 8 frames.
+fn metro_cfg(n_mobiles: usize) -> SimConfig {
+    let mut c = scale_cfg(n_mobiles).with_candidates(7, 8);
+    c.rings = 8;
+    c
+}
+
+/// The large-population rows (full mode only): `(mobiles, cells,
+/// candidate_k, frames/s)` at one frame thread. 100k is measured exact
+/// *and* culled — the acceptance pair tracked across commits — and the 1M
+/// rows prove a million-mobile frame loop completes at a measurable rate,
+/// on 7 cells and on 217.
+fn large_rows() -> Vec<(usize, usize, usize, f64)> {
     vec![
-        (100_000, 0, cfg_frames_per_sec(scale_cfg(100_000), 20)),
-        (100_000, CULL_K, cfg_frames_per_sec(culled_cfg(100_000), 20)),
+        (100_000, 7, 0, cfg_frames_per_sec(scale_cfg(100_000), 20)),
+        (
+            100_000,
+            7,
+            CULL_K,
+            cfg_frames_per_sec(culled_cfg(100_000), 20),
+        ),
         (
             1_000_000,
+            7,
             CULL_K,
             cfg_frames_per_sec(culled_cfg(1_000_000), 3),
+        ),
+        (
+            1_000_000,
+            217,
+            7,
+            cfg_frames_per_sec(metro_cfg(1_000_000), 3),
         ),
     ]
 }
@@ -216,7 +240,7 @@ fn write_json_snapshot(
     path: &str,
     quick: bool,
     rows: &[(usize, f64)],
-    scale: &[(usize, usize, f64)],
+    scale: &[(usize, usize, usize, f64)],
     sweep: &[(usize, usize, usize, f64)],
     feedback: (f64, f64, f64),
 ) {
@@ -231,10 +255,10 @@ fn write_json_snapshot(
         .collect();
     let scale_entries: Vec<String> = scale
         .iter()
-        .map(|(n, k, fps)| {
+        .map(|(n, cells, k, fps)| {
             format!(
-                "    {{\"mobiles\": {n}, \"candidate_k\": {k}, \"frames_per_sec\": {fps:.2}, \
-                 \"x_realtime\": {:.3}}}",
+                "    {{\"mobiles\": {n}, \"cells\": {cells}, \"candidate_k\": {k}, \
+                 \"frames_per_sec\": {fps:.2}, \"x_realtime\": {:.3}}}",
                 fps * 0.02
             )
         })
@@ -296,14 +320,21 @@ fn main() {
     println!("{}", t.render());
 
     // Large-population rows (full mode only): 100k exact vs culled, plus
-    // the million-mobile culled row. One frame thread — this is the
+    // the million-mobile culled rows. One frame thread — this is the
     // single-core hot-path trend, independent of the machine's core count.
     let scale = if quick { Vec::new() } else { large_rows() };
     if !scale.is_empty() {
-        let mut ls = Table::new(&["mobiles", "candidate k", "frames/sec", "x realtime"]);
-        for &(n, k, fps) in &scale {
+        let mut ls = Table::new(&[
+            "mobiles",
+            "cells",
+            "candidate k",
+            "frames/sec",
+            "x realtime",
+        ]);
+        for &(n, cells, k, fps) in &scale {
             ls.row(&[
                 n.to_string(),
+                cells.to_string(),
                 if k == 0 { "all".into() } else { k.to_string() },
                 format!("{fps:.2}"),
                 format!("{:.3}", fps * 0.02),

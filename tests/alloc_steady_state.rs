@@ -175,6 +175,60 @@ fn steady_state_frames_do_not_allocate() {
         "quiet steady-state frames must not allocate on any frame-pool thread"
     );
 
+    // Scenario F: per-link state sized by candidates. A culled network
+    // (19 cells, K = 4, re-examined every other frame) whose mobiles move
+    // at vehicular speed, so candidate rows change and links are parked
+    // and resumed, on the parallel pipeline with traffic silenced. A
+    // mobile's parked list never shrinks at a fixed K, so a frame that
+    // leaves the network's parked-link count unchanged grew no list: it
+    // must not allocate on any thread, even when it re-selects rows.
+    let mut cfg = SimConfig::baseline()
+        .with_speed_kmh(120.0)
+        .with_candidates(4, 2);
+    cfg.rings = 2;
+    cfg.n_voice = 560;
+    cfg.n_data = 40;
+    cfg.traffic.mean_reading_s = 1e9;
+    cfg.seed = 0xA1110;
+    cfg.frame_threads = 2;
+    let mut sim = Simulation::new(cfg);
+    for _ in 0..60 {
+        sim.step_frame(); // warm-up: scratch + pool settle
+    }
+    let (mut still_frames, mut selecting_still_frames) = (0u32, 0u32);
+    let resumed_before_window = sim.network().link_resumptions();
+    for _ in 0..200 {
+        let parked_before = sim.network().parked_links();
+        let selected_before = sim.network().candidate_selections();
+        GLOBAL_ALLOCS.store(0, Ordering::SeqCst);
+        TRACK_GLOBAL.store(true, Ordering::SeqCst);
+        sim.step_frame();
+        TRACK_GLOBAL.store(false, Ordering::SeqCst);
+        if sim.network().parked_links() == parked_before {
+            still_frames += 1;
+            if sim.network().candidate_selections() > selected_before {
+                selecting_still_frames += 1;
+            }
+            assert_eq!(
+                GLOBAL_ALLOCS.load(Ordering::SeqCst),
+                0,
+                "a frame that grew no parked list allocated"
+            );
+        }
+    }
+    assert!(
+        still_frames > 100,
+        "most frames park nothing new: {still_frames}"
+    );
+    assert!(
+        selecting_still_frames > 0,
+        "expected frames that re-select candidate rows without growing a parked list"
+    );
+    assert!(
+        sim.network().link_resumptions() > resumed_before_window,
+        "parked links must resume inside the measured window"
+    );
+
     // Scenario D: the scheduling phase proper. A warm Scheduler round —
     // region rebuild, δβ̄/bounds, the full JABA-SD branch-and-bound solve,
     // outcome build — must be allocation-free once the persistent

@@ -189,6 +189,13 @@ fn moving_culled_run_reproduces_committed_golden_hash() {
         selections > mobiles && selections < examinations / 2,
         "{selections} selections of {examinations} examinations"
     );
+    // Mobiles leave cells and come back, so the hash below also covers
+    // links that are parked and later resume from their frozen state.
+    let (parked, resumed) = (net.parked_links(), net.link_resumptions());
+    assert!(
+        parked > 0 && resumed > 0,
+        "{parked} links parked, {resumed} resumed"
+    );
     for threads in [1, 4] {
         let (report, trace) = run_with_trace(moving_culled_cfg().with_frame_threads(threads));
         assert!(!trace.is_empty(), "scenario must make decisions");
