@@ -164,6 +164,11 @@ mod tests {
         c.t_add = c.t_drop / 2.0;
         assert!(c.validate().is_err());
 
+        // A zero T_DROP would keep a member whose pilot reads 0.
+        let mut c = CdmaConfig::default_system();
+        c.t_drop = 0.0;
+        assert!(c.validate().is_err());
+
         let mut c = CdmaConfig::default_system();
         c.reduced_active_set = 5;
         assert!(c.validate().is_err());

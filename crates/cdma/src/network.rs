@@ -40,9 +40,9 @@
 //! links than a mobile has ever held parked (see below).
 //!
 //! A link that has never been a candidate has never advanced, so its
-//! shadowing state is built at its first candidacy from the stationary
-//! distribution, with exactly the substream and draw it would have had at
-//! [`Network::add_mobile`]. A link that leaves its mobile's candidate row
+//! shadowing state is built at its first candidacy as the stationary draw
+//! on the link's own substream: its bits depend on the seed, the mobile's
+//! first stream and the cell, never on when it is built. A link that leaves its mobile's candidate row
 //! is *parked* in that mobile's cold list (cell, frozen state, last gain)
 //! and resumes from there when the cell becomes a candidate again. Every
 //! link therefore sees the same draw sequence as under a dense
@@ -373,8 +373,8 @@ struct ParkedLink {
 /// The shadowing state of a link that has never advanced: the stationary
 /// draw on the link's own substream, `(stream·1021 + cell) ^
 /// SHADOW_STREAM_XOR` with `stream = stream0 + cell` (pinned by the golden
-/// canonical-order hash). Built at the link's first candidacy, it has the
-/// same bits it would have had at [`Network::add_mobile`].
+/// canonical-order hash). The bits do not depend on when it is built, so
+/// it is built at the link's first candidacy.
 fn fresh_link(seed: u64, sigma_db: f64, stream0: u64, cell: u32) -> ShadowState {
     let stream = stream0 + cell as u64;
     let s = stream.wrapping_mul(1021).wrapping_add(cell as u64);
@@ -760,8 +760,9 @@ impl Network {
     /// shadowing substreams and draw counts do not depend on the values.
     ///
     /// # Panics
-    /// If any mobile has already been added — per-link shadowing states
-    /// are seeded from the template σ at [`Network::add_mobile`] time.
+    /// If any mobile has already been added — every link of a mobile
+    /// must draw its stationary state from one σ, and a link draws it at
+    /// its first candidacy.
     pub fn set_channel_model(&mut self, pathloss: PathLoss, shadow_sigma_db: f64) {
         assert_eq!(
             self.n_mobiles, 0,
